@@ -202,14 +202,8 @@ def issue_distance_histogram(
 
 
 class LimitCore:
-    """Registry adapter giving the one-pass limit study the ``core.run()``
-    surface of the cycle-level machines.
-
-    The idealized machine computes every instruction's timing directly,
-    so ``max_cycles`` and ``fast_forward`` are accepted for interface
-    compatibility and ignored: the pass cannot deadlock and is already
-    O(n).
-    """
+    """Registry adapter giving the one-pass limit study the ``run()`` and
+    ``drive()`` surface of the cycle-level machines."""
 
     def __init__(
         self,
@@ -231,7 +225,13 @@ class LimitCore:
         max_cycles: int | None = None,
         fast_forward: bool | None = None,
     ) -> SimStats:
-        """Consume the trace through :func:`simulate_limit`."""
+        """Consume the trace through :func:`simulate_limit` in one pass.
+
+        The pass computes every instruction's timing directly, cannot
+        deadlock and is already O(n), so ``max_cycles`` and
+        ``fast_forward`` are accepted for interface compatibility and
+        ignored.
+        """
         result = simulate_limit(
             self.trace,
             self.hierarchy,
@@ -243,6 +243,18 @@ class LimitCore:
             stats=self.stats,
         )
         return result.stats
+
+    def drive(
+        self,
+        num_instructions: int,
+        max_cycles: int | None = None,
+        fast_forward: bool | None = None,
+        round_budget: int = 0,
+    ):
+        """:meth:`run` as a generator that never pauses: the one pass
+        runs whole on the first resumption and returns the stats."""
+        return self.run(num_instructions, max_cycles, fast_forward)
+        yield  # unreachable: makes this a generator like CycleCore.drive
 
 
 # ----------------------------------------------------------------------

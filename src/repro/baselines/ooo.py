@@ -23,6 +23,7 @@ from dataclasses import replace
 from typing import Iterable
 
 from repro.branch.base import BranchPredictor
+from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
 from repro.machines.params import SpecError, parse_count, reject_unknown
 from repro.machines.registry import MachineKind, register_machine
@@ -310,7 +311,11 @@ def _parse_r10(params: dict[str, str]) -> CoreConfig:
             raise SpecError(f"r10: sched={params['sched']!r} must be ino or ooo")
         config = replace(config, scheduler=SchedulerPolicy(sched))
     if "predictor" in params:
-        config = replace(config, predictor=params["predictor"])
+        try:
+            bp = canonical_predictor(params["predictor"])
+        except SpecError as error:
+            raise SpecError(f"r10: {error}; grammar: {R10_GRAMMAR}") from None
+        config = replace(config, predictor=bp)
     return config
 
 

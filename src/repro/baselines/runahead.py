@@ -35,8 +35,9 @@ from collections import deque
 from typing import Iterable, Iterator
 
 from repro.branch.base import BranchPredictor
+from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
-from repro.machines.params import parse_count, reject_unknown
+from repro.machines.params import SpecError, parse_count, reject_unknown
 from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -315,7 +316,11 @@ def _parse_runahead(params: dict[str, str]) -> RunaheadConfig:
         iq = parse_count("runahead", "iq", params["iq"])
         core = dataclasses.replace(core, iq_int=iq, iq_fp=iq)
     if "predictor" in params:
-        core = dataclasses.replace(core, predictor=params["predictor"])
+        try:
+            bp = canonical_predictor(params["predictor"])
+        except SpecError as error:
+            raise SpecError(f"runahead: {error}; grammar: {RUNAHEAD_GRAMMAR}") from None
+        core = dataclasses.replace(core, predictor=bp)
     return RunaheadConfig(
         name=params.get("name", f"runahead-{rob}"),
         core=core,

@@ -24,13 +24,12 @@ from repro.experiments.common import (
     INSTRUCTIONS,
     Scale,
     Stopwatch,
-    WorkloadPool,
     mean_ipc,
-    run_core_cached,
-    run_suite,
+    run_noted,
     scale_of,
     suite_names,
 )
+from repro.memory import DEFAULT_MEMORY
 from repro.report.spec import (
     Check,
     FigureSpec,
@@ -42,6 +41,14 @@ from repro.report.spec import (
 from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
 
 
+def _suites(result: ExperimentResult, configs, names, n, store, force):
+    """Run every config over *names* in one :func:`run_noted` call and
+    return the per-config slices of stats (``None`` marks failed cells)."""
+    cells = [(config, name, DEFAULT_MEMORY) for config in configs for name in names]
+    stats = run_noted(result, cells, n, store=store, force=force)
+    return [stats[i : i + len(names)] for i in range(0, len(stats), len(names))]
+
+
 def run_timer(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
@@ -49,23 +56,28 @@ def run_timer(
     scale = scale_of(scale)
     n = INSTRUCTIONS[scale]
     names = suite_names("fp", scale)
-    pool = WorkloadPool()
     result = ExperimentResult(
         name="ablation-timer",
         title="Aging-ROB timer sweep (SpecFP mean IPC)",
         headers=["timer (cycles)", "ROB entries", "mean IPC"],
         scale=scale,
     )
-    with Stopwatch(result):
-        for timer in (4, 8, 16, 32, 64):
-            cp = dataclasses.replace(
+    timers = (4, 8, 16, 32, 64)
+    configs = [
+        dataclasses.replace(
+            DKIP_2048,
+            name=f"timer-{timer}",
+            rob_timer=timer,
+            cache_processor=dataclasses.replace(
                 DKIP_2048.cache_processor, rob_size=timer * 4
-            )
-            config = dataclasses.replace(
-                DKIP_2048, name=f"timer-{timer}", rob_timer=timer, cache_processor=cp
-            )
-            ipc = mean_ipc(run_suite(config, names, n, pool, store=store, force=force))
-            result.rows.append([timer, timer * 4, round(ipc, 3)])
+            ),
+        )
+        for timer in timers
+    ]
+    with Stopwatch(result):
+        suites = _suites(result, configs, names, n, store, force)
+        for timer, stats in zip(timers, suites):
+            result.rows.append([timer, timer * 4, round(mean_ipc(stats), 3)])
     result.notes.append(
         "The paper picks 16 cycles: enough for the L2 tag probe; much "
         "larger timers re-grow the very window the D-KIP avoids."
@@ -80,18 +92,20 @@ def run_llib_size(
     scale = scale_of(scale)
     n = INSTRUCTIONS[scale]
     names = suite_names("fp", scale) + suite_names("int", scale)
-    pool = WorkloadPool()
     result = ExperimentResult(
         name="ablation-llib",
         title="LLIB capacity sweep (all benchmarks, mean IPC)",
         headers=["LLIB entries", "mean IPC", "fill-up stall cycles"],
         scale=scale,
     )
+    sizes = (64, 256, 1024, 2048, 4096)
+    configs = [
+        dataclasses.replace(DKIP_2048, name=f"llib-{size}", llib_size=size)
+        for size in sizes
+    ]
     with Stopwatch(result):
-        for size in (64, 256, 1024, 2048, 4096):
-            config = dataclasses.replace(DKIP_2048, name=f"llib-{size}", llib_size=size)
-            stats = run_suite(config, names, n, pool, store=store, force=force)
-            stalls = sum(s.llib_full_stall_cycles for s in stats)
+        for size, stats in zip(sizes, _suites(result, configs, names, n, store, force)):
+            stalls = sum(s.llib_full_stall_cycles for s in stats if s is not None)
             result.rows.append([size, round(mean_ipc(stats), 3), stalls])
     return result
 
@@ -99,27 +113,35 @@ def run_llib_size(
 def run_predictor(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
-    """Branch predictor ablation on the D-KIP (Table 2 uses the perceptron)."""
+    """Branch predictor ablation on the D-KIP (Table 2 uses the perceptron).
+
+    The predictor is a field of the Cache Processor's config, so the
+    perceptron row is exactly the default D-KIP-2048 and shares its
+    stored cells with Figure 13.
+    """
     scale = scale_of(scale)
     n = INSTRUCTIONS[scale]
     names = suite_names("int", scale)
-    pool = WorkloadPool()
     result = ExperimentResult(
         name="ablation-predictor",
         title="Branch predictor ablation (SpecINT, D-KIP)",
         headers=["predictor", "mean IPC"],
         scale=scale,
     )
+    predictors = ("perceptron", "gshare", "bimodal", "always-taken")
+    configs = [
+        dataclasses.replace(
+            DKIP_2048,
+            cache_processor=dataclasses.replace(
+                DKIP_2048.cache_processor, predictor=predictor
+            ),
+        )
+        for predictor in predictors
+    ]
     with Stopwatch(result):
-        for predictor in ("perceptron", "gshare", "bimodal", "always-taken"):
-            ipcs = [
-                run_core_cached(
-                    DKIP_2048, pool.get(b), n, predictor_name=predictor,
-                    store=store, force=force,
-                ).ipc
-                for b in names
-            ]
-            result.rows.append([predictor, round(sum(ipcs) / len(ipcs), 3)])
+        suites = _suites(result, configs, names, n, store, force)
+        for predictor, stats in zip(predictors, suites):
+            result.rows.append([predictor, round(mean_ipc(stats), 3)])
     return result
 
 
@@ -130,7 +152,6 @@ def run_runahead(
     scale = scale_of(scale)
     n = INSTRUCTIONS[scale]
     names = suite_names("fp", scale)
-    pool = WorkloadPool()
     result = ExperimentResult(
         name="ablation-runahead",
         title="Runahead execution vs KILO-class machines (SpecFP mean IPC)",
@@ -139,9 +160,8 @@ def run_runahead(
     )
     machines = (R10_64, RunaheadConfig(), KILO_1024, DKIP_2048)
     with Stopwatch(result):
-        for machine in machines:
-            ipc = mean_ipc(run_suite(machine, names, n, pool, store=store, force=force))
-            result.rows.append([machine.name, round(ipc, 3)])
+        for machine, stats in zip(machines, _suites(result, machines, names, n, store, force)):
+            result.rows.append([machine.name, round(mean_ipc(stats), 3)])
     result.notes.append(
         "Expected shape: runahead lands between R10-64 and the true "
         "large-window machines — prefetching overlaps misses but every "

@@ -1,50 +1,47 @@
-"""Shared experiment machinery: scales, suite runners, result records.
+"""Shared experiment machinery: scales, the cell runner, result records.
 
-Three pieces keep the figure sweeps fast:
+Every simulated cell — figure harnesses, ``sweep``, the report, ``cache
+verify`` and the service workers — takes one path:
 
-* :func:`run_suite` / :func:`run_many` fan simulations out over a process
-  pool — one worker task per (machine config, workload) pair — sized by
-  the ``REPRO_JOBS`` environment variable (default: the machine's CPU
-  count).  Results always come back in input order, so harness tables are
-  bit-identical to the serial path.
-* :class:`WarmupCache` runs the functional cache warm-up once per
-  (memory config, workload) and hands out snapshot-restored hierarchies,
-  instead of re-streaming the working set for every swept parameter.
-* A :class:`repro.store.ResultStore` (the ``store=`` argument) is
-  consulted before any cell is dispatched and written back as each cell
-  completes, so repeated sweeps cost only the delta and an interrupted
-  sweep resumes from the cells already on disk.
+* a harness plans a cell list and calls :func:`run_cells` once.  Cached
+  cells come straight from the :class:`repro.store.ResultStore` (the
+  ``store=`` argument); the missing ones are grouped by (workload,
+  memory) and dispatched in units through one
+  :class:`repro.resilience.ResilientExecutor` call — in-process for one
+  job without a deadline, on supervised workers (``REPRO_JOBS``)
+  otherwise — and written back as each cell completes, so repeated
+  sweeps cost only the delta and an interrupted sweep resumes;
+* every unit runs through :func:`run_unit`, the one cell body, which
+  steps its cells through :class:`repro.sim.batch.BatchRunner`.  The
+  process running it keeps the last workload (and so its trace) and the
+  last warmed cache snapshot in per-process memos, so a group of cells
+  sharing a (workload, memory) pair pays for trace generation and
+  warm-up once.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import functools
-import itertools
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.memory import DEFAULT_MEMORY, MemoryConfig, MemoryHierarchy, warm_caches
+from repro.memory import DEFAULT_MEMORY, MemoryConfig
 from repro.resilience import (
-    RETRYABLE,
-    CellExecutionError,
-    CellFailure,
     ExecutionPolicy,
     FailureReport,
     ResilientExecutor,
     active_policy,
     active_report,
     cell_label,
-    classify_exception,
-    plan_from_env,
-    run_attempts,
 )
 from repro.sim.batch import BatchRunner
-from repro.sim.runner import MachineConfig, run_core, simulate
+from repro.sim.runner import MachineConfig
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
 from repro.viz.ascii import table
@@ -87,7 +84,11 @@ def suite_names(which: str, scale: Scale) -> tuple[str, ...]:
 
 
 class WorkloadPool:
-    """Caches workload instances so traces are generated once per run."""
+    """Caches workload instances so each is built once per planning pass.
+
+    Planning only needs a workload's identity (its fingerprint keys the
+    store); traces are materialized by the process that runs the cell.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -102,53 +103,8 @@ class WorkloadPool:
         return workload
 
 
-class WarmupCache:
-    """Caches warmed-hierarchy snapshots keyed by (memory config, workload).
-
-    The functional warm-up streams a workload's whole data region through
-    the hierarchy; sweeps re-run it for every swept parameter even though
-    the resulting cache state only depends on the memory configuration and
-    the workload.  This cache warms once and restores a snapshot for every
-    later request.  Only useful on the serial path — pool workers live in
-    other processes and warm for themselves.
-    """
-
-    def __init__(self, passes: int = 1) -> None:
-        self.passes = passes
-        self._snapshots: dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def hierarchy_for(self, memory: MemoryConfig, workload) -> MemoryHierarchy:
-        """A hierarchy warmed for *workload*, restored from cache if seen."""
-        hierarchy = MemoryHierarchy(memory)
-        hierarchy.restore(self.snapshot_for(memory, workload))
-        return hierarchy
-
-    def snapshot_for(self, memory: MemoryConfig, workload) -> dict:
-        """The warmed snapshot for (memory, workload), warming on first use.
-
-        Also used directly by the process-pool path: snapshots are
-        picklable, so the parent warms once and ships the state to workers
-        in the task tuple instead of every worker re-streaming the working
-        set.
-        """
-        key = (memory, workload.name, workload.seed)
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            self.misses += 1
-            hierarchy = MemoryHierarchy(memory)
-            if workload.regions:
-                warm_caches(hierarchy, workload.regions, passes=self.passes)
-            snapshot = hierarchy.snapshot()
-            self._snapshots[key] = snapshot
-        else:
-            self.hits += 1
-        return snapshot
-
-
 # ----------------------------------------------------------------------
-# Suite runners (serial or process-pool)
+# The one execution path: plan, order, dispatch units to one cell body
 # ----------------------------------------------------------------------
 
 
@@ -172,10 +128,10 @@ def resolve_jobs(jobs: int | None, num_tasks: int) -> int:
 def resolve_batch(batch: int | None) -> int:
     """Batch-size policy: explicit argument > ``REPRO_BATCH`` > 1 (off).
 
-    A batch of N makes N cells one unit of dispatch: one worker steps
-    them round-robin through :class:`repro.sim.batch.BatchRunner`,
-    amortizing process dispatch, trace decode and warm-up across the
-    batch.  Cells still persist and retry individually by fingerprint.
+    A batch of N makes N cells one unit of dispatch: the cell body steps
+    them round-robin through one :class:`repro.sim.batch.BatchRunner`,
+    amortizing dispatch across the unit.  Cells still persist, retry and
+    count individually by fingerprint.
     """
     if batch is None:
         env = os.environ.get("REPRO_BATCH", "").strip()
@@ -191,320 +147,65 @@ def resolve_batch(batch: int | None) -> int:
     return max(1, batch)
 
 
-@functools.lru_cache(maxsize=None)
-def _worker_workload(name: str, seed: int):
-    """Per-process workload memo: pool processes persist across map items,
-    so each worker materializes a given (name, seed) workload — and hence
-    its deterministic trace — once, no matter how many configs reuse it."""
+@functools.lru_cache(maxsize=1)
+def _workload(name: str, seed: int):
+    """Per-process memo of the last workload a cell used.
+
+    Cells reach every process grouped by (workload, memory) — the CLI
+    running in-process, a pool worker or a service worker — so one entry
+    generates each trace once per group while holding only one trace.
+    The warmed-hierarchy snapshot has its own one-entry memo inside
+    :func:`repro.memory.warm_caches`.
+    """
     return get_workload(name, seed=seed)
 
 
-def _run_pair(task) -> SimStats:
-    """Pool worker: simulate one (config, workload, memory) cell.
+def run_unit(cells, num_instructions: int, max_cycles: int | None = None):
+    """The one cell body: run a unit of cells, yielding each as it ends.
 
-    Module-level (picklable) and self-contained: the workload is rebuilt
-    from its name and seed inside the worker, so only small config objects
-    (plus, optionally, a pre-warmed cache snapshot) cross the process
-    boundary.
+    *cells* are ``(config, workload name, memory, seed)`` tuples; they are
+    stepped through one :class:`repro.sim.batch.BatchRunner` (a unit of
+    one is a batch of one).  Yields ``(position, stats)`` per finished
+    cell, or ``(position, exception)`` for a cell that failed — including
+    at construction (an unknown workload), so a broken cell fails alone.
     """
-    config, name, num_instructions, memory, seed, snapshot, max_cycles = task
-    workload = _worker_workload(name, seed)
-    if snapshot is None:
-        return run_core(
-            config, workload, num_instructions, memory=memory, max_cycles=max_cycles
-        )
-    hierarchy = MemoryHierarchy(memory)
-    hierarchy.restore(snapshot)
-    stats = simulate(
-        config,
-        workload.trace(num_instructions),
-        memory=memory,
-        hierarchy=hierarchy,
-        max_cycles=max_cycles,
-    )
-    stats.workload = workload.name
-    return stats
-
-
-#: Worker-process warm-up cache shared by every batch the worker runs.
-#: Parent-side snapshots (shipped in the task tuple) take priority; this
-#: covers the no-store-snapshot path so a batch warms each (memory,
-#: workload) pair once instead of once per cell.
-_WORKER_WARM: WarmupCache | None = None
-
-
-def _batch_hierarchy(memory: MemoryConfig, workload, snapshot) -> MemoryHierarchy:
-    """A warmed hierarchy for one batch cell, preferring the shipped
-    snapshot and falling back to the worker-local warm-up cache."""
-    global _WORKER_WARM
-    if snapshot is None:
-        if _WORKER_WARM is None:
-            _WORKER_WARM = WarmupCache()
-        snapshot = _WORKER_WARM.snapshot_for(memory, workload)
-    hierarchy = MemoryHierarchy(memory)
-    hierarchy.restore(snapshot)
-    return hierarchy
-
-
-def _run_batch(payload, attempt: int = 0):
-    """Pool worker: run a batch of cells, streaming one partial per cell.
-
-    *payload* is a list of ``(position, label, task)`` entries (task as
-    in :func:`_run_pair`); the returned generator yields
-    ``(position, ("ok", stats, None))`` or
-    ``(position, ("error", None, failure_info))`` as each cell resolves,
-    which :func:`repro.resilience.executor._worker_main` forwards as
-    ``"partial"`` messages.  Per-cell fault injection happens at each
-    cell's *completion* point with the cell's own label and the batch's
-    dispatch attempt: ``transient``/``fail`` clauses take down only that
-    cell, while a ``kill`` clause takes the worker — and the driver then
-    requeues only the positions that have not streamed yet.
-    """
-    from repro.resilience.executor import _failure_info
-
-    plan = plan_from_env()
     runner = BatchRunner()
-    errors: list[tuple[int, dict]] = []
-    labels = {}
-    for position, label, task in payload:
-        labels[position] = label
-        config, name, num_instructions, memory, seed, snapshot, max_cycles = task
+    for position, (config, name, memory, seed) in enumerate(cells):
         try:
-            workload = _worker_workload(name, seed)
+            workload = _workload(name, seed)
             runner.add_simulation(
                 position,
                 config,
                 workload.trace(num_instructions),
-                hierarchy=_batch_hierarchy(memory, workload, snapshot),
+                memory=memory,
+                regions=workload.regions,
                 max_cycles=max_cycles,
                 workload_name=workload.name,
             )
         except Exception as error:  # noqa: BLE001 - isolated per cell
-            errors.append((position, _failure_info(error)))
-    for position, info in errors:
-        yield position, ("error", None, info)
-    for position, outcome, value in runner.stream():
-        if outcome == "ok" and plan is not None:
-            try:
-                plan.inject_cell(labels[position], attempt)
-            except Exception as error:  # noqa: BLE001 - isolated per cell
-                yield position, ("error", None, _failure_info(error))
-                continue
-        if outcome == "ok":
-            yield position, ("ok", value, None)
-        else:
-            yield position, ("error", None, _failure_info(value))
+            yield position, error
+    for position, _outcome, value in runner.stream():
+        yield position, value
 
 
-#: The executor calls batch bodies with the dispatch attempt so injected
-#: faults key to ``<cell label>#<attempt>`` exactly like single cells.
-_run_batch.wants_attempt = True
+def pair_order(indices: Sequence[int], pair) -> list[int]:
+    """*indices* regrouped so the cells of each (workload, memory) pair
+    run in a row: workloads, then memories, in order of first appearance.
 
-
-def _prune_batch(payload, done: set):
-    """Drop the batch entries whose positions already streamed a partial
-    (the executor calls this when requeueing after a worker death)."""
-    return [entry for entry in payload if entry[0] not in done]
-
-
-def _make_task(
-    config: MachineConfig,
-    name: str,
-    num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig,
-    warm_cache: WarmupCache | None,
-    max_cycles: int | None,
-) -> tuple:
-    """One pool-worker task tuple, warming the shared snapshot up front."""
-    return (
-        config,
-        name,
-        num_instructions,
-        memory,
-        pool.seed,
-        None if warm_cache is None else warm_cache.snapshot_for(memory, pool.get(name)),
-        max_cycles,
-    )
-
-
-def _handle_cell_error(
-    index: int,
-    label: str,
-    kind: str,
-    error: str,
-    message: str,
-    trace: str,
-    policy: ExecutionPolicy,
-    report: FailureReport,
-    retry: list[int],
-) -> None:
-    """One batch cell failed: queue a retry or record the final failure.
-
-    Mirrors :func:`repro.resilience.run_attempts`'s classification for
-    cells that already ran once inside a batch — retryable failures go
-    to *retry* for individual re-dispatch, permanent ones become a
-    :class:`CellFailure` and count against the policy's failure budget.
+    *pair* maps an index to its hashable ``(workload, memory)`` identity.
     """
-    if kind == RETRYABLE and policy.retries > 0:
-        report.retries += 1
-        retry.append(index)
-        return
-    failure = CellFailure(
-        index=index, cell=label, kind=kind, error=error,
-        message=message, traceback=trace, attempts=1, duration=0.0,
-    )
-    report.record(failure)
-    budget = policy.max_failures
-    if budget is not None and len(report.failures) > budget:
-        raise CellExecutionError(failure, report)
+    workloads: dict = {}
+    memories: dict = {}
+    for index in indices:
+        workload, memory = pair(index)
+        workloads.setdefault(workload, len(workloads))
+        memories.setdefault(memory, len(memories))
 
+    def rank(index: int) -> tuple[int, int]:
+        workload, memory = pair(index)
+        return workloads[workload], memories[memory]
 
-def _run_cells_batched(
-    cells,
-    num_instructions: int,
-    pool: WorkloadPool,
-    jobs: int,
-    warm_cache: WarmupCache | None,
-    store: ResultStore | None,
-    max_cycles: int | None,
-    policy: ExecutionPolicy,
-    report: FailureReport,
-    labels: dict[int, str],
-    results: list,
-    keys: list,
-    pending: list[int],
-    batch_size: int,
-) -> None:
-    """Run *pending* cells in batches of *batch_size* (the tentpole path).
-
-    Each batch is one unit of dispatch: in-process when no pool or
-    deadline is needed, else one :class:`ResilientExecutor` task whose
-    worker streams a partial message per finished cell.  Cells persist
-    to *store* individually as their partials arrive — a killed worker
-    requeues only the batch's unfinished fingerprints — and a cell that
-    fails inside a healthy batch fails alone: retryable errors re-run
-    individually after the batch round, permanent ones (``DeadlockError``)
-    become per-cell failure records while the siblings' results stand.
-    In pool mode the report's ``cells``/``completed`` counters count
-    dispatch units (batches); failure records are always per cell.
-    """
-    chunks = [
-        pending[start : start + batch_size]
-        for start in range(0, len(pending), batch_size)
-    ]
-    retry: list[int] = []
-
-    def complete(index: int, stats: SimStats) -> None:
-        if store is not None:
-            store.put(keys[index], stats)
-        results[index] = stats
-
-    if jobs <= 1 and policy.cell_timeout is None:
-        # In-process: one BatchRunner per chunk, one shared WarmupCache
-        # across every chunk (callers without a warm_cache still get the
-        # per-(memory, workload) warm-up amortized batch-wide).
-        shared_warm = warm_cache if warm_cache is not None else WarmupCache()
-        for chunk in chunks:
-            runner = BatchRunner()
-            broken: list[tuple[int, Exception]] = []
-            for index in chunk:
-                report.cells += 1
-                config, name, memory = cells[index]
-                try:
-                    workload = pool.get(name)
-                    runner.add_simulation(
-                        index,
-                        config,
-                        workload.trace(num_instructions),
-                        hierarchy=shared_warm.hierarchy_for(memory, workload),
-                        max_cycles=max_cycles,
-                        workload_name=workload.name,
-                    )
-                except Exception as error:  # noqa: BLE001 - per-cell isolation
-                    broken.append((index, error))
-            outcomes = [(i, "error", err) for i, err in broken]
-            for index, outcome, value in itertools.chain(
-                outcomes, runner.stream()
-            ):
-                if outcome == "ok":
-                    report.completed += 1
-                    complete(index, value)
-                else:
-                    _handle_cell_error(
-                        index, labels[index], classify_exception(value),
-                        type(value).__name__, str(value), "", policy, report,
-                        retry,
-                    )
-        for index in retry:
-            config, name, memory = cells[index]
-
-            def compute(config=config, name=name, memory=memory) -> SimStats:
-                return run_core(
-                    config,
-                    pool.get(name),
-                    num_instructions,
-                    memory=memory,
-                    warm_cache=shared_warm,
-                    max_cycles=max_cycles,
-                )
-
-            stats = run_attempts(
-                index, labels[index], compute, policy, report, count_cell=False
-            )
-            if stats is not None:
-                complete(index, stats)
-        return
-
-    # Pool path: one executor task per chunk.  Batch labels carry only
-    # positions so ``$REPRO_FAULT`` match clauses aimed at cells fire at
-    # the per-cell injection points inside the worker, not per batch.
-    tasks = []
-    for batch_index, chunk in enumerate(chunks):
-        payload = [
-            (
-                index,
-                labels[index],
-                _make_task(
-                    cells[index][0], cells[index][1], num_instructions,
-                    pool, cells[index][2], warm_cache, max_cycles,
-                ),
-            )
-            for index in chunk
-        ]
-        tasks.append((batch_index, f"batch:{batch_index}(n={len(chunk)})", payload))
-
-    def on_partial(_batch_index: int, position: int, value) -> None:
-        status, stats, info = value
-        if status == "ok":
-            complete(position, stats)
-        else:
-            _handle_cell_error(
-                position, labels[position], info["kind"], info["error"],
-                info["message"], info.get("traceback", ""), policy, report,
-                retry,
-            )
-
-    executor = ResilientExecutor(
-        _run_batch, min(jobs, len(tasks)), policy, report, prune=_prune_batch
-    )
-    executor.run(tasks, on_partial=on_partial)
-    if retry:
-        retry_tasks = [
-            (
-                index,
-                labels[index],
-                _make_task(
-                    cells[index][0], cells[index][1], num_instructions,
-                    pool, cells[index][2], warm_cache, max_cycles,
-                ),
-            )
-            for index in retry
-        ]
-        singles = ResilientExecutor(
-            _run_pair, min(jobs, len(retry_tasks)), policy, report
-        )
-        singles.run(retry_tasks, complete)
+    return sorted(indices, key=rank)
 
 
 def run_cells(
@@ -512,7 +213,6 @@ def run_cells(
     num_instructions: int,
     pool: WorkloadPool,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
     max_cycles: int | None = None,
@@ -522,25 +222,23 @@ def run_cells(
 ) -> list[SimStats | None]:
     """Run every (config, benchmark, memory) cell, store-first, in order.
 
-    The fully general grid runner — machines of any registered kind
-    (including the limit core) and a different memory system per cell.
-    Cached cells never dispatch; missing cells run serially or on the
-    supervised pool (:class:`repro.resilience.ResilientExecutor`) and
-    persist to *store* as each one completes — that per-cell write-back
-    is what makes a killed sweep resumable, and what makes retried
-    cells idempotent (the fingerprint is the ledger).
+    The one way a cell runs — machines of any registered kind (including
+    the limit core) and a different memory system per cell.  Cached
+    cells never dispatch; the missing ones are grouped by (workload,
+    memory), cut into units of *batch* cells (default ``$REPRO_BATCH``,
+    else 1) and handed to :func:`run_unit` through one
+    :class:`repro.resilience.ResilientExecutor` call — in this process
+    when one job suffices and no deadline is set, on supervised workers
+    otherwise.  Each cell persists to *store* as it completes; that
+    per-cell write-back is what makes a killed sweep resumable, and what
+    makes retried cells idempotent (the fingerprint is the ledger).
 
     *policy* and *report* default to the ambient resilience context
     (:func:`repro.resilience.resilience_context`); without one, the
-    strict policy applies — supervision on, but the first permanent
-    failure raises :class:`repro.resilience.CellExecutionError` naming
-    the offending cell.  Under a tolerant policy, failed cells come
-    back as ``None`` and their typed failure records land in *report*.
-
-    *batch* (default: ``$REPRO_BATCH``, else 1) groups that many cells
-    into one dispatch unit stepped round-robin by a
-    :class:`repro.sim.batch.BatchRunner`; per-cell results are
-    bit-identical to unbatched runs and still store/retry individually.
+    strict policy applies — the first permanent failure raises
+    :class:`repro.resilience.CellExecutionError` naming the offending
+    cell.  Under a tolerant policy, failed cells come back as ``None``
+    and their typed failure records land in *report*.
     """
     results: list[SimStats | None] = [None] * len(cells)
     keys: list[CellKey | None] = [None] * len(cells)
@@ -558,58 +256,9 @@ def run_cells(
         report = active_report()
         if report is None:
             report = FailureReport()
-    labels = {i: cell_label(*cells[i]) for i in pending}
-    jobs = resolve_jobs(jobs, len(pending))
-    batch_size = resolve_batch(batch)
-    if batch_size > 1:
-        # Batched dispatch (REPRO_BATCH or the ``batch`` argument): N
-        # cells per worker turn through one BatchRunner sweep; results
-        # still stream back — and persist — one fingerprint at a time.
-        _run_cells_batched(
-            cells, num_instructions, pool, jobs, warm_cache, store,
-            max_cycles, policy, report, labels, results, keys, pending,
-            batch_size,
-        )
-        return results
-    if jobs <= 1 and policy.cell_timeout is None:
-        for i in pending:
-            config, name, memory = cells[i]
-
-            def compute(config=config, name=name, memory=memory) -> SimStats:
-                return run_core(
-                    config,
-                    pool.get(name),
-                    num_instructions,
-                    memory=memory,
-                    warm_cache=warm_cache,
-                    max_cycles=max_cycles,
-                )
-
-            stats = run_attempts(i, labels[i], compute, policy, report)
-            if stats is not None:
-                if store is not None:
-                    store.put(keys[i], stats)
-                results[i] = stats
-        return results
-    # Parallel path: warm once in the parent and ship snapshots to the
-    # workers so the warm-up hoisting survives the fan-out.  The
-    # supervised executor enforces deadlines, retries retryable
-    # failures, and respawns dead workers, requeueing only their cells.
     tasks = [
-        (
-            i,
-            labels[i],
-            _make_task(
-                cells[i][0],
-                cells[i][1],
-                num_instructions,
-                pool,
-                cells[i][2],
-                warm_cache,
-                max_cycles,
-            ),
-        )
-        for i in pending
+        (i, cell_label(*cells[i]), (*cells[i], pool.seed))
+        for i in pair_order(pending, lambda i: (cells[i][1], cells[i][2]))
     ]
 
     def on_result(i: int, stats: SimStats) -> None:
@@ -617,7 +266,12 @@ def run_cells(
             store.put(keys[i], stats)
         results[i] = stats
 
-    executor = ResilientExecutor(_run_pair, jobs, policy, report)
+    body = functools.partial(
+        run_unit, num_instructions=num_instructions, max_cycles=max_cycles
+    )
+    executor = ResilientExecutor(
+        body, resolve_jobs(jobs, len(pending)), policy, report, resolve_batch(batch)
+    )
     executor.run(tasks, on_result)
     return results
 
@@ -629,154 +283,89 @@ def run_suite(
     pool: WorkloadPool,
     memory: MemoryConfig = DEFAULT_MEMORY,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
     max_cycles: int | None = None,
-) -> list[SimStats]:
+) -> list[SimStats | None]:
     """Simulate every named benchmark on *config*; returns per-run stats
     in the order of *names* regardless of worker scheduling."""
     cells = [(config, name, memory) for name in names]
     return run_cells(
-        cells, num_instructions, pool, jobs, warm_cache, store, force, max_cycles
+        cells, num_instructions, pool, jobs, store, force, max_cycles
     )
 
 
-def run_many(
-    configs: Sequence[MachineConfig],
-    names: Sequence[str],
+def run_noted(
+    result: "ExperimentResult",
+    cells: Sequence[tuple[MachineConfig, str, MemoryConfig]],
     num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
-    max_cycles: int | None = None,
-) -> list[list[SimStats]]:
-    """Fan the full (config x workload) grid out over one process pool.
+) -> list[SimStats | None]:
+    """:func:`run_cells` for a figure harness's planned cell list.
 
-    Returns one list of per-workload stats per config, in input order —
-    the same shape as calling :func:`run_suite` once per config, but with
-    every pair in flight at once.
+    Under a tolerant policy a failed cell comes back ``None`` — harnesses
+    skip it in their means — and is named in *result*'s notes, the way
+    the sweep formatter reports failed grid cells.
     """
-    cells = [(config, name, memory) for config in configs for name in names]
-    flat = run_cells(
-        cells, num_instructions, pool, jobs, warm_cache, store, force, max_cycles
+    report = active_report()
+    if report is None:
+        report = FailureReport()
+    seen = len(report.failures)
+    stats = run_cells(
+        cells, num_instructions, WorkloadPool(), store=store, force=force,
+        report=report,
     )
-    stride = len(names)
-    return [flat[i * stride : (i + 1) * stride] for i in range(len(configs))]
-
-
-def _cached_cell(store, force, key, compute) -> SimStats:
-    """The store-first pattern every single-cell runner shares: consult
-    *store* under *key* unless forced, else *compute* and write back."""
-    if store is None:
-        return compute()
-    if not force:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    stats = compute()
-    store.put(key, stats)
+    failures = report.failures[seen:]
+    if failures:
+        result.notes.append(
+            f"{len(failures)} cell(s) failed and were excluded from the "
+            "aggregates above:"
+        )
+        result.notes.extend(f"  failed: {failure.describe()}" for failure in failures)
     return stats
 
 
-def run_core_cached(
-    config: MachineConfig,
-    workload,
-    num_instructions: int,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    predictor_name: str | None = None,
-    warm_cache: WarmupCache | None = None,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> SimStats:
-    """Store-aware :func:`repro.sim.runner.run_core` for single cells."""
-    key = None
-    if store is not None:
-        key = cell_key(
-            config, workload, num_instructions, memory, predictor=predictor_name
-        )
-    return _cached_cell(
-        store,
-        force,
-        key,
-        lambda: run_core(
-            config,
-            workload,
-            num_instructions,
-            memory=memory,
-            predictor_name=predictor_name,
-            warm_cache=warm_cache,
-        ),
-    )
-
-
-def run_snapshot_cell(
-    machine: MachineConfig,
-    workload,
-    num_instructions: int,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    snapshot_factory=None,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> SimStats:
-    """One store-aware cell with an externally shared warm-up snapshot.
-
-    Works for any registered machine kind (Figures 1-3 use it for the
-    limit core).  *snapshot_factory*, when given, supplies a
-    warmed-hierarchy snapshot (typically shared across a window sweep);
-    it is only invoked on a store miss, so fully cached benchmarks skip
-    warm-up entirely.
-    """
-    def compute() -> SimStats:
-        trace = workload.trace(num_instructions)
-        hierarchy = MemoryHierarchy(memory)
-        if snapshot_factory is not None:
-            hierarchy.restore(snapshot_factory())
-        else:
-            warm_caches(hierarchy, workload.regions)
-        stats = simulate(machine, trace, memory=memory, hierarchy=hierarchy)
-        stats.workload = workload.name
-        return stats
-
-    key = None
-    if store is not None:
-        key = cell_key(machine, workload, num_instructions, memory)
-    return _cached_cell(store, force, key, compute)
-
-
 def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
-    """Re-run one cell from its stored key payload (``cache verify``).
+    """Re-run one cell from its stored key payload (``cache verify``, the
+    service workers).
 
-    Rebuilds the machine and memory configurations from their serialized
-    form, re-materializes the workload, and replays the exact execution
-    path the sweeps use, so the result must match the stored stats bit
-    for bit unless simulator behaviour drifted under the fingerprint.
-    Machine construction goes through the kind registry, so limit cells
-    and cycle-level cells replay through one path.  *max_cycles* is the
-    deadlock-guard bound (not part of the key — it cannot change a
-    completed run's stats); service workers forward their job's bound.
+    Decodes the machine and memory configurations and the workload
+    identity, then runs the cell through :func:`run_unit` — the body
+    every sweep uses — so the result must match the stored stats bit for
+    bit unless simulator behaviour drifted under the fingerprint.  A
+    non-null ``predictor`` field (written before the branch predictor
+    became a machine-config field) is folded into the machine.
+    *max_cycles* is the deadlock-guard bound (not part of the key — it
+    cannot change a completed run's stats); service workers forward
+    their job's bound.
     """
     machine = from_jsonable(payload["machine"])
+    if payload.get("predictor"):
+        machine = _with_predictor(machine, payload["predictor"])
     memory = from_jsonable(payload["memory"])
     spec = payload["workload"]
-    workload = get_workload(spec["name"], seed=spec["seed"])
-    if workload.fingerprint() != spec["fingerprint"]:
+    if _workload(spec["name"], spec["seed"]).fingerprint() != spec["fingerprint"]:
         raise ValueError(
             f"workload {spec['name']!r} fingerprint changed since this "
             "cell was stored (trace generator updated?)"
         )
-    num_instructions = payload["instructions"]
-    return run_core(
-        machine,
-        workload,
-        num_instructions,
-        memory=memory,
-        predictor_name=payload.get("predictor"),
-        max_cycles=max_cycles,
-    )
+    cell = (machine, spec["name"], memory, spec["seed"])
+    ((_position, value),) = run_unit([cell], payload["instructions"], max_cycles)
+    if isinstance(value, BaseException):
+        raise value
+    return value
+
+
+def _with_predictor(machine, predictor: str):
+    """*machine* with its front-end core's branch predictor replaced."""
+    for attr in ("cache_processor", "core"):
+        core = getattr(machine, attr, None)
+        if core is not None:
+            return dataclasses.replace(
+                machine, **{attr: dataclasses.replace(core, predictor=predictor)}
+            )
+    return dataclasses.replace(machine, predictor=predictor)
 
 
 def mean_ipc(stats: Sequence[SimStats | None]) -> float:

@@ -22,7 +22,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
-    WarmupCache,
     scale_of,
 )
 from repro.experiments.sweep import (
@@ -72,13 +71,7 @@ def run(
         scale=scale,
     )
     with Stopwatch(result):
-        grid = sweep_grid(
-            CONTENTION_SWEEP,
-            scale,
-            store=store,
-            force=force,
-            warm_cache=WarmupCache(),
-        )
+        grid = sweep_grid(CONTENTION_SWEEP, scale, store=store, force=force)
         # Solo IPC per (bp, workload token): the slowdown baselines.
         solo: dict[tuple[str, str], float] = {}
         for mi, machine in enumerate(grid.machines):

@@ -18,12 +18,12 @@ from repro.experiments.common import (
     INSTRUCTIONS,
     Scale,
     Stopwatch,
-    WorkloadPool,
-    run_snapshot_cell,
+    mean_ipc,
+    run_noted,
     scale_of,
     suite_names,
 )
-from repro.memory import MemoryHierarchy, TABLE1_CONFIGS, warm_caches
+from repro.memory import TABLE1_CONFIGS
 from repro.report.spec import Check, FigureSpec, row_span_ratio, rows_as_series
 from repro.sim.config import LimitMachine
 from repro.viz.ascii import line_chart
@@ -46,7 +46,6 @@ def run(
     )
     n = INSTRUCTIONS[scale]
     names = suite_names(suite, scale)
-    pool = WorkloadPool()
     figure = "fig1" if suite == "int" else "fig2"
     result = ExperimentResult(
         name=figure,
@@ -57,43 +56,20 @@ def run(
     )
     series: dict[str, list[tuple[float, float]]] = {}
     with Stopwatch(result):
-        for mem_name in mem_names:
-            mem_config = TABLE1_CONFIGS[mem_name]
-            # Warm-up depends only on (memory config, workload): warm once
-            # per benchmark, snapshot, and restore for every ROB size
-            # instead of re-streaming the working set per window.
-            ipcs_by_window: dict[int, list[float]] = {w: [] for w in windows}
-            for bench in names:
-                workload = pool.get(bench)
-                # The warmed snapshot is shared by every window and built
-                # lazily: a benchmark whose cells all hit the store never
-                # streams its working set at all.
-                snapshot = None
-
-                def snapshot_factory():
-                    nonlocal snapshot
-                    if snapshot is None:
-                        warmed = MemoryHierarchy(mem_config)
-                        warm_caches(warmed, workload.regions)
-                        snapshot = warmed.snapshot()
-                    return snapshot
-
-                for window in windows:
-                    machine = LimitMachine(rob_size=window, record_histogram=False)
-                    stats = run_snapshot_cell(
-                        machine,
-                        workload,
-                        n,
-                        memory=mem_config,
-                        snapshot_factory=snapshot_factory,
-                        store=store,
-                        force=force,
-                    )
-                    ipcs_by_window[window].append(stats.ipc)
+        machines = [LimitMachine(rob_size=w, record_histogram=False) for w in windows]
+        cells = [
+            (machine, bench, TABLE1_CONFIGS[mem_name])
+            for mem_name in mem_names
+            for bench in names
+            for machine in machines
+        ]
+        stats = run_noted(result, cells, n, store=store, force=force)
+        per_memory = len(names) * len(windows)
+        for mi, mem_name in enumerate(mem_names):
+            block = stats[mi * per_memory : (mi + 1) * per_memory]
             row: list[object] = [mem_name]
-            for window in windows:
-                ipcs = ipcs_by_window[window]
-                mean = sum(ipcs) / len(ipcs)
+            for wi, window in enumerate(windows):
+                mean = mean_ipc(block[wi :: len(windows)])
                 row.append(round(mean, 3))
                 series.setdefault(mem_name, []).append((window, mean))
             result.rows.append(row)

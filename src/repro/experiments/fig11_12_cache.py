@@ -19,10 +19,8 @@ from repro.experiments.common import (
     INSTRUCTIONS,
     Scale,
     Stopwatch,
-    WarmupCache,
-    WorkloadPool,
     mean_ipc,
-    run_suite,
+    run_noted,
     scale_of,
     suite_names,
 )
@@ -58,7 +56,6 @@ def run(
     else:
         sizes = SIZES_DEFAULT
     names = suite_names(suite, scale)
-    pool = WorkloadPool()
     figure = "fig11" if suite == "int" else "fig12"
     result = ExperimentResult(
         name=figure,
@@ -67,20 +64,23 @@ def run(
         scale=scale,
     )
     series: dict[str, list[tuple[float, float]]] = {}
-    # Every machine re-runs the same (L2 size, workload) warm-up; warm once
-    # per pair and restore snapshots for the other machines.
-    warm_cache = WarmupCache()
+    machines = _machines(scale)
+    memories = [memory_config_for_l2_size(size) for size in sizes]
     with Stopwatch(result):
-        for label, machine in _machines(scale):
+        cells = [
+            (machine, name, memory)
+            for _label, machine in machines
+            for memory in memories
+            for name in names
+        ]
+        flat = run_noted(result, cells, n, store=store, force=force)
+        suites = [flat[i : i + len(names)] for i in range(0, len(flat), len(names))]
+        for mi, (label, _machine) in enumerate(machines):
             row: list[object] = [label]
             first = last = None
             cp_fractions = []
-            for size in sizes:
-                memory = memory_config_for_l2_size(size)
-                stats = run_suite(
-                    machine, names, n, pool, memory=memory, warm_cache=warm_cache,
-                    store=store, force=force,
-                )
+            for si, size in enumerate(sizes):
+                stats = [s for s in suites[mi * len(sizes) + si] if s is not None]
                 ipc = mean_ipc(stats)
                 fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
                 cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)

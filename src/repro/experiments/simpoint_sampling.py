@@ -34,7 +34,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
-    WarmupCache,
     scale_of,
 )
 from repro.experiments.sweep import SweepSpec, sweep_grid
@@ -114,35 +113,37 @@ def run(
     )
     with Stopwatch(result):
         directory = _capture_dir(store)
-        warm_cache = WarmupCache()
+        paths = {bench: _capture(bench, directory, total) for bench in BENCHES}
+        full_tokens = {bench: f"trace(file={path})" for bench, path in paths.items()}
+        phase_tokens = {
+            bench: f"phases(file={path},interval={interval},k={k},seed=0)"
+            for bench, path in paths.items()
+        }
+        # Two grids, because their instruction budgets differ.
+        full_grid = sweep_grid(
+            SweepSpec(
+                name="sampling-full",
+                machines=MACHINES,
+                workloads=tuple(full_tokens.values()),
+                instructions=total,
+            ),
+            scale,
+            store=store,
+            force=force,
+        )
+        phase_grid = sweep_grid(
+            SweepSpec(
+                name="sampling-phases",
+                machines=MACHINES,
+                workloads=tuple(phase_tokens.values()),
+                instructions=interval,
+            ),
+            scale,
+            store=store,
+            force=force,
+        )
         for bench in BENCHES:
-            path = _capture(bench, directory, total)
-            full_token = f"trace(file={path})"
-            phase_token = f"phases(file={path},interval={interval},k={k},seed=0)"
-            full_grid = sweep_grid(
-                SweepSpec(
-                    name="sampling-full",
-                    machines=MACHINES,
-                    workloads=(full_token,),
-                    instructions=total,
-                ),
-                scale,
-                store=store,
-                force=force,
-                warm_cache=warm_cache,
-            )
-            phase_grid = sweep_grid(
-                SweepSpec(
-                    name="sampling-phases",
-                    machines=MACHINES,
-                    workloads=(phase_token,),
-                    instructions=interval,
-                ),
-                scale,
-                store=store,
-                force=force,
-                warm_cache=warm_cache,
-            )
+            full_token, phase_token = full_tokens[bench], phase_tokens[bench]
             expansion = phase_grid.phases[phase_token]
             chart = {}
             for index, machine in enumerate(phase_grid.machines):

@@ -4,7 +4,7 @@ A :class:`SweepSpec` describes any (machine × memory × workload) grid as
 data — machine and memory *spec strings* (:mod:`repro.machines`),
 workload suite tokens or benchmark names, and optional parameter *axes*
 crossed into every machine spec.  :func:`sweep_grid` runs the grid
-through the shared process pool and result store;
+through :func:`repro.experiments.common.run_cells` and the result store;
 :func:`run_sweep` adds generic table/chart formatting and an ad-hoc
 :class:`~repro.report.spec.FigureSpec` so any scenario renders to ASCII
 and SVG with zero new modules.
@@ -26,7 +26,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
-    WarmupCache,
     WorkloadPool,
     mean_ipc,
     run_cells,
@@ -483,7 +482,6 @@ def sweep_grid(
     store: ResultStore | None = None,
     force: bool = False,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
 ) -> SweepGrid:
     """Execute every cell of *spec*'s grid (store-first, one process
     pool for the whole grid) and return the indexed results."""
@@ -498,7 +496,6 @@ def sweep_grid(
         plan.instructions,
         pool,
         jobs=jobs,
-        warm_cache=warm_cache,
         store=store,
         force=force,
         max_cycles=spec.max_cycles,
@@ -644,14 +641,7 @@ def run_sweep(
         scale=scale,
     )
     with Stopwatch(result):
-        grid = sweep_grid(
-            spec,
-            scale,
-            store=store,
-            force=force,
-            jobs=jobs,
-            warm_cache=WarmupCache(),
-        )
+        grid = sweep_grid(spec, scale, store=store, force=force, jobs=jobs)
     summarize_grid(grid, result)
     return result
 

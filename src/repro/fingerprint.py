@@ -24,16 +24,34 @@ from typing import Any
 CANON_VERSION = 1
 
 
+#: Canonical forms of frozen dataclass instances, keyed by identity; the
+#: instance is kept beside its form so its id cannot be reused while the
+#: entry lives.  Sweeps key hundreds of cells over a few config objects.
+_FROZEN_MEMO: dict[int, tuple[Any, dict]] = {}
+_FROZEN_MEMO_LIMIT = 256
+
+
 def canonical(obj: Any) -> Any:
     """Recursively convert *obj* into a canonical JSON-compatible value.
 
     Handles dataclasses (tagged with their class name so two config types
     with identical fields never collide), enums, mappings and sequences.
+    The form of a frozen dataclass instance is computed once and shared,
+    so callers must not mutate it.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        frozen = obj.__dataclass_params__.frozen
+        if frozen:
+            memo = _FROZEN_MEMO.get(id(obj))
+            if memo is not None and memo[0] is obj:
+                return memo[1]
         out: dict[str, Any] = {"__kind__": type(obj).__name__}
         for field in dataclasses.fields(obj):
             out[field.name] = canonical(getattr(obj, field.name))
+        if frozen:
+            if len(_FROZEN_MEMO) >= _FROZEN_MEMO_LIMIT:
+                _FROZEN_MEMO.pop(next(iter(_FROZEN_MEMO)))
+            _FROZEN_MEMO[id(obj)] = (obj, out)
         return out
     if isinstance(obj, enum.Enum):
         return canonical(obj.value)
@@ -57,7 +75,14 @@ def canonical_json(obj: Any) -> str:
 
 def digest(obj: Any) -> str:
     """Hex SHA-256 of the canonical JSON rendering of *obj*."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return digest_canonical(canonical(obj))
+
+
+def digest_canonical(value: Any) -> str:
+    """:func:`digest` of a value that is already canonical (plain dicts
+    with string keys, lists and normalized scalars), skipping the walk."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class Fingerprintable:

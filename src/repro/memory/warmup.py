@@ -23,9 +23,9 @@ stream:
   without simulating the evictions.
 * **Snapshot memoization.**  The post-warm-up state only depends on the
   cache geometry, the regions, and the pass count; a module-level memo
-  restores it for repeat warm-ups of pristine hierarchies in the same
-  process (restoring is the same proven machinery sweeps already use via
-  ``MemoryHierarchy.snapshot``/``restore``).
+  of the last warm-up restores it for repeat warm-ups of pristine
+  hierarchies in the same process (restoring is the same proven
+  machinery as ``MemoryHierarchy.snapshot``/``restore``).
 
 Plans with duplicate lines, multiple passes, or a non-pristine hierarchy
 fall back to an exact (but still tightened) replay of the reference
@@ -41,9 +41,10 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.layout import strided_touch_plan
 
 #: Entries kept in the module-level memo tables; oldest entries are evicted
-#: first.  Warm-up state is per (geometry, regions, passes), so real runs
-#: only ever hold a handful of entries.
-_MEMO_LIMIT = 16
+#: first.  Warm-up state is per (geometry, regions, passes), and the sweep
+#: layer hands every process its cells grouped by (workload, memory), so
+#: one entry serves a whole group while holding a single snapshot.
+_MEMO_LIMIT = 1
 
 #: (regions, line_size) -> (line list, has duplicate lines)
 _PLAN_MEMO: dict[tuple, tuple[list[int], bool]] = {}

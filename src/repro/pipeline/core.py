@@ -16,8 +16,8 @@ simulated cycle the core is asked, via :meth:`CycleCore.next_work_cycle`,
 for the earliest future cycle at which its pipeline could make progress
 that is *not* driven by a completion event (fetch resuming, an aging timer
 expiring, a ready issue-queue head, ...).  When no such cycle is earlier
-than the next scheduled completion, ``run()`` jumps ``now`` straight to
-the next interesting cycle.
+than the next scheduled completion, the run loop (:meth:`CycleCore.drive`)
+jumps ``now`` straight to the next interesting cycle.
 
 The contract subclasses must uphold for the jump to be semantics
 preserving (the differential suite in ``tests/pipeline/test_fastforward``
@@ -159,7 +159,31 @@ class CycleCore:
         max_cycles: int | None = None,
         fast_forward: bool | None = None,
     ) -> SimStats:
-        """Simulate until *num_instructions* have committed.
+        """Simulate until *num_instructions* have committed: :meth:`drive`
+        run to exhaustion, for callers that step one machine alone."""
+        driver = self.drive(num_instructions, max_cycles, fast_forward)
+        while True:
+            try:
+                next(driver)
+            except StopIteration as stop:
+                return stop.value
+
+    def drive(
+        self,
+        num_instructions: int,
+        max_cycles: int | None = None,
+        fast_forward: bool | None = None,
+        round_budget: int = 4096,
+    ):
+        """The run loop, as a generator that simulates until
+        *num_instructions* have committed.
+
+        It yields ``self.now`` at pause points — after every fast-forward
+        jump, and after at most *round_budget* consecutively ticked cycles
+        — so a :class:`repro.sim.batch.BatchRunner` can step several
+        independent machines round-robin in one process.  The final
+        :class:`SimStats` record is the generator's return value
+        (``StopIteration.value``).
 
         Args:
             max_cycles: Upper bound on simulated time (deadlock guard).
@@ -177,91 +201,9 @@ class CycleCore:
         step = self.step
         next_work_cycle = self.next_work_cycle
         next_event_cycle = self.next_event_cycle
-        if not fast_forward:
-            # Tick-every-cycle reference mode: no quiescence checks at all.
-            while self.committed < target:
-                step()
-                self.now += 1
-                if self.now > max_cycles:
-                    raise DeadlockError(
-                        f"{self.name}: no forward progress — committed "
-                        f"{self.committed}/{target} after {self.now} cycles"
-                    )
-            self.stats.committed = self.committed
-            self.stats.cycles = self.now
-            self._copy_memory_stats()
-            return self.stats
-        while self.committed < target:
-            step()
-            self.now += 1
-            if self.now > max_cycles:
-                raise DeadlockError(
-                    f"{self.name}: no forward progress — committed "
-                    f"{self.committed}/{target} after {self.now} cycles"
-                )
-            if self.committed >= target:
-                continue
-            if self.now in events:
-                continue  # completions due next cycle: must step through it
-            wake = next_work_cycle()
-            if wake is not None and wake <= self.now:
-                continue  # pipeline work possible next cycle
-            event = next_event_cycle()
-            if event is None and wake is None:
-                raise DeadlockError(
-                    f"{self.name}: machine is quiescent with no pending "
-                    f"events — committed {self.committed}/{target} at cycle "
-                    f"{self.now}; {self.describe_stall()}"
-                )
-            jump = event if wake is None else (wake if event is None else min(wake, event))
-            if jump > max_cycles:
-                # The reference loop would have hit the bound while ticking
-                # through these empty cycles; fail identically.
-                raise DeadlockError(
-                    f"{self.name}: no forward progress — committed "
-                    f"{self.committed}/{target}; next activity at cycle "
-                    f"{jump} exceeds the {max_cycles}-cycle bound"
-                )
-            if jump > self.now:
-                self.on_cycles_skipped(self.now, jump)
-                self.cycles_fast_forwarded += jump - self.now
-                self.now = jump
-        self.stats.committed = self.committed
-        self.stats.cycles = self.now
-        self._copy_memory_stats()
-        return self.stats
-
-    def drive(
-        self,
-        num_instructions: int,
-        max_cycles: int | None = None,
-        fast_forward: bool | None = None,
-        round_budget: int = 4096,
-    ):
-        """Cooperative twin of :meth:`run` for interleaved execution.
-
-        A generator that simulates exactly what ``run()`` with the same
-        arguments would, but yields ``self.now`` at pause points — after
-        every fast-forward jump, and after at most *round_budget*
-        consecutively ticked cycles — so a :class:`repro.sim.batch.BatchRunner`
-        can step several independent machines round-robin in one process.
-        The final :class:`SimStats` record is the generator's return value
-        (``StopIteration.value``).  The loop bodies mirror ``run()``
-        statement for statement; ``tests/sim/test_batch.py`` asserts the
-        whole stats record is bit-identical between the two drivers for
-        every registered machine kind.
-        """
-        if fast_forward is None:
-            fast_forward = self.fast_forward
-        if max_cycles is None:
-            max_cycles = 20_000 + num_instructions * 2_000
-        target = num_instructions
-        events = self._events
-        step = self.step
-        next_work_cycle = self.next_work_cycle
-        next_event_cycle = self.next_event_cycle
         ticked = 0
         if not fast_forward:
+            # Tick-every-cycle reference mode: no quiescence checks at all.
             while self.committed < target:
                 step()
                 self.now += 1
@@ -307,6 +249,8 @@ class CycleCore:
                 )
             jump = event if wake is None else (wake if event is None else min(wake, event))
             if jump > max_cycles:
+                # The reference loop would have hit the bound while ticking
+                # through these empty cycles; fail identically.
                 raise DeadlockError(
                     f"{self.name}: no forward progress — committed "
                     f"{self.committed}/{target}; next activity at cycle "

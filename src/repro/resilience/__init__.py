@@ -1,9 +1,10 @@
 """Fault-tolerant sweep execution.
 
 The resilience layer sits between the sweep/experiment drivers and the
-simulator processes: :class:`ResilientExecutor` supervises worker
-processes (deadlines, retries with backoff, death detection and
-respawn), :mod:`repro.resilience.report` types the failure taxonomy
+cell body: :class:`ResilientExecutor` classifies, retries and counts
+every cell, in-process for one job or on supervised worker processes
+(deadlines, death detection and respawn) otherwise,
+:mod:`repro.resilience.report` types the failure taxonomy
 (``ok`` / ``retryable`` / ``permanent`` / ``timeout``), and
 :mod:`repro.resilience.faults` injects deterministic faults from the
 ``REPRO_FAULT`` environment variable for the chaos test battery.

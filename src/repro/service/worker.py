@@ -1,12 +1,16 @@
 """The sweep-service worker: claim a ticket, simulate, stream to store.
 
 A worker is deliberately dumb: it claims one ticket, re-executes each
-cell from the key payload recorded in the job file (the same payload
-``cache verify`` replays, so service results are bit-identical to a
-serial :func:`~repro.experiments.common.run_cells` pass), writes every
+cell from the key payload recorded in the job file through
+:func:`~repro.experiments.common.compute_cell` — the payload ``cache
+verify`` replays, run through the one cell body every sweep uses, so
+service results are bit-identical to a
+:func:`~repro.experiments.common.run_cells` pass — writes every
 completed cell straight into the shared :class:`ResultStore`, and
-heartbeats its claim between cells.  All retry/classification policy
-is :func:`repro.resilience.run_attempts` — the executor's serial twin —
+heartbeats its claim between cells.  The claimed cells run grouped by
+(workload, memory), so the worker process's one-entry workload and
+warm-up memos build each trace and warm each hierarchy once per group.
+All retry/classification policy is :func:`repro.resilience.run_attempts`,
 so transient failures back off and retry in-worker while permanent ones
 are recorded in the shard report's failure taxonomy and left for the
 scheduler to account.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.experiments.common import compute_cell
+from repro.experiments.common import compute_cell, pair_order
 from repro.resilience import ExecutionPolicy, FailureReport, run_attempts
 from repro.resilience.faults import plan_from_env
 from repro.service.jobs import Job, JobCell
@@ -65,10 +69,11 @@ class ServiceWorker:
         report = FailureReport()
         plan = plan_from_env()
         generation = int(claim.get("generation", 0))
-        for index in claim.get("indices", []):
-            index = int(index)
-            if not 0 <= index < len(job.cells):
-                continue
+        indices = [int(index) for index in claim.get("indices", [])]
+        for index in pair_order(
+            [index for index in indices if 0 <= index < len(job.cells)],
+            lambda index: _pair(job.cells[index]),
+        ):
             cell = job.cells[index]
             if self.store.validated(cell.store_key()):
                 # Another worker (or an earlier generation) got here
@@ -95,6 +100,12 @@ class ServiceWorker:
 
     def _after_cell(self, job: Job, cell: JobCell) -> None:
         """Per-cell hook; the chaos tests override it to die mid-shard."""
+
+
+def _pair(cell: JobCell) -> tuple:
+    """The hashable (workload, memory) identity of a job cell."""
+    workload = cell.key["workload"]
+    return (workload["name"], workload["seed"]), repr(cell.key["memory"])
 
 
 def worker_main(

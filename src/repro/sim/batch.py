@@ -9,12 +9,13 @@ clock is furthest behind (a min-heap over ``core.now``), so the batch
 advances as one event-clock sweep.
 
 Each cell runs through :meth:`repro.pipeline.core.CycleCore.drive`, the
-cooperative generator twin of ``run()``: the cells never share simulator
-state (each has its own hierarchy, predictor and trace), so any
-interleaving produces per-cell :class:`SimStats` records bit-identical
-to serial execution — ``tests/sim/test_batch.py`` asserts exactly that
-for every registered machine kind.  What they *do* share is the process:
-one warm-up cache, one import cost, one dispatch from the sweep layer.
+generator form of the run loop (``run()`` is ``drive()`` run to
+exhaustion): the cells never share simulator state (each has its own
+hierarchy, predictor and trace), so any interleaving produces per-cell
+:class:`SimStats` records bit-identical to serial execution —
+``tests/sim/test_batch.py`` asserts exactly that for every registered
+machine kind.  What they *do* share is the process: one warm-up memo,
+one import cost, one dispatch from the sweep layer.
 
 Failure isolation is per cell: a cell that raises (``DeadlockError``,
 a broken trace) is reported as its own ``("error", exception)`` outcome
@@ -26,23 +27,15 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Sequence
 
-from repro.branch import make_predictor
 from repro.isa import Instruction
-from repro.memory import DEFAULT_MEMORY, MemoryConfig, MemoryHierarchy, warm_caches
-from repro.sim.runner import MachineConfig, build_core
-from repro.sim.stats import SimStats
+from repro.memory import DEFAULT_MEMORY, MemoryConfig, MemoryHierarchy
+from repro.sim.runner import MachineConfig, finalize, prepare
 
 #: Consecutive busy cycles one cell may tick before yielding its turn.
 #: Large enough that generator suspension cost is noise (<0.1% of the
 #: per-cycle work), small enough that a busy cell cannot starve the rest
 #: of the batch for more than a few milliseconds.
 DEFAULT_ROUND_BUDGET = 4096
-
-
-def _one_shot(core, target: int, max_cycles: int | None, fast_forward: bool | None):
-    """Degenerate driver for cores without :meth:`drive`: one full run."""
-    return core.run(target, max_cycles=max_cycles, fast_forward=fast_forward)
-    yield  # pragma: no cover - unreachable; marks this as a generator
 
 
 class _BatchCell:
@@ -56,14 +49,6 @@ class _BatchCell:
         self.driver = driver
         self.predictor = predictor
         self.workload_name = workload_name
-
-    def finalize(self, stats: SimStats) -> SimStats:
-        """Mirror of :func:`repro.sim.runner.simulate`'s post-run fixup."""
-        stats.branch_predictions = self.predictor.predictions
-        stats.branch_mispredictions = self.predictor.mispredictions
-        if self.workload_name is not None:
-            stats.workload = self.workload_name
-        return stats
 
 
 class BatchRunner:
@@ -96,7 +81,6 @@ class BatchRunner:
         trace: Sequence[Instruction],
         memory: MemoryConfig = DEFAULT_MEMORY,
         regions: Sequence[tuple[int, int]] | None = None,
-        predictor_name: str | None = None,
         warmup_passes: int = 1,
         max_cycles: int | None = None,
         hierarchy: MemoryHierarchy | None = None,
@@ -105,30 +89,18 @@ class BatchRunner:
     ) -> None:
         """Register one cell; arguments mirror :func:`repro.sim.runner.simulate`.
 
-        Construction happens here (trace must be materialized, hierarchy
-        warmed or restored), so a construction-time error raises to the
-        caller rather than surfacing mid-stream.
+        Construction happens here, through the same
+        :func:`repro.sim.runner.prepare` path ``simulate()`` takes (trace
+        materialized, hierarchy warmed or restored), so a construction-time
+        error raises to the caller rather than surfacing mid-stream.
         """
-        if hierarchy is None:
-            hierarchy = MemoryHierarchy(memory)
-            if regions:
-                warm_caches(hierarchy, regions, passes=warmup_passes)
-        if predictor_name is None:
-            predictor_name = getattr(config, "predictor", None) or "perceptron"
-        predictor = make_predictor(predictor_name)
-        stats = SimStats(config=getattr(config, "name", str(config)))
-        core = build_core(config, iter(trace), hierarchy, predictor, stats)
-        if hasattr(core, "drive"):
-            driver = core.drive(
-                len(trace),
-                max_cycles=max_cycles,
-                fast_forward=fast_forward,
-                round_budget=self.round_budget,
-            )
-        else:
-            # Non-cycle-level adapters (the limit core's one-pass study)
-            # have no cooperative driver; run them whole on their turn.
-            driver = _one_shot(core, len(trace), max_cycles, fast_forward)
+        core, predictor = prepare(config, trace, memory, regions, warmup_passes, hierarchy)
+        driver = core.drive(
+            len(trace),
+            max_cycles=max_cycles,
+            fast_forward=fast_forward,
+            round_budget=self.round_budget,
+        )
         self._cells.append(_BatchCell(tag, core, driver, predictor, workload_name))
 
     def stream(self) -> Iterator[tuple[object, str, object]]:
@@ -150,7 +122,9 @@ class BatchRunner:
             try:
                 resumed_at = next(cell.driver)
             except StopIteration as stop:
-                yield cell.tag, "ok", cell.finalize(stop.value)
+                yield cell.tag, "ok", finalize(
+                    stop.value, cell.predictor, cell.workload_name
+                )
             except Exception as error:  # noqa: BLE001 - isolated per cell
                 yield cell.tag, "error", error
             else:

@@ -92,6 +92,11 @@ class KiloConfig(Fingerprintable):
     #: the paper while leaving SpecINT (few slices) untouched.
     sliq_reissue_width: int = 4
 
+    @property
+    def predictor(self) -> str:
+        """The front-end core's branch predictor (the runner reads this)."""
+        return self.core.predictor
+
 
 @dataclass(frozen=True)
 class MemoryProcessorConfig(Fingerprintable):
@@ -127,6 +132,11 @@ class DkipConfig(Fingerprintable):
     checkpoint_stack: int = 8
     checkpoint_interval: int = 256
     recovery_penalty: int = 16
+
+    @property
+    def predictor(self) -> str:
+        """The Cache Processor's branch predictor (the runner reads this)."""
+        return self.cache_processor.predictor
 
     def with_cp(self, size_or_policy: str) -> "DkipConfig":
         """Clone with the CP queue configuration named like the paper
@@ -177,6 +187,11 @@ class RunaheadConfig(Fingerprintable):
     name: str = "runahead-64"
     core: CoreConfig = field(default_factory=lambda: CoreConfig(name="runahead-fe"))
     exit_penalty: int = 8
+
+    @property
+    def predictor(self) -> str:
+        """The front-end core's branch predictor (the runner reads this)."""
+        return self.core.predictor
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,45 @@ def build_core(
     return build_machine(config, trace, hierarchy, predictor, stats)
 
 
+def prepare(
+    config: MachineConfig,
+    trace: Sequence[Instruction],
+    memory: MemoryConfig = DEFAULT_MEMORY,
+    regions: Sequence[tuple[int, int]] | None = None,
+    warmup_passes: int = 1,
+    hierarchy: MemoryHierarchy | None = None,
+):
+    """Build one simulation; returns ``(core, predictor)``.
+
+    The construction path :func:`simulate` and
+    :class:`repro.sim.batch.BatchRunner` share: a functionally warmed
+    hierarchy (unless one is given), a fresh instance of the branch
+    predictor the machine config names, and the machine built through the
+    kind registry over *trace*.
+    """
+    if hierarchy is None:
+        hierarchy = MemoryHierarchy(memory)
+        if regions:
+            warm_caches(hierarchy, regions, passes=warmup_passes)
+    predictor = make_predictor(config.predictor)
+    stats = SimStats(config=getattr(config, "name", str(config)))
+    return build_core(config, iter(trace), hierarchy, predictor, stats), predictor
+
+
+def finalize(stats: SimStats, predictor, workload_name: str | None = None) -> SimStats:
+    """Stamp the predictor's counters (and the workload name) on a run's stats."""
+    stats.branch_predictions = predictor.predictions
+    stats.branch_mispredictions = predictor.mispredictions
+    if workload_name is not None:
+        stats.workload = workload_name
+    return stats
+
+
 def simulate(
     config: MachineConfig,
     trace: Sequence[Instruction],
     memory: MemoryConfig = DEFAULT_MEMORY,
     regions: Sequence[tuple[int, int]] | None = None,
-    predictor_name: str | None = None,
     warmup_passes: int = 1,
     max_cycles: int | None = None,
     hierarchy: MemoryHierarchy | None = None,
@@ -50,26 +83,15 @@ def simulate(
     Args:
         regions: Workload data regions for functional cache warm-up
             (skipped when None or when the hierarchy has no finite cache).
-        predictor_name: Override the config's branch predictor.
         hierarchy: Pre-built (typically pre-warmed) memory hierarchy; when
             given, *memory*/*regions*/*warmup_passes* are ignored and the
             hierarchy is consumed by this run.
         fast_forward: Override the engine's cycle-skipping default
             (``False`` forces the tick-every-cycle reference mode).
     """
-    if hierarchy is None:
-        hierarchy = MemoryHierarchy(memory)
-        if regions:
-            warm_caches(hierarchy, regions, passes=warmup_passes)
-    if predictor_name is None:
-        predictor_name = getattr(config, "predictor", None) or "perceptron"
-    predictor = make_predictor(predictor_name)
-    stats = SimStats(config=getattr(config, "name", str(config)))
-    core = build_core(config, iter(trace), hierarchy, predictor, stats)
-    result = core.run(len(trace), max_cycles=max_cycles, fast_forward=fast_forward)
-    result.branch_predictions = predictor.predictions
-    result.branch_mispredictions = predictor.mispredictions
-    return result
+    core, predictor = prepare(config, trace, memory, regions, warmup_passes, hierarchy)
+    stats = core.run(len(trace), max_cycles=max_cycles, fast_forward=fast_forward)
+    return finalize(stats, predictor)
 
 
 def run_core(
@@ -78,34 +100,21 @@ def run_core(
     num_instructions: int,
     memory: MemoryConfig = DEFAULT_MEMORY,
     warmup: bool = True,
-    predictor_name: str | None = None,
-    warm_cache=None,
     max_cycles: int | None = None,
 ) -> SimStats:
     """Convenience wrapper: materialize a workload trace and simulate it.
 
     Args:
-        warm_cache: Optional :class:`repro.experiments.common.WarmupCache`;
-            when given (and *warmup* is on), the functional cache warm-up
-            for (memory, workload) runs once and later runs restore the
-            snapshot instead of re-streaming the working set.
         max_cycles: Upper bound on simulated time (deadlock guard);
             forwarded to the engine so long-latency sweeps can tighten
             the default bound.
     """
     trace = workload.trace(num_instructions)
-    hierarchy = None
-    regions = workload.regions if warmup else None
-    if warmup and warm_cache is not None:
-        hierarchy = warm_cache.hierarchy_for(memory, workload)
-        regions = None
     stats = simulate(
         config,
         trace,
         memory=memory,
-        regions=regions,
-        predictor_name=predictor_name,
-        hierarchy=hierarchy,
+        regions=workload.regions if warmup else None,
         max_cycles=max_cycles,
     )
     stats.workload = workload.name

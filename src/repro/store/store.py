@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.fingerprint import CANON_VERSION, canonical, digest
+from repro.fingerprint import CANON_VERSION, canonical, digest, digest_canonical
 from repro.resilience.faults import plan_from_env
 from repro.sim.stats import STATS_SCHEMA_VERSION, SimStats
 
@@ -55,7 +55,6 @@ def cell_key(
     num_instructions: int,
     memory: Any,
     *,
-    predictor: str | None = None,
     warmup_passes: int = 1,
 ) -> CellKey:
     """Build the key of one (machine, workload, scale) cell.
@@ -64,6 +63,8 @@ def cell_key(
     the cell can be re-run from the stored key); *workload* is a
     :class:`repro.workloads.Workload` instance.  The stats-schema version
     is folded in so a schema bump invalidates every cached cell at once.
+    The branch predictor is part of the machine config; the payload's
+    ``predictor`` field is always null, kept so no existing digest moves.
     """
     payload = {
         "canon": CANON_VERSION,
@@ -76,10 +77,10 @@ def cell_key(
             "fingerprint": workload.fingerprint(),
         },
         "instructions": num_instructions,
-        "predictor": predictor,
+        "predictor": None,
         "warmup_passes": warmup_passes,
     }
-    return CellKey(payload=payload, digest=digest(payload))
+    return CellKey(payload=payload, digest=digest_canonical(payload))
 
 
 class ResultStore:

@@ -40,6 +40,7 @@ class Workload(abc.ABC):
         self.seed = seed
         self._cached: list[Instruction] | None = None
         self._regions: list[tuple[int, int]] = []
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
 
@@ -88,17 +89,20 @@ class Workload(abc.ABC):
 
         The determinism contract makes (generator class, benchmark name,
         seed, trace version) a complete description of the instruction
-        stream — the trace itself never needs hashing.
+        stream — the trace itself never needs hashing.  Computed once
+        per instance: a sweep keys every cell of a workload through it.
         """
-        return digest(
-            {
-                "__kind__": type(self).__name__,
-                "name": self.name,
-                "suite": self.suite,
-                "seed": self.seed,
-                "trace_version": self.trace_version,
-            }
-        )
+        if self._fingerprint is None:
+            self._fingerprint = digest(
+                {
+                    "__kind__": type(self).__name__,
+                    "name": self.name,
+                    "suite": self.suite,
+                    "seed": self.seed,
+                    "trace_version": self.trace_version,
+                }
+            )
+        return self._fingerprint
 
     @property
     def footprint(self) -> int:

@@ -74,7 +74,7 @@ def test_stopwatch_records_elapsed():
 
 
 # ----------------------------------------------------------------------
-# Process-pool suite runner and warm-up cache
+# The cell runner: pool parity, grid calls, per-process memos
 # ----------------------------------------------------------------------
 
 
@@ -104,47 +104,60 @@ def test_parallel_run_suite_matches_serial():
         assert a == b
 
 
-def test_run_many_matches_per_config_suites():
-    from repro.experiments.common import run_many, run_suite
+def test_one_grid_call_matches_per_config_suites():
+    from repro.experiments.common import run_cells, run_suite
+    from repro.memory import DEFAULT_MEMORY
     from repro.sim.config import R10_64, R10_256
 
     pool = WorkloadPool()
     names = ("swim",)
-    grid = run_many((R10_64, R10_256), names, 600, pool, jobs=2)
-    assert len(grid) == 2 and all(len(row) == 1 for row in grid)
-    for config, row in zip((R10_64, R10_256), grid):
-        assert row == run_suite(config, names, 600, pool, jobs=1)
+    cells = [(config, name, DEFAULT_MEMORY) for config in (R10_64, R10_256) for name in names]
+    grid = run_cells(cells, 600, pool, jobs=2)
+    assert len(grid) == 2
+    for config, stats in zip((R10_64, R10_256), grid):
+        assert [stats] == run_suite(config, names, 600, pool, jobs=1)
 
 
-def test_warmup_cache_restores_identical_state():
-    from repro.experiments.common import WarmupCache
+def test_cells_of_one_workload_share_the_process_memos(monkeypatch):
+    """The one cell body keeps one workload per process and cells arrive
+    grouped by (workload, memory): each trace is built once per group,
+    and the results equal independent fresh runs."""
+    from repro.experiments import common
     from repro.memory import DEFAULT_MEMORY
-    from repro.sim.config import R10_64
+    from repro.memory.warmup import clear_warmup_memo
+    from repro.sim.config import R10_64, R10_256
     from repro.sim.runner import run_core
+    from repro.workloads import get_workload
 
-    pool = WorkloadPool()
-    workload = pool.get("swim")
-    cache = WarmupCache()
-    fresh = run_core(R10_64, workload, 600)
-    warmed_once = run_core(R10_64, workload, 600, warm_cache=cache)
-    warmed_twice = run_core(R10_64, workload, 600, warm_cache=cache)
-    assert cache.misses == 1 and cache.hits == 1
-    assert fresh == warmed_once == warmed_twice
-    # A different memory configuration is a different cache key.
-    run_core(R10_64, workload, 600, memory=DEFAULT_MEMORY.with_mem_latency(100),
-             warm_cache=cache)
-    assert cache.misses == 2
+    built = []
+
+    def counting_get_workload(name, seed=0):
+        built.append(name)
+        return get_workload(name, seed=seed)
+
+    monkeypatch.setattr(common, "get_workload", counting_get_workload)
+    common._workload.cache_clear()
+    clear_warmup_memo()
+    slow = DEFAULT_MEMORY.with_mem_latency(100)
+    cells = [
+        (R10_64, "swim", DEFAULT_MEMORY),
+        (R10_64, "mcf", slow),
+        (R10_256, "swim", slow),
+        (R10_256, "mcf", slow),
+        (R10_256, "swim", DEFAULT_MEMORY),
+    ]
+    got = common.run_cells(cells, 600, WorkloadPool(), jobs=1)
+    assert built == ["swim", "mcf"]
+    fresh = [run_core(c, get_workload(n), 600, memory=m) for c, n, m in cells]
+    assert got == fresh
 
 
-def test_parallel_run_suite_ships_warm_snapshots():
-    from repro.experiments.common import WarmupCache, run_suite
-    from repro.sim.config import R10_64
+def test_pair_order_groups_workloads_then_memories():
+    from repro.experiments.common import pair_order
 
-    pool = WorkloadPool()
-    names = ("swim", "mcf")
-    cache = WarmupCache()
-    serial = run_suite(R10_64, names, 600, pool, jobs=1)
-    fanned = run_suite(R10_64, names, 600, pool, jobs=2, warm_cache=cache)
-    assert cache.misses == 2  # warmed once per workload, in the parent
-    for a, b in zip(serial, fanned):
-        assert a == b
+    pairs = [("mcf", "A"), ("swim", "B"), ("mcf", "B"), ("swim", "A"), ("mcf", "A")]
+    order = pair_order(range(len(pairs)), pairs.__getitem__)
+    assert [pairs[i] for i in order] == [
+        ("mcf", "A"), ("mcf", "A"), ("mcf", "B"), ("swim", "A"), ("swim", "B"),
+    ]
+    assert order[:2] == [0, 4]  # stable within a pair

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments import cli
@@ -118,7 +120,9 @@ def test_cli_max_failures_zero_matches_the_flagless_run(capsys, monkeypatch):
     flagless = capsys.readouterr().out
     assert cli.main(argv + ["--max-failures", "0"]) == 0
     strict = capsys.readouterr().out
-    assert strict == flagless
+    # Identical up to the wall time stamped in the table title.
+    elapsed = re.compile(r", \d+\.\ds\]")
+    assert elapsed.sub("]", strict) == elapsed.sub("]", flagless)
 
 
 # ----------------------------------------------------------------------
@@ -139,29 +143,74 @@ def test_cli_rejects_malformed_resilience_flags(capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch", ["1", "2"])
 def test_cli_tolerant_sweep_reports_failures_and_exits_nonzero(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, monkeypatch, batch
 ):
     monkeypatch.setenv("REPRO_JOBS", "2")
+    monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_FAULT", "cell:fail@mcf")
     failures_json = tmp_path / "failures.json"
     argv = [
-        "sweep", "--machines", "r10(rob=32)", "--workloads", "mcf,swim",
+        "sweep", "--machines", "r10(rob=32)", "--workloads", "mcf,swim,gcc",
         "--scale", "quick", "--instructions", "400", "--no-store",
         "--max-failures", "-1", "--failures-json", str(failures_json),
     ]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert "n/a (failed: permanent)" in captured.out
-    assert "cell failures: 1 of 2 cell(s) failed" in captured.err
+    # Counters count cells whatever the dispatch unit.
+    assert "cell failures: 1 of 3 cell(s) failed" in captured.err
     assert "InjectedFailure" in captured.err
     import json
 
     report = json.loads(failures_json.read_text())
-    assert report["failed"] == 1 and report["completed"] == 1
+    assert report["cells"] == 3
+    assert report["failed"] == 1 and report["completed"] == 2
     assert report["policy"]["max_failures"] is None
     (failure,) = report["failures"]
     assert "mcf" in failure["cell"] and failure["kind"] == "permanent"
+
+
+@pytest.mark.parametrize(("experiment", "bench"), [("fig3", "swim"), ("fig13", "mcf")])
+def test_cli_faults_reach_the_figure_harnesses(
+    tmp_path, capsys, monkeypatch, experiment, bench
+):
+    """Figure harnesses run their cells through run_cells too, so the
+    resilience flags and ``$REPRO_FAULT`` apply to them like to sweeps."""
+    import json
+
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    common = [experiment, "--scale", "quick", "--no-store", "--json"]
+    assert cli.main(common + [str(tmp_path / "clean")]) == 0
+    clean = json.loads((tmp_path / "clean" / f"{experiment}.json").read_text())
+    capsys.readouterr()
+    monkeypatch.setenv("REPRO_FAULT", f"cell:fail@{bench}")
+    argv = common + [str(tmp_path / "faulty"), "--max-failures", "-1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "cell failures: 1 of 5 cell(s) failed" in err
+    assert "InjectedFailure" in err and bench in err
+    faulty = json.loads((tmp_path / "faulty" / f"{experiment}.json").read_text())
+    if experiment == "fig13":
+        # Per-benchmark rows: the failed one is skipped, the rest intact.
+        assert faulty["rows"] == [row for row in clean["rows"] if row[0] != bench]
+    else:
+        # Aggregate rows: every bucket is still reported.
+        assert [row[0] for row in faulty["rows"]] == [row[0] for row in clean["rows"]]
+    assert any(bench in note and "failed" in note for note in faulty["notes"])
+
+
+def test_cli_cell_timeout_reaches_the_figure_harnesses(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    argv = [
+        "fig13", "--scale", "quick", "--no-store", "--cell-timeout", "0.001",
+        "--retries", "0", "--max-failures", "-1",
+    ]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert "cell failures: 5 of 5 cell(s) failed" in err and "CellTimeout" in err
 
 
 def test_cli_strict_budget_aborts_the_sweep(capsys, monkeypatch):

@@ -187,7 +187,7 @@ def test_co_runner_axis_changes_fingerprint():
 @pytest.mark.parametrize("kind_name,spec", ALL_EXAMPLES, ids=EXAMPLE_IDS)
 def test_snapshot_restore_round_trip(kind_name, spec):
     """Runs from two restores of one warmed-hierarchy snapshot are
-    bit-identical (the WarmupCache reuse path)."""
+    bit-identical (the warm-up memo's reuse path)."""
     workload = get_workload(WORKLOAD)
     snapshot = fresh_hierarchy(workload).snapshot()
     config = parse_machine(spec)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import random
 import time
@@ -68,6 +70,19 @@ def _sleep_if_negative(payload):
     if payload < 0:
         time.sleep(60)
     return payload
+
+
+def _cellwise(body, payloads):
+    """Unit body running *body* on each payload, reporting each cell."""
+    for position, payload in enumerate(payloads):
+        try:
+            yield position, body(payload)
+        except Exception as error:  # noqa: BLE001 - reported per cell
+            yield position, error
+
+
+def _unit(body):
+    return functools.partial(_cellwise, body)
 
 
 def _tasks(payloads):
@@ -176,7 +191,7 @@ def test_run_attempts_budget_exhaustion_raises_naming_the_cell():
 def test_executor_runs_all_tasks_and_streams_results():
     report = FailureReport()
     streamed = []
-    executor = ResilientExecutor(_double, jobs=2, report=report)
+    executor = ResilientExecutor(_unit(_double), jobs=2, report=report)
     results = executor.run(
         _tasks([1, 2, 3, 4]), on_result=lambda i, r: streamed.append((i, r))
     )
@@ -188,7 +203,9 @@ def test_executor_runs_all_tasks_and_streams_results():
 def test_executor_permanent_failure_is_tolerated_under_budget():
     report = FailureReport()
     policy = ExecutionPolicy(max_failures=None)
-    executor = ResilientExecutor(_fail_on_three, jobs=2, policy=policy, report=report)
+    executor = ResilientExecutor(
+        _unit(_fail_on_three), jobs=2, policy=policy, report=report
+    )
     results = executor.run(_tasks([1, 2, 3, 4]))
     assert results == {0: 1, 1: 2, 3: 4}  # index 2 (payload 3) is absent
     (failure,) = report.failures
@@ -201,7 +218,7 @@ def test_executor_permanent_failure_is_tolerated_under_budget():
 def test_executor_strict_budget_aborts_but_keeps_streamed_results():
     report = FailureReport()
     streamed = []
-    executor = ResilientExecutor(_fail_on_three, jobs=1, report=report)
+    executor = ResilientExecutor(_unit(_fail_on_three), jobs=1, report=report)
     with pytest.raises(CellExecutionError, match="cell-2"):
         executor.run(_tasks([1, 2, 3, 4]), on_result=lambda i, r: streamed.append(i))
     assert streamed == [0, 1]  # jobs=1 preserves dispatch order
@@ -212,7 +229,7 @@ def test_executor_retries_transient_failures(tmp_path):
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
     executor = ResilientExecutor(
-        _transient_until_marker, jobs=1, policy=policy, report=report
+        _unit(_transient_until_marker), jobs=1, policy=policy, report=report
     )
     marker = str(tmp_path / "marker")
     results = executor.run(_tasks([(marker, "value")]))
@@ -223,8 +240,9 @@ def test_executor_retries_transient_failures(tmp_path):
 def test_executor_respawns_dead_worker_and_requeues_its_cell(tmp_path):
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
+    # jobs=2: a lone job would run in-process, where nothing may die.
     executor = ResilientExecutor(
-        _die_until_marker, jobs=1, policy=policy, report=report
+        _unit(_die_until_marker), jobs=2, policy=policy, report=report
     )
     marker = str(tmp_path / "marker")
     results = executor.run(_tasks([(marker, "survived")]))
@@ -235,7 +253,9 @@ def test_executor_respawns_dead_worker_and_requeues_its_cell(tmp_path):
 def test_executor_worker_death_past_budget_is_a_final_failure():
     report = FailureReport()
     policy = ExecutionPolicy(retries=1, max_failures=None, backoff_base=0.001)
-    executor = ResilientExecutor(_always_die, jobs=1, policy=policy, report=report)
+    executor = ResilientExecutor(
+        _unit(_always_die), jobs=2, policy=policy, report=report
+    )
     results = executor.run(_tasks(["x"]))
     assert results == {}
     (failure,) = report.failures
@@ -246,7 +266,9 @@ def test_executor_worker_death_past_budget_is_a_final_failure():
 def test_executor_timeout_kills_and_fails_past_budget():
     report = FailureReport()
     policy = ExecutionPolicy(cell_timeout=0.3, retries=0, max_failures=None)
-    executor = ResilientExecutor(_sleep_forever, jobs=1, policy=policy, report=report)
+    executor = ResilientExecutor(
+        _unit(_sleep_forever), jobs=1, policy=policy, report=report
+    )
     start = time.monotonic()
     results = executor.run(_tasks(["x"]))
     assert time.monotonic() - start < 10  # nowhere near the 60s sleep
@@ -260,7 +282,7 @@ def test_executor_timeout_only_hits_the_overdue_cell():
     report = FailureReport()
     policy = ExecutionPolicy(cell_timeout=0.5, retries=0, max_failures=None)
     executor = ResilientExecutor(
-        _sleep_if_negative, jobs=2, policy=policy, report=report
+        _unit(_sleep_if_negative), jobs=2, policy=policy, report=report
     )
     results = executor.run(_tasks([-1, 7]))
     assert results == {1: 7}
@@ -294,3 +316,83 @@ def test_backoff_for_is_keyed_per_cell_and_attempt():
     other_seed = ExecutionPolicy(seed=8, backoff_base=0.1, backoff_cap=10.0)
     assert other_seed.backoff_for("machine x swim", 2) != reference
     assert 0.1 <= reference <= 0.2  # attempt-2 ceiling, half-to-full jitter
+
+
+# ----------------------------------------------------------------------
+# Units: per-cell accounting, in-process mode
+# ----------------------------------------------------------------------
+
+
+def _transient_on_marker_cell(payload):
+    marker, value = payload
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise TransientCellError("first attempt is unlucky")
+    return value
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_units_count_and_fail_cells_not_units(jobs):
+    report = FailureReport()
+    policy = ExecutionPolicy(max_failures=None)
+    executor = ResilientExecutor(
+        _unit(_fail_on_three), jobs=jobs, policy=policy, report=report, batch=2
+    )
+    results = executor.run(_tasks([1, 2, 3]))
+    assert results == {0: 1, 1: 2}
+    assert report.cells == 3 and report.completed == 2
+    (failure,) = report.failures
+    assert failure.index == 2 and failure.cell == "cell-2"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_cell_retries_alone(tmp_path, jobs):
+    marker = str(tmp_path / "marker")
+    report = FailureReport()
+    policy = ExecutionPolicy(retries=2, backoff_base=0.001)
+    executor = ResilientExecutor(
+        _unit(_transient_on_marker_cell), jobs=jobs, policy=policy, report=report,
+        batch=3,
+    )
+    results = executor.run(_tasks([("", "a"), (marker, "b"), ("", "c")]))
+    assert results == {0: "a", 1: "b", 2: "c"}
+    # Only the failed cell re-ran: one retry, not one per unit member.
+    assert report.retries == 1 and report.completed == 3 and report.cells == 3
+
+
+def test_in_process_mode_neither_forks_nor_injects(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULT", "cell:kill")
+    report = FailureReport()
+    executor = ResilientExecutor(_unit(_double), jobs=1, report=report)
+    results = executor.run(_tasks([1, 2, 3]))
+    assert results == {0: 2, 1: 4, 2: 6}
+    assert report.worker_deaths == 0 and not multiprocessing.active_children()
+
+
+def test_escaping_body_error_fails_every_unreported_cell():
+    def body(payloads):
+        yield 0, payloads[0]
+        raise ValueError("the unit broke")
+
+    report = FailureReport()
+    executor = ResilientExecutor(
+        body, jobs=1, policy=ExecutionPolicy(max_failures=None), report=report,
+        batch=3,
+    )
+    assert executor.run(_tasks(["x", "y", "z"])) == {0: "x"}
+    assert [f.index for f in report.failures] == [1, 2]
+    assert all("the unit broke" in f.message for f in report.failures)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_result_errors_propagate_instead_of_failing_cells(jobs):
+    """A failed store write is the caller's error, not the cell's."""
+    report = FailureReport()
+    executor = ResilientExecutor(_unit(_double), jobs=jobs, report=report)
+
+    def on_result(index, result):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        executor.run(_tasks([1, 2]), on_result)
+    assert report.failures == []

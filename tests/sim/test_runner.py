@@ -1,8 +1,11 @@
 """Unit tests for run orchestration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.branch import AlwaysTakenPredictor
+from repro.machines import SpecError, parse_machine
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy
 from repro.sim.config import DKIP_2048, KILO_1024, R10_64
 from repro.sim.runner import build_core, run_core, simulate
@@ -48,13 +51,52 @@ def test_warmup_changes_results():
     assert warm.cycles < cold.cycles  # cold misses hurt
 
 
-def test_predictor_override():
+def test_predictor_comes_from_the_machine_config():
     workload = get_workload("eon")
     trace = workload.trace(500)
-    always = simulate(R10_64, trace, predictor_name="always-taken")
-    perceptron = simulate(R10_64, trace, predictor_name="perceptron")
+    always = simulate(replace(R10_64, predictor="always-taken"), trace)
+    perceptron = simulate(R10_64, trace)
     assert always.branch_predictions == perceptron.branch_predictions
     assert perceptron.branch_mispredictions <= always.branch_mispredictions
+
+
+ORACLE_FRONT_ENDS = {
+    "r10": parse_machine("r10(predictor=oracle)"),
+    "runahead": parse_machine("runahead(predictor=oracle)"),
+    "kilo": replace(KILO_1024, core=replace(KILO_1024.core, predictor="oracle")),
+    "dkip": replace(
+        DKIP_2048,
+        cache_processor=replace(DKIP_2048.cache_processor, predictor="oracle"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_FRONT_ENDS))
+def test_front_end_predictor_reaches_the_core(kind):
+    config = ORACLE_FRONT_ENDS[kind]
+    assert config.predictor == "oracle"
+    stats = run_core(config, get_workload("gcc"), 3_000)
+    assert stats.branch_predictions > 0
+    assert stats.branch_mispredictions == 0
+
+
+def test_runahead_oracle_differs_from_the_default_predictor():
+    workload = get_workload("gcc")
+    default = run_core(parse_machine("runahead"), workload, 3_000)
+    oracle = run_core(parse_machine("runahead(predictor=oracle)"), workload, 3_000)
+    assert default.branch_mispredictions > 0
+    assert oracle.ipc > default.ipc
+
+
+@pytest.mark.parametrize("kind", ["r10", "runahead"])
+def test_bad_predictor_spec_names_the_grammar(kind):
+    with pytest.raises(SpecError, match=rf"{kind}: bad predictor spec 'bogus'.*grammar: "):
+        parse_machine(f"{kind}(predictor=bogus)")
+
+
+def test_predictor_spec_is_canonicalized_at_parse_time():
+    assert parse_machine("r10(predictor=Static)") == parse_machine("r10(predictor=static)")
+    assert parse_machine("runahead(predictor= gshare )").predictor == "gshare"
 
 
 def test_runs_are_reproducible():

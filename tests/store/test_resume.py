@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import WorkloadPool, run_many, run_suite
+from repro.experiments.common import WorkloadPool, run_cells, run_suite
 from repro.experiments.registry import get_experiment
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY
@@ -73,15 +73,18 @@ def test_incremental_run_recomputes_only_changed_cells(store):
 
 def test_parallel_sweep_writes_back_and_resumes(store):
     pool = WorkloadPool()
-    cold = run_many((R10_64, R10_256), NAMES, N, pool, jobs=2, store=store)
+    cells = [
+        (config, name, DEFAULT_MEMORY) for config in (R10_64, R10_256) for name in NAMES
+    ]
+    cold = run_cells(cells, N, pool, jobs=2, store=store)
     assert store.writes == 2 * len(NAMES)
-    warm = run_many((R10_64, R10_256), NAMES, N, pool, jobs=2, store=store)
+    warm = run_cells(cells, N, pool, jobs=2, store=store)
     assert store.writes == 2 * len(NAMES)
     assert store.hits == 2 * len(NAMES)
     assert warm == cold
-    # Serial and parallel paths share one key space.
+    # In-process and pooled runs share one key space.
     serial = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
-    assert serial == cold[0]
+    assert serial == cold[: len(NAMES)]
     assert store.writes == 2 * len(NAMES)
 
 

@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.experiments.common import (
-    WorkloadPool,
-    compute_cell,
-    run_core_cached,
-    run_snapshot_cell,
-)
+from repro.experiments.common import WorkloadPool, compute_cell, run_cells
 from repro.fingerprint import digest
 from repro.memory import DEFAULT_MEMORY
 from repro.sim.config import DKIP_2048, R10_64, LimitMachine
 from repro.sim.runner import run_core
 from repro.sim.stats import STATS_SCHEMA_VERSION, Histogram, SimStats
-from repro.store import ResultStore, cell_key, from_jsonable, to_jsonable
+from repro.store import CellKey, ResultStore, cell_key, from_jsonable, to_jsonable
 
 
 @pytest.fixture
@@ -28,6 +24,14 @@ def pool():
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
+
+
+def _cell(store, pool, config, name, force=False):
+    """One store-first 600-instruction cell through ``run_cells``."""
+    (stats,) = run_cells(
+        [(config, name, DEFAULT_MEMORY)], 600, pool, jobs=1, store=store, force=force
+    )
+    return stats
 
 
 def test_stats_roundtrip_with_histogram():
@@ -65,14 +69,13 @@ def test_get_miss_put_hit(store, pool):
     assert (store.hits, store.misses, store.writes) == (1, 1, 1)
 
 
-def test_run_core_cached_hit_miss_force(store, pool):
-    workload = pool.get("mcf")
-    cold = run_core_cached(R10_64, workload, 600, store=store)
+def test_run_cells_hit_miss_force(store, pool):
+    cold = _cell(store, pool, R10_64, "mcf")
     assert (store.hits, store.misses) == (0, 1)
-    warm = run_core_cached(R10_64, workload, 600, store=store)
+    warm = _cell(store, pool, R10_64, "mcf")
     assert (store.hits, store.misses) == (1, 1)
     assert warm == cold
-    forced = run_core_cached(R10_64, workload, 600, store=store, force=True)
+    forced = _cell(store, pool, R10_64, "mcf", force=True)
     # --force never reads, always recomputes and overwrites.
     assert (store.hits, store.misses) == (1, 1)
     assert store.writes == 2
@@ -85,17 +88,18 @@ def test_distinct_cells_do_not_collide(store, pool):
     c = cell_key(DKIP_2048, pool.get("swim"), 600, DEFAULT_MEMORY)
     d = cell_key(R10_64, pool.get("mcf"), 600, DEFAULT_MEMORY)
     e = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY.with_mem_latency(100))
-    f = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY, predictor="gshare")
+    gshare = dataclasses.replace(R10_64, predictor="gshare")
+    f = cell_key(gshare, pool.get("swim"), 600, DEFAULT_MEMORY)
     assert len({k.digest for k in (a, b, c, d, e, f)}) == 6
+    assert all(k.payload["predictor"] is None for k in (a, b, c, d, e, f))
 
 
 def test_truncated_entry_recomputes_not_crashes(store, pool):
-    workload = pool.get("swim")
-    cold = run_core_cached(R10_64, workload, 600, store=store)
-    key = cell_key(R10_64, workload, 600, DEFAULT_MEMORY)
+    cold = _cell(store, pool, R10_64, "swim")
+    key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    again = run_core_cached(R10_64, workload, 600, store=store)
+    again = _cell(store, pool, R10_64, "swim")
     assert again == cold
     assert store.corrupt == 1
     # The recompute healed the entry.
@@ -115,8 +119,8 @@ def test_garbage_json_and_digest_mismatch_are_misses(store, pool):
 
 
 def test_summary_prune(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
-    run_core_cached(DKIP_2048, pool.get("mcf"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
+    _cell(store, pool, DKIP_2048, "mcf")
     summary = store.summary()
     assert summary["entries"] == 2
     assert summary["machines"] == {"CoreConfig": 1, "DkipConfig": 1}
@@ -130,7 +134,7 @@ def test_summary_prune(store, pool):
 
 def test_in_place_stats_tamper_is_a_miss(store, pool):
     """Valid-JSON corruption of the stats body must not be served."""
-    cold = run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    cold = _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     entry = json.loads(path.read_text())
@@ -138,12 +142,12 @@ def test_in_place_stats_tamper_is_a_miss(store, pool):
     path.write_text(json.dumps(entry))
     assert store.get(key) is None
     assert store.corrupt == 1
-    assert run_core_cached(R10_64, pool.get("swim"), 600, store=store) == cold
+    assert _cell(store, pool, R10_64, "swim") == cold
 
 
 def test_prune_handles_entry_without_key(store, pool):
     """A well-formed JSON entry missing fields is corrupt, not a crash."""
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     path.write_text(json.dumps({"digest": key.digest, "stats": {}}))
@@ -153,7 +157,7 @@ def test_prune_handles_entry_without_key(store, pool):
 
 
 def test_verify_skips_other_schema_entries(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     entry = json.loads(path.read_text())
@@ -166,7 +170,7 @@ def test_verify_skips_other_schema_entries(store, pool):
 
 
 def test_prune_removes_corrupt(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     store.path_for(key).write_text("not json")
     assert store.prune() == 1
@@ -174,10 +178,8 @@ def test_prune_removes_corrupt(store, pool):
 
 
 def test_verify_detects_tampering(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
-    run_snapshot_cell(
-        LimitMachine(rob_size=64), pool.get("mcf"), 600, DEFAULT_MEMORY, store=store
-    )
+    _cell(store, pool, R10_64, "swim")
+    _cell(store, pool, LimitMachine(rob_size=64), "mcf")
     reports = store.verify(compute_cell)
     assert len(reports) == 2
     assert all(report["status"] == "ok" for report in reports)
@@ -193,9 +195,29 @@ def test_verify_detects_tampering(store, pool):
     assert sorted(report["status"] for report in reports) == ["ok", "stale"]
 
 
+def test_verify_replays_legacy_predictor_override_entries(store, pool):
+    """Entries written while the predictor was a separate key field (a
+    non-null ``predictor``) replay with that predictor and verify ok."""
+    gshare = dataclasses.replace(
+        DKIP_2048,
+        cache_processor=dataclasses.replace(
+            DKIP_2048.cache_processor, predictor="gshare"
+        ),
+    )
+    stats = run_core(gshare, pool.get("gcc"), 600)
+    assert stats != run_core(DKIP_2048, pool.get("gcc"), 600)
+    payload = dict(
+        cell_key(DKIP_2048, pool.get("gcc"), 600, DEFAULT_MEMORY).payload,
+        predictor="gshare",
+    )
+    store.put(CellKey(payload=payload, digest=digest(payload)), stats)
+    (report,) = store.verify(compute_cell)
+    assert report["status"] == "ok"
+
+
 def test_verify_sampling_is_deterministic(store, pool):
     for name in ("swim", "mcf", "gcc"):
-        run_core_cached(R10_64, pool.get(name), 600, store=store)
+        _cell(store, pool, R10_64, name)
     one = store.verify(compute_cell, sample=1, rng_seed=7)
     two = store.verify(compute_cell, sample=1, rng_seed=7)
     assert [r["digest"] for r in one] == [r["digest"] for r in two]
@@ -247,7 +269,7 @@ def test_put_failure_leaves_no_tmp_orphan(store, pool, monkeypatch):
 def test_iter_entries_tolerates_concurrent_unlink(store, pool):
     """A file vanishing mid-scan is skipped, not reported corrupt."""
     for name in ("swim", "mcf"):
-        run_core_cached(R10_64, pool.get(name), 600, store=store)
+        _cell(store, pool, R10_64, name)
     entries = store.iter_entries()
     first_path, first_entry = next(entries)
     assert first_entry is not None
@@ -259,7 +281,7 @@ def test_iter_entries_tolerates_concurrent_unlink(store, pool):
 
 
 def test_contains_lies_about_torn_entries_but_validated_does_not(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     assert store.validated(key) is True
     store.path_for(key).write_text("")  # a torn/zero-length entry
@@ -269,7 +291,7 @@ def test_contains_lies_about_torn_entries_but_validated_does_not(store, pool):
 
 
 def test_validated_does_not_skew_counters(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _cell(store, pool, R10_64, "swim")
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     miss = cell_key(R10_64, pool.get("mcf"), 600, DEFAULT_MEMORY)
     before = (store.hits, store.misses, store.corrupt)
