@@ -93,8 +93,10 @@ chaos-smoke:
 # The batched dispatch kernel end to end: the same small grid serially
 # and with REPRO_BATCH batching over the pool executor, asserting the
 # result rows are byte-identical; then one profiled cell, leaving
-# profile.pstats for CI to upload.  The same check gates in CI.
-PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24)" \
+# profile.pstats for CI to upload.  The limit cells cover the limit
+# core's branch-verdict memo, hits and misses, across pool workers.
+# The same check gates in CI.
+PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24),limit(rob=32),limit(rob=256),limit(rob=64,predictor=gshare-10)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
 perf-smoke:

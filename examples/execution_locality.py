@@ -16,7 +16,6 @@ import sys
 
 from repro import DEFAULT_MEMORY, get_workload
 from repro.baselines.limit import simulate_limit
-from repro.branch import make_predictor
 from repro.memory import MemoryHierarchy, warm_caches
 from repro.viz import histogram_chart
 
@@ -33,7 +32,7 @@ def main() -> None:
         iter(trace),
         hierarchy,
         rob_size=None,
-        predictor=make_predictor("perceptron"),
+        predictor="perceptron",
     )
     hist = result.issue_distance
 

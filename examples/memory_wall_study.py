@@ -15,7 +15,6 @@ import sys
 
 from repro import get_workload
 from repro.baselines.limit import simulate_limit
-from repro.branch import make_predictor
 from repro.memory import MemoryHierarchy, TABLE1_CONFIGS, warm_caches
 from repro.viz import line_chart
 
@@ -38,7 +37,7 @@ def main() -> None:
                     iter(trace),
                     hierarchy,
                     rob_size=window,
-                    predictor=make_predictor("perceptron"),
+                    predictor="perceptron",
                 )
                 points.append((window, sim.ipc))
             series[mem_name] = points

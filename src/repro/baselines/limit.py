@@ -17,6 +17,12 @@ instruction's timing directly in one O(n) pass:
 The same pass records the decode→issue distance of every instruction,
 which is Figure 3's histogram and the empirical basis of the paper's
 *execution locality* concept.
+
+The predictor is trained strictly in trace order, so its verdicts depend
+only on the predictor spec and the trace's conditional-branch stream, not
+on the window or the memory system.  :func:`branch_verdicts` keeps the
+last stream's verdicts in a one-entry per-process memo, so a window sweep
+trains one predictor per trace instead of one per cell.
 """
 
 from __future__ import annotations
@@ -25,10 +31,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.branch import make_predictor
 from repro.branch.base import BranchPredictor
+from repro.branch.spec import canonical_predictor
 from repro.isa import DEFAULT_LATENCIES, Instruction, LatencyTable, OpClass
 from repro.isa.registers import NUM_REGS
 from repro.machines.params import (
+    SpecError,
     parse_count,
     parse_count_or_inf,
     parse_flag,
@@ -54,11 +63,39 @@ class LimitResult:
         return self.committed / self.cycles if self.cycles else 0.0
 
 
+#: The last ``(canonical predictor spec, branch stream, verdicts)`` this
+#: process computed.  Cells reach every process grouped by workload, so
+#: one entry serves a trace's whole window × memory sweep; it holds
+#: packed ints and bytes, never an instruction or a trace.
+_VERDICTS: tuple[str, list[int], bytes] | None = None
+
+
+def branch_verdicts(spec: str, stream: list[int]) -> bytes:
+    """Per-branch outcomes of a fresh *spec* predictor over *stream*.
+
+    *stream* packs each conditional branch as ``pc << 1 | taken``, in
+    trace order; byte ``k`` of the result is 1 when branch ``k`` was
+    predicted correctly.  The one-entry memo is keyed on *spec* (pass
+    the canonical spelling, so equivalent ones share the entry) and the
+    whole stream, compared element for element, so a different trace,
+    a prefix of one or another predictor always retrains.  It trains
+    only a predictor it built, never one a caller may already have
+    trained.
+    """
+    global _VERDICTS
+    memo = _VERDICTS
+    if memo is None or memo[0] != spec or memo[1] != stream:
+        update = make_predictor(spec).update
+        verdicts = bytes([update(packed >> 1, bool(packed & 1)) for packed in stream])
+        memo = _VERDICTS = (spec, stream, verdicts)
+    return memo[2]
+
+
 def simulate_limit(
     trace: Iterable[Instruction],
     hierarchy: MemoryHierarchy,
     rob_size: int | None,
-    predictor: BranchPredictor,
+    predictor: str,
     width: int = 4,
     redirect_penalty: int = 5,
     latencies: LatencyTable = DEFAULT_LATENCIES,
@@ -71,6 +108,9 @@ def simulate_limit(
     Args:
         rob_size: ROB capacity; ``None`` means unlimited (the configuration
             of the Figure-3 analysis).
+        predictor: Branch-predictor spec (:mod:`repro.branch.spec`); a
+            fresh one is trained over the trace's conditional branches,
+            through :func:`branch_verdicts`.
         histogram_bin: Bin width (cycles) for the decode→issue histogram.
         record_histogram: Set False to skip the per-instruction histogram
             accounting; the window sweeps of Figures 1/2 only consume IPC,
@@ -82,10 +122,15 @@ def simulate_limit(
     """
     if stats is None:
         stats = SimStats(config=f"limit-{rob_size or 'inf'}")
+    trace = list(trace)  # the branch stream is read ahead of the pass
+    verdicts = branch_verdicts(
+        canonical_predictor(predictor),
+        [instr.pc << 1 | bool(instr.taken) for instr in trace if instr.is_cond_branch],
+    )
+    next_verdict = iter(verdicts).__next__
     histogram = Histogram(bin_width=histogram_bin, max_value=4000)
     histogram_add = histogram.add if record_histogram else None
     hierarchy_access = hierarchy.access
-    predictor_update = predictor.update
 
     reg_time = [0] * NUM_REGS
     # Commit times of the ROB-resident window (for the capacity constraint)
@@ -148,7 +193,7 @@ def simulate_limit(
         # ---- control flow ----------------------------------------------
         if op == OpClass.BRANCH:
             stats.branch_predictions += 1
-            if not predictor_update(instr.pc, bool(instr.taken)):
+            if not next_verdict():
                 stats.branch_mispredictions += 1
                 resume_cycle = complete + redirect_penalty
                 slots_left = 0
@@ -187,7 +232,7 @@ def simulate_limit(
 def issue_distance_histogram(
     trace: Iterable[Instruction],
     hierarchy: MemoryHierarchy,
-    predictor: BranchPredictor,
+    predictor: str,
     histogram_bin: int = 25,
 ) -> Histogram:
     """Figure-3 measurement: unlimited window, decode→issue distances."""
@@ -230,19 +275,24 @@ class LimitCore:
         The pass computes every instruction's timing directly, cannot
         deadlock and is already O(n), so ``max_cycles`` and
         ``fast_forward`` are accepted for interface compatibility and
-        ignored.
+        ignored.  The pass trains its own predictor from the config's
+        spec (see :func:`branch_verdicts`); ``self.predictor``, whose
+        counters the runner stamps on the stats, receives its counts.
         """
         result = simulate_limit(
             self.trace,
             self.hierarchy,
             rob_size=self.config.rob_size,
-            predictor=self.predictor,
+            predictor=self.config.predictor,
             width=self.config.width,
             redirect_penalty=self.config.redirect_penalty,
             record_histogram=self.config.record_histogram,
             stats=self.stats,
         )
-        return result.stats
+        stats = result.stats
+        self.predictor.predictions += stats.branch_predictions
+        self.predictor.mispredictions += stats.branch_mispredictions
+        return stats
 
     def drive(
         self,
@@ -270,9 +320,15 @@ _LIMIT_KEYS = frozenset({"rob", "predictor", "width", "redirect", "histogram"})
 def _parse_limit(params: dict[str, str]) -> LimitMachine:
     """Spec params -> LimitMachine; bare ``limit`` is the unlimited ROB."""
     reject_unknown("limit", params, _LIMIT_KEYS, LIMIT_GRAMMAR)
+    predictor = "perceptron"
+    if "predictor" in params:
+        try:
+            predictor = canonical_predictor(params["predictor"])
+        except SpecError as error:
+            raise SpecError(f"limit: {error}; grammar: {LIMIT_GRAMMAR}") from None
     return LimitMachine(
         rob_size=parse_count_or_inf("limit", "rob", params.get("rob", "inf")),
-        predictor=params.get("predictor", "perceptron"),
+        predictor=predictor,
         width=parse_count("limit", "width", params.get("width", "4")),
         redirect_penalty=parse_count("limit", "redirect", params.get("redirect", "5")),
         record_histogram=parse_flag("limit", "histogram", params.get("histogram", "on")),

@@ -833,10 +833,12 @@ _PROFILE_STAGES = {
     "branch": "branch prediction",
     "memory": "memory hierarchy",
     "core": "D-KIP model (analyze/extract/MP)",
+    "baselines/limit.py": "limit core (one-pass)",
     "baselines": "baseline core model",
+    "sim/stats.py": "stats + histograms",
     "workloads": "trace generation",
     "trace": "trace generation",
-    "isa": "trace generation",
+    "isa": "isa (latencies, operands)",
 }
 
 

@@ -35,13 +35,10 @@ class LatencyTable:
     branch: int = 1
     agen: int = 1
 
-    def latency_of(self, op: OpClass) -> int:
-        """Return the fixed latency of *op*.
-
-        For loads/stores this is only the address-generation part; callers
-        add the memory-system latency on top.
-        """
-        table = {
+    def __post_init__(self) -> None:
+        # latency_of runs for every issued instruction in every core; the
+        # fields are frozen, so its lookup is built once, here.
+        object.__setattr__(self, "_table", {
             OpClass.INT_ALU: self.int_alu,
             OpClass.INT_MUL: self.int_mul,
             OpClass.FP_ADD: self.fp_add,
@@ -54,8 +51,15 @@ class LatencyTable:
             OpClass.STORE: self.agen,
             OpClass.FP_LOAD: self.agen,
             OpClass.FP_STORE: self.agen,
-        }
-        return table[op]
+        })
+
+    def latency_of(self, op: OpClass) -> int:
+        """Return the fixed latency of *op*.
+
+        For loads/stores this is only the address-generation part; callers
+        add the memory-system latency on top.
+        """
+        return self._table[op]
 
 
 #: Default latencies used across the evaluation.

@@ -1,18 +1,17 @@
 """Unit tests for the idealized (ROB-only) limit simulator."""
 
-from repro.branch import AlwaysTakenPredictor
 from repro.baselines.limit import issue_distance_histogram, simulate_limit
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy, TABLE1_CONFIGS
 
 from tests.conftest import make_alu_chain, make_load_chain, make_loop
 
 
-def run(trace, rob=64, memory=DEFAULT_MEMORY, predictor=None):
+def run(trace, rob=64, memory=DEFAULT_MEMORY, predictor="always-taken"):
     return simulate_limit(
         iter(trace),
         MemoryHierarchy(memory),
         rob_size=rob,
-        predictor=predictor or AlwaysTakenPredictor(),
+        predictor=predictor,
     )
 
 
@@ -72,7 +71,7 @@ def test_issue_distance_histogram_splits_by_dependence():
         trace.append(b.alu(2, 1, 1))            # waits ~400 cycles
         trace.extend(b.alu(3 + (j % 4), 29, 30) for j in range(8))
     hist = issue_distance_histogram(
-        iter(trace), MemoryHierarchy(DEFAULT_MEMORY), AlwaysTakenPredictor()
+        iter(trace), MemoryHierarchy(DEFAULT_MEMORY), "always-taken"
     )
     assert hist.fraction_below(100) > 0.7          # independent work
     assert hist.fraction_in(300, 500) > 0.05       # the miss consumers
@@ -96,7 +95,7 @@ def test_histogram_bin_width_configurable():
         iter(make_alu_chain(100)),
         MemoryHierarchy(DEFAULT_MEMORY),
         rob_size=None,
-        predictor=AlwaysTakenPredictor(),
+        predictor="always-taken",
         histogram_bin=50,
     )
     assert result.issue_distance.bin_width == 50

@@ -31,7 +31,7 @@ UNCONSTRAINED = CoreConfig(
 
 def limit_cycles(trace, rob=64, memory=TABLE1_CONFIGS["L1-2"]):
     result = simulate_limit(
-        iter(trace), MemoryHierarchy(memory), rob, AlwaysTakenPredictor()
+        iter(trace), MemoryHierarchy(memory), rob, "always-taken"
     )
     return result.cycles
 

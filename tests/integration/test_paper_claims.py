@@ -11,7 +11,6 @@ import statistics
 import pytest
 
 from repro.baselines.limit import simulate_limit
-from repro.branch import make_predictor
 from repro.memory import (
     DEFAULT_MEMORY,
     MemoryHierarchy,
@@ -59,9 +58,7 @@ def test_window_scaling_recovers_specfp_ipc():
     def limit_ipc(mem, rob):
         h = MemoryHierarchy(TABLE1_CONFIGS[mem])
         warm_caches(h, workload.regions)
-        return simulate_limit(
-            iter(trace), h, rob, make_predictor("perceptron")
-        ).ipc
+        return simulate_limit(iter(trace), h, rob, "perceptron").ipc
 
     small = limit_ipc("MEM-400", 32)
     big = limit_ipc("MEM-400", 4096)
@@ -81,9 +78,7 @@ def test_window_scaling_cannot_recover_pointer_chasing():
     def limit_ipc(mem, rob):
         h = MemoryHierarchy(TABLE1_CONFIGS[mem])
         warm_caches(h, workload.regions)
-        return simulate_limit(
-            iter(trace), h, rob, make_predictor("perceptron")
-        ).ipc
+        return simulate_limit(iter(trace), h, rob, "perceptron").ipc
 
     small = limit_ipc("MEM-400", 32)
     big = limit_ipc("MEM-400", 4096)
@@ -100,7 +95,7 @@ def test_issue_latency_is_trimodal_on_fp():
     trace = workload.trace(N)
     h = MemoryHierarchy(DEFAULT_MEMORY)
     warm_caches(h, workload.regions)
-    result = simulate_limit(iter(trace), h, None, make_predictor("perceptron"))
+    result = simulate_limit(iter(trace), h, None, "perceptron")
     hist = result.issue_distance
     assert hist.fraction_below(300) > 0.35
     assert hist.fraction_in(300, 500) > 0.05

@@ -70,6 +70,14 @@ def test_bad_bp_names_ooobp_and_predictor_grammars():
         parse_machine("dual(bp=tage)")
 
 
+def test_bad_limit_predictor_fails_at_parse():
+    """limit(predictor=...) is validated at parse time, like r10's, not
+    mid-sweep when the cell first trains its predictor."""
+    with pytest.raises(SpecError, match=r"grammar: limit\(") as excinfo:
+        parse_machine("limit(rob=64,predictor=bogus)")
+    assert "perceptron[-ENTRIES" in str(excinfo.value)
+
+
 def test_bad_co_runner_names_dual_and_workload_grammars():
     """A malformed co= chains the workload error under the dual grammar."""
     with pytest.raises(SpecError, match=r"grammar: dual\(") as excinfo:

@@ -29,6 +29,8 @@ from repro.sim.config import (
     RunaheadConfig,
     SchedulerPolicy,
 )
+from repro.store import cell_key
+from repro.workloads import get_workload
 
 EQUIVALENCE = [
     ("r10", R10_64),
@@ -50,6 +52,8 @@ EQUIVALENCE = [
     ("limit(rob=inf)", LimitMachine()),
     ("limit(rob=64)", LimitMachine(rob_size=64)),
     ("limit(rob=64,histogram=off)", LimitMachine(rob_size=64, record_histogram=False)),
+    ("limit(rob=64,predictor=static)", LimitMachine(rob_size=64, predictor="always-taken")),
+    ("limit(predictor= GShare-10 )", LimitMachine(predictor="gshare-10")),
     ("runahead", RunaheadConfig()),
     ("runahead-64", RunaheadConfig()),
     (
@@ -123,6 +127,17 @@ def test_preset_spec_strings_round_trip():
         preset = get_preset(name)
         assert preset is not None
         assert parse_machine(preset.spec) == preset.config
+
+
+def test_equivalent_limit_predictors_share_a_cell():
+    """static and always-taken are one machine, so one stored cell."""
+    static = parse_machine("limit(rob=64,predictor=static)")
+    taken = parse_machine("limit(rob=64,predictor=always-taken)")
+    assert static == taken
+    workload = get_workload("swim")
+    assert cell_key(static, workload, 2_000, DEFAULT_MEMORY) == cell_key(
+        taken, workload, 2_000, DEFAULT_MEMORY
+    )
 
 
 def test_split_specs_respects_parens():
