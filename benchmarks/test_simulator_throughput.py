@@ -11,21 +11,29 @@ The core benchmarks run on the paper's default MEM-400 memory system with
 two complementary workloads: ``applu`` keeps the pipeline busy (little to
 fast-forward), while ``mcf``'s pointer chasing serializes on 400-cycle
 misses — the quiescent regime the cycle-skipping engine targets.
+
+The trace-cost benchmarks time what every cell pays before it
+simulates: building ``Instruction`` records, generating a workload's
+trace, and decoding a captured trace file.
 """
 
 import pytest
 
 from repro.branch import make_predictor
+from repro.isa import Instruction
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy
 from repro.sim.batch import BatchRunner
 from repro.sim.config import DKIP_2048, R10_64
 from repro.sim.runner import simulate
+from repro.trace.io import load_trace, save_trace
 from repro.workloads import get_workload
 
 #: (workload, instructions) pairs for the core-throughput benchmarks.
 CORE_WORKLOADS = ("applu", "mcf")
 CORE_INSTRUCTIONS = 4_000
+#: Records per round of the construction and decode benchmarks.
+TRACE_RECORDS = 16_000
 
 
 def _run_core_benchmark(benchmark, config, workload_name):
@@ -135,3 +143,45 @@ def test_r10_core_reference_mode(benchmark, workload_name):
 
     stats = benchmark.pedantic(run, rounds=2, iterations=1)
     assert stats.committed == CORE_INSTRUCTIONS
+
+
+@pytest.mark.benchmark(group="simulator-throughput")
+def test_instruction_construction_throughput(benchmark):
+    """The constructor alone, on the field values of a real trace."""
+    fields = [
+        (i.seq, i.pc, i.op, i.dest, i.srcs, i.addr, i.size, i.taken, i.target)
+        for i in get_workload("mcf").trace(TRACE_RECORDS)
+    ]
+
+    def build():
+        return [Instruction(*values) for values in fields]
+
+    records = benchmark.pedantic(build, rounds=5, iterations=1, warmup_rounds=1)
+    assert len(records) == TRACE_RECORDS
+
+
+@pytest.mark.benchmark(group="simulator-throughput")
+@pytest.mark.parametrize("workload_name", ("mcf", "swim"))
+def test_trace_generation_throughput(benchmark, workload_name):
+    """One quick cell's trace, generated by a fresh workload instance
+    (an instance caches the longest trace it generated)."""
+
+    def generate():
+        return get_workload(workload_name).trace(CORE_INSTRUCTIONS)
+
+    trace = benchmark.pedantic(generate, rounds=5, iterations=1, warmup_rounds=1)
+    assert len(trace) == CORE_INSTRUCTIONS
+
+
+@pytest.mark.benchmark(group="simulator-throughput")
+def test_trace_decode_throughput(benchmark, tmp_path):
+    """Decoding a gzipped capture, the read every trace and phase replay
+    and every SimPoint analysis makes."""
+    path = str(tmp_path / "mcf.trc.gz")
+    save_trace(get_workload("mcf"), path, TRACE_RECORDS)
+
+    def decode():
+        return list(load_trace(path))
+
+    trace = benchmark.pedantic(decode, rounds=5, iterations=1, warmup_rounds=1)
+    assert len(trace) == TRACE_RECORDS

@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 
 from repro.isa.opcodes import BRANCH_OPS, FP_OPS, LOAD_OPS, MEM_OPS, OpClass, STORE_OPS
 from repro.isa.registers import (
+    FP_BASE,
     NUM_REGS,
     RegisterName,
-    is_fp_reg,
     is_zero_reg,
     reg_name,
 )
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(slots=True, frozen=True, init=False)
 class Instruction:
     """One dynamic instruction.
 
@@ -37,6 +37,13 @@ class Instruction:
         size: Memory access size in bytes (loads/stores only).
         taken: Branch outcome for control-flow instructions, else ``None``.
         target: Branch/jump target pc, else ``None``.
+
+    Every trace is built of these records, so construction is the cost
+    trace generation and decoding pay per instruction.  :meth:`__new__`
+    validates the nine fields, fills all sixteen slots with plain stores
+    on a :class:`_Draft` (same layout, ordinary ``__setattr__``) and then
+    retypes the draft as an ``Instruction``; from there on assignment and
+    deletion raise ``FrozenInstanceError`` as on any frozen dataclass.
     """
 
     seq: int
@@ -64,32 +71,66 @@ class Instruction:
     is_fp: bool = field(init=False, compare=False, repr=False)
     _live_srcs: tuple[RegisterName, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.dest is not None and not 0 <= self.dest < NUM_REGS:
-            raise ValueError(f"dest register out of range: {self.dest}")
-        if len(self.srcs) > 2:
-            raise ValueError("Alpha-like ISA allows at most 2 source registers")
-        for src in self.srcs:
-            if not 0 <= src < NUM_REGS:
-                raise ValueError(f"source register out of range: {src}")
-        op = self.op
-        if op in MEM_OPS and self.addr is None:
+    def __new__(
+        cls,
+        seq: int,
+        pc: int,
+        op: OpClass,
+        dest: RegisterName | None = None,
+        srcs: tuple[RegisterName, ...] = (),
+        addr: int | None = None,
+        size: int = 8,
+        taken: bool | None = None,
+        target: int | None = None,
+    ) -> Instruction:
+        if dest is not None and not 0 <= dest < NUM_REGS:
+            raise ValueError(f"dest register out of range: {dest}")
+        try:
+            live_srcs = _LIVE_SRCS[srcs]
+        except (KeyError, TypeError):  # not seen yet, or unhashable (a list)
+            live_srcs = _checked_live_srcs(srcs)
+        if type(op) is not OpClass:
+            raise ValueError(f"not an operation class: {op!r}")
+        is_load, is_store, is_mem, is_branch, is_cond_branch, fp_op = _OP_FLAGS[op]
+        self = object.__new__(_Draft)
+        self.seq = seq
+        self.pc = pc
+        self.op = op
+        self.dest = dest
+        self.srcs = srcs
+        self.addr = addr
+        self.size = size
+        self.taken = taken
+        self.target = target
+        self.is_load = is_load
+        self.is_store = is_store
+        self.is_mem = is_mem
+        self.is_branch = is_branch
+        self.is_cond_branch = is_cond_branch
+        self.is_fp = fp_op or (dest is not None and dest >= FP_BASE)
+        self._live_srcs = live_srcs
+        self.__class__ = cls
+        if is_mem and addr is None:
             raise ValueError(f"memory instruction without address: {self}")
-        if op in BRANCH_OPS and self.taken is None:
+        if is_branch and taken is None:
             raise ValueError(f"branch instruction without outcome: {self}")
-        setattr = object.__setattr__
-        setattr(self, "is_load", op in LOAD_OPS)
-        setattr(self, "is_store", op in STORE_OPS)
-        setattr(self, "is_mem", op in MEM_OPS)
-        setattr(self, "is_branch", op in BRANCH_OPS)
-        setattr(self, "is_cond_branch", op == OpClass.BRANCH)
-        setattr(
-            self,
-            "is_fp",
-            (self.dest is not None and is_fp_reg(self.dest)) or op in FP_OPS,
-        )
-        setattr(
-            self, "_live_srcs", tuple(s for s in self.srcs if not is_zero_reg(s))
+        return self
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor, checks included.
+        return (
+            type(self),
+            (
+                self.seq,
+                self.pc,
+                self.op,
+                self.dest,
+                self.srcs,
+                self.addr,
+                self.size,
+                self.taken,
+                self.target,
+            ),
         )
 
     def live_srcs(self) -> tuple[RegisterName, ...]:
@@ -109,6 +150,50 @@ class Instruction:
         if self.taken is not None:
             parts.append("T" if self.taken else "NT")
         return " ".join(p for p in parts if p)
+
+
+class _Draft(Instruction):
+    """An :class:`Instruction` under construction: the same slots, but
+    plain attribute stores, so :meth:`Instruction.__new__` fills them at
+    slot-store speed before retyping the object."""
+
+    __slots__ = ()
+    # Both hooks must be object's own for the stores to take the fast path.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+#: Per operation class: is_load, is_store, is_mem, is_branch,
+#: is_cond_branch, and whether the class itself runs on the FP cluster.
+_OP_FLAGS = {
+    op: (
+        op in LOAD_OPS,
+        op in STORE_OPS,
+        op in MEM_OPS,
+        op in BRANCH_OPS,
+        op == OpClass.BRANCH,
+        op in FP_OPS,
+    )
+    for op in OpClass
+}
+
+#: Validated source tuple -> its live sources, shared by every record
+#: with those sources.  Only tuples of int register ids that passed the
+#: checks are inserted, so it never holds more than 1 + 64 + 64**2 keys.
+_LIVE_SRCS: dict[tuple[RegisterName, ...], tuple[RegisterName, ...]] = {}
+
+
+def _checked_live_srcs(srcs) -> tuple[RegisterName, ...]:
+    """Validate *srcs* and return it without the hardwired zero registers."""
+    if len(srcs) > 2:
+        raise ValueError("Alpha-like ISA allows at most 2 source registers")
+    for src in srcs:
+        if not 0 <= src < NUM_REGS:
+            raise ValueError(f"source register out of range: {src}")
+    live = tuple(s for s in srcs if not is_zero_reg(s))
+    if type(srcs) is tuple and all(type(s) is int for s in srcs):
+        _LIVE_SRCS[srcs] = live
+    return live
 
 
 class InstructionBuilder:

@@ -25,9 +25,11 @@ from __future__ import annotations
 import contextlib
 import gzip
 import io
-from typing import Iterable, Iterator, Sequence, TextIO
+import itertools
+import os
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
-from repro.isa import Instruction, OpClass
+from repro.isa import NUM_REGS, Instruction, OpClass
 
 _HEADER = "# repro-trace v1"
 _REGION_PREFIX = "# region "
@@ -37,16 +39,17 @@ class TraceFormatError(ValueError):
     """A trace file is missing, truncated, corrupt, or malformed."""
 
 
-def _open(path: str, mode: str) -> TextIO:
+def _open(path: str) -> TextIO:
+    """Open *path* for reading as text, through gzip if it ends in ``.gz``."""
     if path.endswith(".gz"):
-        raw = gzip.open(path, mode + "b")
+        raw = gzip.open(path, "rb")
         try:
             return io.TextIOWrapper(raw)  # type: ignore[arg-type]
         except Exception:
             # Never leak the underlying gzip handle when wrapping fails.
             raw.close()
             raise
-    return open(path, mode)
+    return open(path)
 
 
 def _field(value) -> str:
@@ -59,6 +62,36 @@ def _field(value) -> str:
     return str(value)
 
 
+#: Per-call temp names never collide, even between processes that
+#: capture the same path at once.
+_TMP_COUNTER = itertools.count()
+
+
+@contextlib.contextmanager
+def _published(path: str) -> Iterator[int]:
+    """A file descriptor whose bytes land at *path* only if the block
+    completes.
+
+    The bytes go to a temp file unique to this call in *path*'s
+    directory, which is fsynced and then renamed onto *path*; a raise
+    anywhere in the block unlinks the temp file and leaves whatever was
+    at *path* untouched, so a reader never sees a half-written trace.
+    """
+    tmp = f"{path}.{os.getpid()}.{next(_TMP_COUNTER)}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            yield fd
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    finally:
+        # On success the rename consumed the temp file.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def dump_trace(
     instructions: Iterable[Instruction],
     path: str,
@@ -67,33 +100,41 @@ def dump_trace(
     """Write *instructions* to *path* (gzip if it ends with ``.gz``).
 
     *regions*, when given, are recorded as ``# region`` comment lines so
-    the trace carries the data-region map cache warm-up needs.  Returns
-    the number of instructions written.
+    the trace carries the data-region map cache warm-up needs.  The file
+    appears at *path* complete or not at all: an error mid-write leaves
+    the previous file, if any, in place.  Returns the number of
+    instructions written.
     """
     count = 0
-    with _open(path, "w") as handle:
-        handle.write(_HEADER + "\n")
-        for base, size in regions or ():
-            handle.write(f"{_REGION_PREFIX}{base:x} {size}\n")
-        for instr in instructions:
-            srcs = ",".join(str(s) for s in instr.srcs) if instr.srcs else "-"
-            handle.write(
-                " ".join(
-                    (
-                        str(instr.seq),
-                        format(instr.pc, "x"),
-                        instr.op.name,
-                        _field(instr.dest),
-                        srcs,
-                        format(instr.addr, "x") if instr.addr is not None else "-",
-                        str(instr.size),
-                        _field(instr.taken),
-                        _field(instr.target),
+    with _published(path) as fd, open(fd, "wb", closefd=False) as raw:
+        binary: BinaryIO = raw
+        if path.endswith(".gz"):
+            # zlib's default level: a few percent larger than level 9 at
+            # about a third of the compression time.
+            binary = gzip.GzipFile(path, "wb", 6, raw)  # type: ignore[assignment]
+        with io.TextIOWrapper(binary) as handle:
+            handle.write(_HEADER + "\n")
+            for base, size in regions or ():
+                handle.write(f"{_REGION_PREFIX}{base:x} {size}\n")
+            for instr in instructions:
+                srcs = ",".join(str(s) for s in instr.srcs) if instr.srcs else "-"
+                handle.write(
+                    " ".join(
+                        (
+                            str(instr.seq),
+                            format(instr.pc, "x"),
+                            instr.op.name,
+                            _field(instr.dest),
+                            srcs,
+                            format(instr.addr, "x") if instr.addr is not None else "-",
+                            str(instr.size),
+                            _field(instr.taken),
+                            _field(instr.target),
+                        )
                     )
+                    + "\n"
                 )
-                + "\n"
-            )
-            count += 1
+                count += 1
     return count
 
 
@@ -105,18 +146,23 @@ def save_trace(workload, path: str, n: int) -> int:
     return dump_trace(trace, path, regions=workload.regions)
 
 
-def _parse_int(token: str, base: int = 10):
-    return None if token == "-" else int(token, base)
+#: Decoder tables: a token missing from one is a malformed record.
+_OPS = {op.name: op for op in OpClass}
+_TAKEN = {"-": None, "T": True, "N": False}
+
+#: srcs token -> source tuple, so records naming the same sources share
+#: one tuple.  Capped at the number of valid source tuples (none, one or
+#: two registers); past the cap a token is parsed every time.
+_SRCS: dict[str, tuple[int, ...]] = {"-": ()}
+_SRCS_CAP = 1 + NUM_REGS + NUM_REGS**2
 
 
-def _parse_bool(token: str):
-    if token == "-":
-        return None
-    if token == "T":
-        return True
-    if token == "N":
-        return False
-    raise ValueError(f"bad boolean field {token!r}")
+def _parse_srcs(token: str) -> tuple[int, ...]:
+    """The register ids of a srcs token not yet in :data:`_SRCS`."""
+    srcs = tuple(map(int, token.split(",")))
+    if len(_SRCS) < _SRCS_CAP:
+        _SRCS[token] = srcs
+    return srcs
 
 
 #: Decompression/decoding failures a corrupt ``.gz`` (or binary junk)
@@ -131,7 +177,7 @@ def _opened_trace(path: str) -> Iterator[TextIO]:
     permission error, bad header, truncated/corrupt gzip — into
     :class:`TraceFormatError`.  The handle is closed either way."""
     try:
-        handle = _open(path, "r")
+        handle = _open(path)
     except FileNotFoundError:
         raise TraceFormatError(f"{path}: trace file does not exist") from None
     except OSError as error:
@@ -160,34 +206,33 @@ def load_trace(path: str) -> Iterator[Instruction]:
     """
     with _opened_trace(path) as handle:
         for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
-            if len(parts) != 9:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: malformed record: {line!r}"
-                )
-            seq, pc, op, dest, srcs, addr, size, taken, target = parts
+            if not parts or parts[0][0] == "#":
+                continue  # blank line or comment
             try:
-                yield Instruction(
-                    seq=int(seq),
-                    pc=int(pc, 16),
-                    op=OpClass[op],
-                    dest=_parse_int(dest),
-                    srcs=tuple(int(s) for s in srcs.split(","))
-                    if srcs != "-"
-                    else (),
-                    addr=_parse_int(addr, 16),
-                    size=int(size),
-                    taken=_parse_bool(taken),
-                    target=_parse_int(target),
+                seq, pc, op, dest, srcs, addr, size, taken, target = parts
+                sources = _SRCS.get(srcs)
+                if sources is None:
+                    sources = _parse_srcs(srcs)
+                # Instruction() checks the registers, and the address or
+                # outcome the op needs.
+                instr = Instruction(
+                    int(seq),
+                    int(pc, 16),
+                    _OPS[op],
+                    None if dest == "-" else int(dest),
+                    sources,
+                    None if addr == "-" else int(addr, 16),
+                    int(size),
+                    _TAKEN[taken],
+                    None if target == "-" else int(target),
                 )
             except (ValueError, KeyError) as error:
                 raise TraceFormatError(
-                    f"{path}:{line_number}: malformed record: {line!r} "
-                    f"({error})"
+                    f"{path}:{line_number}: malformed record: "
+                    f"{line.strip()!r} ({error})"
                 ) from None
+            yield instr
 
 
 def read_trace_regions(path: str) -> list[tuple[int, int]]:

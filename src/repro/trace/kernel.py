@@ -115,16 +115,9 @@ class Kernel:
         target: int | None = None,
         site: str | None = None,
     ) -> Instruction:
+        # Positional: a keyword call to a class builds a dict per record.
         instr = Instruction(
-            seq=self._seq,
-            pc=self._pc(site),
-            op=op,
-            dest=dest,
-            srcs=srcs,
-            addr=addr,
-            size=size,
-            taken=taken,
-            target=target,
+            self._seq, self._pc(site), op, dest, srcs, addr, size, taken, target
         )
         self._seq += 1
         return instr

@@ -123,7 +123,7 @@ class TraceFileWorkload(Workload):
         if self._content_digest is None:
             sha = hashlib.sha256()
             try:
-                with _open_trace(self.path, "r") as handle:
+                with _open_trace(self.path) as handle:
                     for chunk in iter(lambda: handle.read(1 << 16), ""):
                         sha.update(chunk.encode("utf-8"))
             except _READ_ERRORS as error:

@@ -115,12 +115,121 @@ def test_trace_format_error_is_a_value_error():
     assert issubclass(TraceFormatError, ValueError)
 
 
-def test_malformed_field_value_names_the_line(tmp_path):
-    path = tmp_path / "bad.trace"
-    # Nine whitespace-separated fields, but the opcode is unknown.
-    path.write_text("# repro-trace v1\n0 100 WARP - - - 8 - -\n")
-    with pytest.raises(TraceFormatError, match=":2:"):
-        list(load_trace(str(path)))
+_VALID = "0 100 INT_ALU 1 2,3 - 8 - -"
+
+#: Nine whitespace-separated fields but one malformed, or a wrong field
+#: count; each is line 3 of a file whose line 2 is valid.
+_BAD_RECORDS = {
+    "bad-int": "x1 100 INT_ALU 1 2,3 - 8 - -",
+    "bad-size": "0 100 INT_ALU 1 2,3 - eight - -",
+    "bad-hex": "0 10g INT_ALU 1 2,3 - 8 - -",
+    "bad-address-hex": "0 100 LOAD 1 2 0xq 8 - -",
+    "unknown-op": "0 100 WARP - - - 8 - -",
+    "lower-case-op": "0 100 int_alu 1 2,3 - 8 - -",
+    "bad-bool": "0 100 BRANCH - 1 - 8 Y 140",
+    "three-sources": "0 100 INT_ALU 1 2,3,4 - 8 - -",
+    "bad-source": "0 100 INT_ALU 1 2,x - 8 - -",
+    "dest-register-64": "0 100 INT_ALU 64 2,3 - 8 - -",
+    "source-register-64": "0 100 INT_ALU 1 2,64 - 8 - -",
+    "load-without-address": "0 100 LOAD 1 2 - 8 - -",
+    "branch-without-outcome": "0 100 BRANCH - 1 - 8 - 140",
+    "eight-fields": "0 100 INT_ALU 1 2,3 - 8 -",
+    "ten-fields": "0 100 INT_ALU 1 2,3 - 8 - - -",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+@pytest.mark.parametrize("suffix", [".trace", ".trc.gz"])
+def test_malformed_field_names_path_line_and_record(tmp_path, case, suffix):
+    record = _BAD_RECORDS[case]
+    path = str(tmp_path / f"bad{suffix}")
+    opener = gzip.open if suffix.endswith(".gz") else open
+    with opener(path, "wt") as handle:
+        handle.write(f"# repro-trace v1\n{_VALID}\n  {record}  \n{_VALID}\n")
+    with pytest.raises(TraceFormatError) as error:
+        list(load_trace(path))
+    assert f"{path}:3: malformed record: {record!r}" in str(error.value)
+    # The same record is rejected again on a second read.
+    with pytest.raises(TraceFormatError, match=":3:"):
+        list(load_trace(path))
+
+
+def test_indented_comments_and_blank_lines_skipped(tmp_path):
+    trace = get_workload("swim").trace(20)
+    path = str(tmp_path / "t.trace")
+    dump_trace(trace, path)
+    with open(path) as handle:
+        header, *records = handle.read().splitlines()
+    noise = ["   # indented comment", "\t#tabbed", "", "   ", "\t \t", "#"]
+    lines = [header]
+    for index, record in enumerate(records):
+        lines.extend((noise[index % len(noise)], f"  {record}\t"))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    assert list(load_trace(path)) == trace
+
+
+def test_decoded_records_share_source_tuples(tmp_path):
+    path = str(tmp_path / "t.trace")
+    dump_trace(get_workload("mcf").trace(400), path)
+    by_srcs = {}
+    for instr in load_trace(path):
+        assert by_srcs.setdefault(instr.srcs, instr.srcs) is instr.srcs
+
+
+def test_full_srcs_memo_still_decodes(tmp_path, monkeypatch):
+    """Past the memo's cap, tokens are parsed per record and not kept."""
+    from repro.trace import io as trace_io
+
+    monkeypatch.setattr(trace_io, "_SRCS", {"-": ()})
+    monkeypatch.setattr(trace_io, "_SRCS_CAP", 2)
+    trace = get_workload("gcc").trace(300)
+    path = str(tmp_path / "t.trace")
+    dump_trace(trace, path)
+    assert list(load_trace(path)) == trace
+    assert len(trace_io._SRCS) == 2
+
+
+class _Interrupted(RuntimeError):
+    pass
+
+
+def _interrupted(trace, after):
+    for index, instr in enumerate(trace):
+        if index == after:
+            raise _Interrupted("generator died mid-dump")
+        yield instr
+
+
+@pytest.mark.parametrize("name", ["cap.trc.gz", "cap.trace"])
+def test_interrupted_dump_leaves_no_file_and_no_temp(tmp_path, name):
+    trace = get_workload("mcf").trace(3000)
+    path = str(tmp_path / name)
+    with pytest.raises(_Interrupted):
+        dump_trace(_interrupted(trace, 2000), path, regions=[(0x1000, 64)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["cap.trc.gz", "cap.trace"])
+def test_interrupted_dump_keeps_the_previous_file(tmp_path, name):
+    workload = get_workload("swim")
+    path = str(tmp_path / name)
+    assert save_trace(workload, path, 500) == 500
+    before = open(path, "rb").read()
+    with pytest.raises(_Interrupted):
+        dump_trace(_interrupted(get_workload("mcf").trace(3000), 2000), path)
+    assert open(path, "rb").read() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert list(load_trace(path)) == workload.trace(500)
+    assert read_trace_regions(path) == workload.regions
+
+
+def test_dump_replaces_an_existing_file(tmp_path):
+    path = str(tmp_path / "cap.trc.gz")
+    save_trace(get_workload("swim"), path, 50)
+    save_trace(get_workload("eon"), path, 80)
+    assert list(load_trace(path)) == get_workload("eon").trace(80)
+    assert [p.name for p in tmp_path.iterdir()] == ["cap.trc.gz"]
 
 
 def test_region_map_round_trips(tmp_path):
