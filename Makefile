@@ -81,14 +81,23 @@ contention-smoke:
 
 # The fault-tolerant executor under deterministic chaos: the battery in
 # tests/resilience/ plus one CLI run where 40% of cell attempts are
-# killed mid-flight and the sweep must still exit 0 with a full grid.
-# The same check gates in CI.
+# killed mid-flight and the sweep must still exit 0 with a full grid;
+# then the serve-smoke grid drained by two worker processes whose every
+# first cell attempt fails transiently, which their in-worker retries
+# must heal (`serve --once` exits 0 even when cells fail, hence the
+# grep).  The same check gates in CI.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience -x -q
 	REPRO_JOBS=2 REPRO_FAULT="cell:kill:0.4,seed=11" \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
 	  --machines "r10(rob=32)" --workloads "mcf,swim" \
 	  --scale quick --instructions 2000 --no-store --retries 8
+	rm -rf .chaos-svc
+	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
+	  --service .chaos-svc
+	REPRO_FAULT="cell:transient@#0" \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
+	  --service .chaos-svc --workers 2 --once | grep ", 0 failed"
 
 # The batched dispatch kernel end to end: the same small grid serially
 # and with REPRO_BATCH batching over the pool executor, asserting the
@@ -115,14 +124,15 @@ perf-smoke:
 # identical grid — the warm pass must complete the job with zero
 # simulations off the shared store.  The same check gates in CI.
 SERVE_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096)" \
-  --workloads "mcf,swim" --scale quick --instructions 2000 \
-  --service .serve-svc --shards 2
+  --workloads "mcf,swim" --scale quick --instructions 2000 --shards 2
 serve-smoke:
 	rm -rf .serve-svc
-	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID)
+	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
+	  --service .serve-svc
 	PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
 	  --service .serve-svc --workers 2 --once
-	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID)
+	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
+	  --service .serve-svc
 	PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
 	  --service .serve-svc --workers 2 --once | grep ", 0 simulated"
 	PYTHONPATH=src $(PYTHON) -m repro.experiments status --service .serve-svc

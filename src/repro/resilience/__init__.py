@@ -19,7 +19,6 @@ from repro.resilience.executor import (
     active_report,
     classify_exception,
     resilience_context,
-    run_attempts,
 )
 from repro.resilience.faults import (
     FaultClause,
@@ -63,5 +62,4 @@ __all__ = [
     "classify_exception",
     "plan_from_env",
     "resilience_context",
-    "run_attempts",
 ]

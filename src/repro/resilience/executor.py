@@ -34,8 +34,13 @@ store there), so even an aborted run resumes from everything that
 finished — the store's fingerprints are the idempotency ledger, and a
 retried cell dedupes to a bit-identical entry.
 
-The module also provides :func:`run_attempts`, the one-cell retry loop
-the service workers run, and the policy activation context
+Service workers run each claim as one in-process :meth:`run`, so this
+class is the one place that classifies, retries and backs off a cell.
+A ``$REPRO_FAULT`` ``cell`` token is ``"<cell label>#<attempt>"``:
+``#N`` is the cell's N-th attempt, counting from 0, whichever worker
+injects it (:mod:`repro.resilience.faults`).
+
+The module also provides the policy activation context
 (:func:`resilience_context`) the CLI uses to thread one policy + report
 through every harness without touching their signatures.
 """
@@ -627,56 +632,3 @@ class ResilientExecutor:
             self._fail(unit, position, info, now)
         return len(unfinished)
 
-
-# ----------------------------------------------------------------------
-# One cell's retry loop (service workers: classification + retries)
-# ----------------------------------------------------------------------
-
-
-def run_attempts(
-    index: int,
-    label: str,
-    compute: Callable[[], Any],
-    policy: ExecutionPolicy,
-    report: FailureReport,
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Run one cell in-process under *policy*; ``None`` marks a failure.
-
-    The retry loop of a service worker, which owns its process and so
-    runs each claimed cell itself: transient exceptions retry with
-    backoff, permanent ones fail the cell immediately, final failures
-    are recorded into *report*, and an exhausted failure budget raises
-    :class:`~repro.resilience.report.CellExecutionError`.  No deadline
-    enforcement — a process can only be killed from outside.
-    """
-    report.cells += 1
-    start = time.monotonic()
-    attempt = 0
-    while True:
-        try:
-            result = compute()
-        except Exception as error:  # noqa: BLE001 - classified, not dropped
-            kind = classify_exception(error)
-            if kind == RETRYABLE and attempt < policy.retries:
-                attempt += 1
-                report.retries += 1
-                sleep(policy.backoff_for(label, attempt))
-                continue
-            failure = CellFailure(
-                index=index,
-                cell=label,
-                kind=kind,
-                error=type(error).__name__,
-                message=str(error),
-                traceback=traceback_module.format_exc(),
-                attempts=attempt + 1,
-                duration=time.monotonic() - start,
-            )
-            report.record(failure)
-            budget = policy.max_failures
-            if budget is not None and len(report.failures) > budget:
-                raise CellExecutionError(failure, report) from error
-            return None
-        report.completed += 1
-        return result

@@ -19,12 +19,18 @@ faults, ``"<digest>#<write counter>"`` for store writes) — so a given
 plan fires on exactly the same attempts every run.  Retries survive a
 killed attempt because the next attempt hashes to a fresh decision.
 
+In a cell token, ``#N`` is the cell's N-th attempt, counting from 0,
+wherever the cell runs: a sweep-service worker numbers the attempts of
+a generation-*g* ticket from ``g × (retries + 1)``, so its retries
+re-roll and no requeued ticket replays an earlier generation's.
+
 Injection happens only at explicit call sites: the resilient executor's
-*worker* processes call :meth:`FaultPlan.inject_cell` before running a
-cell, and :meth:`repro.store.ResultStore.put` routes its serialized
-entry through :meth:`FaultPlan.corrupt_store_text`.  The driver process
-never injects cell faults, so a ``kill`` clause can only take down a
-worker, never the sweep itself.
+*worker* processes and the sweep-service workers call
+:meth:`FaultPlan.inject_cell` for every cell attempt, and
+:meth:`repro.store.ResultStore.put` routes its serialized entry through
+:meth:`FaultPlan.corrupt_store_text`.  The driver process never injects
+cell faults (nor does the executor's in-process mode), so a ``kill``
+clause can only take down an expendable worker, never the sweep itself.
 """
 
 from __future__ import annotations

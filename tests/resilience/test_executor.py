@@ -24,7 +24,6 @@ from repro.resilience import (
     active_report,
     classify_exception,
     resilience_context,
-    run_attempts,
 )
 
 # ----------------------------------------------------------------------
@@ -131,59 +130,6 @@ def test_resilience_context_nests_and_restores():
 
 
 # ----------------------------------------------------------------------
-# run_attempts (the serial twin)
-# ----------------------------------------------------------------------
-
-
-def test_run_attempts_ok_path_counts_completed():
-    report = FailureReport()
-    assert run_attempts(0, "cell", lambda: 42, STRICT, report) == 42
-    assert report.completed == 1 and report.cells == 1 and not report.failures
-
-
-def test_run_attempts_retries_transient_then_succeeds():
-    report = FailureReport()
-    calls = []
-
-    def compute():
-        calls.append(1)
-        if len(calls) < 3:
-            raise TransientCellError("flaky")
-        return "done"
-
-    naps = []
-    policy = ExecutionPolicy(retries=2)
-    result = run_attempts(0, "cell", compute, policy, report, sleep=naps.append)
-    assert result == "done" and len(calls) == 3
-    assert report.retries == 2 and len(naps) == 2 and not report.failures
-
-
-def test_run_attempts_permanent_failure_never_retries():
-    report = FailureReport()
-    policy = ExecutionPolicy(retries=5, max_failures=None)
-
-    def compute():
-        raise ValueError("deterministic bug")
-
-    assert run_attempts(0, "the × cell", compute, policy, report) is None
-    (failure,) = report.failures
-    assert failure.kind == PERMANENT and failure.attempts == 1
-    assert failure.error == "ValueError" and "the × cell" in failure.describe()
-    assert report.retries == 0
-
-
-def test_run_attempts_budget_exhaustion_raises_naming_the_cell():
-    report = FailureReport()
-
-    def compute():
-        raise ValueError("boom")
-
-    with pytest.raises(CellExecutionError, match="m × w × g"):
-        run_attempts(0, "m × w × g", compute, STRICT, report)
-    assert len(report.failures) == 1
-
-
-# ----------------------------------------------------------------------
 # ResilientExecutor (the supervised pool)
 # ----------------------------------------------------------------------
 
@@ -200,11 +146,12 @@ def test_executor_runs_all_tasks_and_streams_results():
     assert report.completed == 4 and report.cells == 4 and not report.failures
 
 
-def test_executor_permanent_failure_is_tolerated_under_budget():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_executor_permanent_failure_is_tolerated_under_budget(jobs):
     report = FailureReport()
     policy = ExecutionPolicy(max_failures=None)
     executor = ResilientExecutor(
-        _unit(_fail_on_three), jobs=2, policy=policy, report=report
+        _unit(_fail_on_three), jobs=jobs, policy=policy, report=report
     )
     results = executor.run(_tasks([1, 2, 3, 4]))
     assert results == {0: 1, 1: 2, 3: 4}  # index 2 (payload 3) is absent
@@ -213,6 +160,8 @@ def test_executor_permanent_failure_is_tolerated_under_budget():
     assert failure.error == "ValueError" and "cell-2" in failure.cell
     assert "three is right out" in failure.message
     assert "three is right out" in failure.traceback
+    # A permanent failure never retries, whatever the retry budget.
+    assert failure.attempts == 1 and report.retries == 0
 
 
 def test_executor_strict_budget_aborts_but_keeps_streamed_results():

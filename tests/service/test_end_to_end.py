@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments.common import WorkloadPool, run_cells, scale_of
 from repro.experiments.sweep import SweepSpec, plan_grid
+from repro.resilience import PERMANENT
 from repro.service import (
     Scheduler,
     ServiceQueue,
@@ -22,9 +23,9 @@ from repro.service import (
 from repro.service.jobs import DONE
 
 
-def _submit(queue, mapping, shards=2):
+def _submit(queue, mapping, shards=2, retries=1):
     job, outcome = queue.submit(
-        build_job(mapping, "quick", shards=shards, retries=1)
+        build_job(mapping, "quick", shards=shards, retries=retries)
     )
     return job, outcome
 
@@ -135,3 +136,51 @@ def test_status_and_results_reflect_the_finished_job(
     assert missing == 0
     rendered = result.render()
     assert "mean IPC" in rendered and "n/a" not in rendered
+
+
+def test_in_worker_retries_reroll_transient_faults(
+    queue, store, mapping, drain_service, monkeypatch
+):
+    """``#0`` names each cell's first attempt, so the in-worker retry
+    (attempt 1) runs clean; keying the token by ticket generation alone
+    replayed the fault on every retry and failed all four cells."""
+    monkeypatch.setenv("REPRO_FAULT", "cell:transient@#0")
+    job, _ = _submit(queue, mapping, retries=2)
+    scheduler = Scheduler(queue, store)
+    workers = [ServiceWorker(queue, store, name=f"w{i}") for i in range(2)]
+    drain_service(scheduler, workers)
+    healed = queue.load_job(job.job_id)
+    assert healed.state == DONE
+    assert healed.summary_line().endswith(
+        ": 4 cells, 4 simulated, 0 cached, 0 failed"
+    )
+    assert healed.counters["retries"] == 4
+
+
+def test_worker_permanent_failures_reach_the_job_and_its_results(
+    queue, store, mapping, drain_service, monkeypatch
+):
+    monkeypatch.setenv("REPRO_FAULT", "cell:fail@mcf")
+    job, _ = _submit(queue, mapping, retries=2)
+    scheduler = Scheduler(queue, store)
+    workers = [ServiceWorker(queue, store, name=f"w{i}") for i in range(2)]
+    drain_service(scheduler, workers)
+    finished = queue.load_job(job.job_id)
+    assert finished.state == DONE
+    assert finished.summary_line().endswith(
+        ": 4 cells, 2 simulated, 0 cached, 2 failed"
+    )
+    assert finished.counters["retries"] == 0
+    assert len(finished.failures) == 2
+    for failure in finished.failures:
+        cell = finished.cells[failure["index"]]
+        assert " mcf " in cell.label
+        assert failure["kind"] == PERMANENT and failure["attempts"] == 1
+        assert failure["digest"] == cell.digest
+    result, missing = collect_results(queue, store, finished)
+    assert missing == 2
+    failed_rows = [
+        line for line in result.render().splitlines()
+        if "n/a (failed: permanent)" in line
+    ]
+    assert len(failed_rows) == 2 and all(" mcf " in row for row in failed_rows)

@@ -1,9 +1,11 @@
 """Chaos battery: real worker processes dying under ``$REPRO_FAULT``.
 
-The kill clause is scoped to attempt token ``#0`` and workers key fault
-injection by ticket *generation*, so every generation-0 worker genuinely
-dies (``os._exit(137)``) mid-shard while the requeued generation runs
-clean — the scheduler must heal the grid through real process deaths.
+The kill clause is scoped to ``#0``, each cell's first attempt.  A
+worker numbers the attempts of a generation-*g* ticket from
+``g × (retries + 1)``, so every generation-0 worker genuinely dies
+(``os._exit(137)``) mid-shard, while no attempt of a requeued
+generation matches ``#0`` and those run clean — the scheduler must
+heal the grid through real process deaths.
 """
 
 from __future__ import annotations
