@@ -309,6 +309,45 @@ def test_failed_cell_retries_alone(tmp_path, jobs):
     assert report.retries == 1 and report.completed == 3 and report.cells == 3
 
 
+def test_in_process_transient_cell_retries_until_it_succeeds():
+    calls = []
+
+    def body(payloads):
+        for position, payload in enumerate(payloads):
+            calls.append(payload)
+            if payload == "flaky" and calls.count("flaky") < 3:
+                yield position, TransientCellError("not yet")
+            else:
+                yield position, payload
+
+    report = FailureReport()
+    policy = ExecutionPolicy(retries=2, backoff_base=0.001)
+    executor = ResilientExecutor(body, jobs=1, policy=policy, report=report)
+    results = executor.run(_tasks(["a", "flaky", "b"]))
+    assert results == {0: "a", 1: "flaky", 2: "b"}
+    # Only the flaky cell re-ran, once per retry.
+    assert calls.count("flaky") == 3 and calls.count("a") == calls.count("b") == 1
+    assert report.retries == 2 and report.completed == 3 and not report.failures
+
+
+def test_in_process_transient_cell_past_its_retries_is_a_final_failure():
+    calls = []
+
+    def body(payloads):
+        for position, payload in enumerate(payloads):
+            calls.append(payload)
+            yield position, TransientCellError("never recovers")
+
+    report = FailureReport()
+    policy = ExecutionPolicy(retries=2, max_failures=None, backoff_base=0.001)
+    executor = ResilientExecutor(body, jobs=1, policy=policy, report=report)
+    assert executor.run(_tasks(["x"])) == {}
+    (failure,) = report.failures
+    assert failure.kind == RETRYABLE and failure.error == "TransientCellError"
+    assert failure.attempts == 3 and calls == ["x"] * 3
+    assert report.retries == 2 and report.completed == 0
+
+
 def test_in_process_mode_neither_forks_nor_injects(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT", "cell:kill")
     report = FailureReport()

@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.common import WorkloadPool, run_cells, scale_of
 from repro.experiments.sweep import SweepSpec, plan_grid
-from repro.resilience import PERMANENT
+from repro.resilience import PERMANENT, TransientCellError
 from repro.service import (
     Scheduler,
     ServiceQueue,
@@ -20,6 +20,7 @@ from repro.service import (
     collect_results,
     job_status,
 )
+from repro.service import worker as worker_module
 from repro.service.jobs import DONE
 
 
@@ -184,3 +185,51 @@ def test_worker_permanent_failures_reach_the_job_and_its_results(
         if "n/a (failed: permanent)" in line
     ]
     assert len(failed_rows) == 2 and all(" mcf " in row for row in failed_rows)
+
+
+def test_claim_heartbeats_before_every_attempt_but_its_first(
+    queue, store, mapping, monkeypatch
+):
+    """One claim writes compute → put → heartbeat → next compute.
+
+    ``claim()`` has just stamped the first heartbeat; every later attempt
+    heartbeats first, after a failed cell and before a retry too, so a
+    run of failing cells cannot let the lease lapse.
+    """
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+    events = []
+    real_compute = worker_module.compute_cell
+    real_heartbeat = queue.heartbeat
+    real_put = store.put
+
+    def compute(key, max_cycles=None):
+        name = key["workload"]["name"]
+        first_swim = name == "swim" and ("compute", "swim") not in events
+        events.append(("compute", name))
+        if name == "mcf":
+            raise ValueError("mcf is broken")
+        if first_swim:
+            raise TransientCellError("first swim attempt is unlucky")
+        return real_compute(key, max_cycles=max_cycles)
+
+    def heartbeat(claim):
+        events.append(("heartbeat",))
+        real_heartbeat(claim)
+
+    def put(key, stats):
+        events.append(("put",))
+        return real_put(key, stats)
+
+    monkeypatch.setattr(worker_module, "compute_cell", compute)
+    monkeypatch.setattr(queue, "heartbeat", heartbeat)
+    monkeypatch.setattr(store, "put", put)
+    _submit(queue, mapping, shards=1, retries=1)
+    Scheduler(queue, store).poll_once()
+    assert ServiceWorker(queue, store, name="w").poll_once()
+    assert events == [
+        ("compute", "mcf"),
+        ("heartbeat",), ("compute", "mcf"),
+        ("heartbeat",), ("compute", "swim"),  # transient: retried last
+        ("heartbeat",), ("compute", "swim"), ("put",),
+        ("heartbeat",), ("compute", "swim"), ("put",),
+    ]
