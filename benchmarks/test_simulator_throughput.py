@@ -24,7 +24,7 @@ from repro.isa import Instruction
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy
 from repro.sim.batch import BatchRunner
-from repro.sim.config import DKIP_2048, R10_64
+from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
 from repro.sim.runner import simulate
 from repro.trace.io import load_trace, save_trace
 from repro.workloads import get_workload
@@ -80,6 +80,23 @@ def test_r10_core_cycles_per_second(benchmark, workload_name):
 @pytest.mark.parametrize("workload_name", CORE_WORKLOADS)
 def test_dkip_core_cycles_per_second(benchmark, workload_name):
     _run_core_benchmark(benchmark, DKIP_2048, workload_name)
+
+
+@pytest.mark.benchmark(group="simulator-throughput")
+@pytest.mark.parametrize("workload_name", CORE_WORKLOADS)
+def test_runahead_core_cycles_per_second(benchmark, workload_name):
+    """Runahead-64: every episode re-dispatches the instructions it ran
+    ahead over, so dispatch, issue and fetch run several times per
+    committed instruction."""
+    _run_core_benchmark(benchmark, RunaheadConfig(), workload_name)
+
+
+@pytest.mark.benchmark(group="simulator-throughput")
+@pytest.mark.parametrize("workload_name", CORE_WORKLOADS)
+def test_kilo_core_cycles_per_second(benchmark, workload_name):
+    """KILO-1024: the shared R10 dispatch and issue stages plus the
+    pseudo-ROB analysis and the 1024-entry out-of-order SLIQ."""
+    _run_core_benchmark(benchmark, KILO_1024, workload_name)
 
 
 @pytest.mark.benchmark(group="simulator-throughput")

@@ -63,9 +63,10 @@ class KiloCore(R10Core):
         self._reissue_wheel: dict[int, list[InFlight]] = {}
         self._reissue_backlog: list[InFlight] = []
         self._reissued_this_cycle = 0
-        # The SLIQ participates as the oldest scheduling window.
-        self._kilo_queues_even = (self.sliq, self.iq_int, self.iq_fp)
-        self._kilo_queues_odd = (self.sliq, self.iq_fp, self.iq_int)
+        # The SLIQ joins the inherited issue stage as the oldest
+        # scheduling window, ahead of the parity-alternating pair.
+        self._queues_even = (self.sliq, self.iq_int, self.iq_fp)
+        self._queues_odd = (self.sliq, self.iq_fp, self.iq_int)
 
     # ------------------------------------------------------------------
 
@@ -74,7 +75,11 @@ class KiloCore(R10Core):
         self._release_reissued()
         self._analyze()
         self._issue()
-        self._dispatch()
+        # Front-end dispatch, narrowed by the slots this cycle's slow-lane
+        # re-insertions took.
+        width = self.config.decode_width - self._reissued_this_cycle
+        if width > 0:
+            self._dispatch(width)
         self.fetch.cycle(self.now)
 
     def _release_reissued(self) -> None:
@@ -82,7 +87,7 @@ class KiloCore(R10Core):
 
         At most ``sliq_reissue_width`` entries per cycle re-enter the issue
         queues, and each consumes one of the shared dispatch slots (see
-        :meth:`_dispatch`); the remainder queue up in the backlog.
+        :meth:`step`); the remainder queue up in the backlog.
         """
         due = self._reissue_wheel.pop(self.now, None)
         if due:
@@ -96,37 +101,6 @@ class KiloCore(R10Core):
             if entry.unready == 0 and entry.owner is self.sliq:
                 self.sliq.wake(entry)
         self._reissued_this_cycle = released
-
-    def _dispatch(self) -> None:
-        """Front-end dispatch, throttled by slow-lane re-insertions."""
-        stolen = self._reissued_this_cycle
-        if stolen >= self.config.decode_width:
-            return
-        original = self.config.decode_width
-        # Temporarily narrow dispatch by the slots the slow lane consumed.
-        width = original - stolen
-        for _ in range(width):
-            instr = self.fetch.peek()
-            if instr is None:
-                return
-            if len(self.rob) >= self.config.rob_size:
-                return
-            queue = self.iq_fp if instr.is_fp else self.iq_int
-            if not queue.has_space:
-                return
-            if instr.is_mem and not self.lsq.has_space:
-                return
-            self.fetch.pop()
-            entry = InFlight(instr, fetch_cycle=self.now)
-            entry.dispatch_cycle = self.now
-            if instr.seq == self.fetch.waiting_seq:
-                entry.mispredicted = True
-            self.regs.link_sources(entry)
-            self.regs.define(entry)
-            self.rob.append(entry)
-            queue.add(entry)
-            if instr.is_mem:
-                self.lsq.allocate()
 
     # ------------------------------------------------------------------
     # Analyze stage (replaces in-order commit)
@@ -294,15 +268,6 @@ class KiloCore(R10Core):
             f"sliq={self.sliq.occupancy}, backlog={len(self._reissue_backlog)}, "
             f"wheel={len(self._reissue_wheel)}, {super().describe_stall()}"
         )
-
-    # ------------------------------------------------------------------
-    # Issue: the SLIQ participates as the oldest scheduling window
-    # ------------------------------------------------------------------
-
-    def _issue_queues(self) -> tuple[IssueQueue, ...]:
-        if self.now & 1 == 0:
-            return self._kilo_queues_even
-        return self._kilo_queues_odd
 
     # ------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import CycleCore
 from repro.pipeline.entry import InFlight
 from repro.pipeline.fetch import FetchUnit
-from repro.pipeline.fu import FuKind, FuPool, fu_kind_of
+from repro.pipeline.fu import FuKind, FuPool
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.queues import IssueQueue
 from repro.pipeline.regstate import RegisterTracker
@@ -74,9 +74,11 @@ class R10Core(CycleCore):
         self._cache_issue_queues()
 
     def _cache_issue_queues(self) -> None:
-        """(Re)build the per-parity queue-order tuples ``_issue_queues``
-        hands out.  Must be called again by any subclass that replaces
-        ``iq_int``/``iq_fp`` mid-run (runahead's checkpoint restore)."""
+        """(Re)build the per-parity queue orders the issue stage walks;
+        they alternate so neither cluster can starve the other at full
+        issue bandwidth.  Must be called again by any subclass that
+        replaces ``iq_int``/``iq_fp`` mid-run (runahead's checkpoint
+        restore)."""
         self._queues_even = (self.iq_int, self.iq_fp)
         self._queues_odd = (self.iq_fp, self.iq_int)
 
@@ -93,7 +95,7 @@ class R10Core(CycleCore):
         # any state.
         fetch = self.fetch
         if fetch.buffer and len(rob) < self._rob_size:
-            self._dispatch()
+            self._dispatch(self.config.decode_width)
         fetch.cycle(self.now)
 
     def on_complete(self, entry: InFlight) -> None:
@@ -171,18 +173,12 @@ class R10Core(CycleCore):
 
     # ------------------------------------------------------------------
 
-    def _issue_queues(self) -> tuple[IssueQueue, ...]:
-        """Queue inspection order; alternates by parity so neither cluster
-        can starve the other at full issue bandwidth."""
-        return self._queues_even if self.now & 1 == 0 else self._queues_odd
-
     def _try_take_fu(self, kind: FuKind) -> bool:
         """Claim an issue slot; subclasses reroute memory ports here."""
         return self.fus.try_take(kind)
 
     def _issue(self) -> None:
-        now = self.now
-        queues = self._issue_queues()
+        queues = self._queues_even if self.now & 1 == 0 else self._queues_odd
         # Cheap idle guard: most stalled cycles have nothing issuable in
         # any window, so skip the per-cycle FU reset and the issue loop
         # entirely.  Container truthiness over-approximates issuability
@@ -196,36 +192,23 @@ class R10Core(CycleCore):
             return
         self.fus.new_cycle()
         budget = self.config.issue_width
-        deferred: list[tuple[IssueQueue, InFlight]] = []
         take_fu = self._try_take_fu
         execute = self._execute
         for queue in queues:
-            in_order = queue.policy == SchedulerPolicy.IN_ORDER
-            while budget > 0:
-                entry = queue.next_issuable(now)
-                if entry is None:
-                    break
-                if not take_fu(fu_kind_of(entry.instr.op)):
-                    if in_order:
-                        break
-                    queue.defer(entry)
-                    deferred.append((queue, entry))
-                    continue
-                queue.take(entry)
-                execute(entry)
-                budget -= 1
-        for queue, entry in deferred:
-            queue.wake(entry)
+            budget = queue.issue(budget, take_fu, execute)
+            if not budget:
+                return
 
     def _execute(self, entry: InFlight) -> None:
         """Compute *entry*'s latency and schedule its completion."""
-        entry.issue_cycle = self.now
+        now = self.now
+        entry.issue_cycle = now
         instr = entry.instr
         if instr.is_load:
             latency = self.lsq.load_latency_if_forwarded(entry)
             if latency is None:
                 mem_latency, level = self.hierarchy.access(
-                    instr.addr, write=False, now=self.now
+                    instr.addr, write=False, now=now
                 )
                 entry.mem_level = level
                 latency = self.latencies.agen + mem_latency
@@ -234,45 +217,43 @@ class R10Core(CycleCore):
             self.lsq.store_issued(entry)
             latency = self.latencies.agen
         else:
-            latency = self.latencies.latency_of(instr.op)
-        self.schedule_completion(entry, self.now + latency)
+            latency = self.latencies.by_op[instr.op]
+        self.schedule_completion(entry, now + latency)
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, width: int) -> None:
+        """Move up to *width* instructions from the fetch buffer into the
+        ROB, their issue queue and (memory operations) the LSQ, renaming
+        each on the way."""
         fetch = self.fetch
         buffer = fetch.buffer
-        if not buffer:
-            return
         rob = self.rob
-        rob_size = self._rob_size
-        if len(rob) >= rob_size:
-            return
+        iq_int = self.iq_int
+        iq_fp = self.iq_fp
         now = self.now
-        regs = self.regs
+        rename = self.regs.rename
         lsq = self.lsq
         waiting_seq = fetch.waiting_seq
-        for _ in range(self.config.decode_width):
-            if not buffer:
-                return
+        # Each pass moves one instruction from the buffer to the ROB; the
+        # capacity checks read the queues' counters directly (this loop runs
+        # once per dispatched instruction).
+        for _ in range(min(width, len(buffer), self._rob_size - len(rob))):
             instr = buffer[0]
-            if len(rob) >= rob_size:
+            queue = iq_fp if instr.is_fp else iq_int
+            if queue.occupancy >= queue.size:
                 return
-            queue = self.iq_fp if instr.is_fp else self.iq_int
-            if not queue.has_space:
-                return
-            if instr.is_mem and not lsq.has_space:
+            is_mem = instr.is_mem
+            if is_mem and lsq.occupancy >= lsq.size:
                 return
             buffer.popleft()
-            entry = InFlight(instr, fetch_cycle=now)
-            entry.dispatch_cycle = now
+            entry = InFlight(instr, now, now)
             if instr.seq == waiting_seq:
                 entry.mispredicted = True
-            regs.link_sources(entry)
-            regs.define(entry)
+            rename(entry)
             rob.append(entry)
             queue.add(entry)
-            if instr.is_mem:
+            if is_mem:
                 lsq.allocate()
 
 

@@ -114,10 +114,16 @@ class RunaheadCore(R10Core):
         self.process_completions()
         if self.in_runahead:
             self._maybe_exit_runahead()
-        self._commit()
+        # Guards as in R10Core.step: a skipped call is one that would have
+        # returned without touching any state.
+        rob = self.rob
+        if rob:
+            self._commit()
         self._issue()
-        self._dispatch()
-        self.fetch.cycle(self.now)
+        fetch = self.fetch
+        if fetch.buffer and len(rob) < self._rob_size:
+            self._dispatch(self.config.decode_width)
+        fetch.cycle(self.now)
 
     # ------------------------------------------------------------------
 
@@ -224,7 +230,10 @@ class RunaheadCore(R10Core):
         self.committed += 1
         self.in_runahead = False
         self._blocking_load = None
-        # Rebuild the pipeline from scratch (checkpoint restore).
+        # Rebuild the pipeline from scratch (checkpoint restore).  Squashed
+        # speculative entries keep their completion events; when one fires,
+        # the inherited on_complete names a branch the new fetch unit is not
+        # waiting on, so it is inert.
         config = self.config
         self.rob.clear()
         self.iq_int = IssueQueue("iq-int", config.iq_int, config.scheduler)
@@ -247,7 +256,7 @@ class RunaheadCore(R10Core):
     def _execute(self, entry: InFlight) -> None:
         if self.in_runahead:
             instr = entry.instr
-            if any(src in self._inv_regs for src in instr.live_srcs()):
+            if not self._inv_regs.isdisjoint(instr.live_srcs()):
                 # INV source: produce INV in one cycle; INV memory ops do
                 # not access the cache (no pollution from bogus addresses).
                 entry.issue_cycle = self.now
@@ -258,13 +267,6 @@ class RunaheadCore(R10Core):
             if instr.dest is not None:
                 self._inv_regs.discard(instr.dest)
         super()._execute(entry)
-
-    def on_complete(self, entry: InFlight) -> None:
-        # Branches resolve normally in both modes.  A completion event from
-        # a squashed speculative entry may still fire after a restore; its
-        # sequence number no longer matches anything the new pipeline waits
-        # on, so the notification is inert.
-        super().on_complete(entry)
 
     # ------------------------------------------------------------------
     # Quiescence protocol

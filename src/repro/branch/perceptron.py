@@ -10,6 +10,8 @@ the original paper.
 
 from __future__ import annotations
 
+from operator import add, mul, sub
+
 from repro.branch.base import BranchPredictor
 
 
@@ -35,46 +37,53 @@ class PerceptronPredictor(BranchPredictor):
         if history_length <= 0:
             raise ValueError("history_length must be positive")
         self.num_perceptrons = num_perceptrons
+        self._index_mask = num_perceptrons - 1
         self.history_length = history_length
         self.threshold = int(1.93 * history_length + 14)
         self._weight_max = (1 << (weight_bits - 1)) - 1
         self._weight_min = -(1 << (weight_bits - 1))
-        # weights[i] = [bias, w_1 .. w_h]; history[j] in {-1, +1}
+        # weights[i] = [bias, w_1 .. w_h] pairs element-wise with
+        # history = [1, x_1 .. x_h]: slot 0 is the constant bias input and
+        # x_j in {-1, +1} is the j-th most recent outcome.
         self._weights = [[0] * (history_length + 1) for _ in range(num_perceptrons)]
-        self._history = [1] * history_length
+        self._history = [1] * (history_length + 1)
 
     # ------------------------------------------------------------------
 
     def _index(self, pc: int) -> int:
-        return (pc >> 2) & (self.num_perceptrons - 1)
+        return (pc >> 2) & self._index_mask
 
-    def _output(self, pc: int) -> int:
-        w = self._weights[self._index(pc)]
-        y = w[0]
-        hist = self._history
-        for i in range(self.history_length):
-            y += w[i + 1] * hist[i]
-        return y
+    def update(self, pc: int, taken: bool) -> bool:
+        # One dot product serves the prediction and the training test.
+        weights = self._weights[(pc >> 2) & self._index_mask]
+        y = sum(map(mul, weights, self._history))
+        correct = (y >= 0) == taken
+        self.predictions += 1
+        if not correct:
+            self.mispredictions += 1
+        self._learn(weights, y, taken, correct)
+        return correct
 
     def _predict(self, pc: int) -> bool:
-        return self._output(pc) >= 0
+        return sum(map(mul, self._weights[self._index(pc)], self._history)) >= 0
 
     def _train(self, pc: int, taken: bool, predicted: bool) -> None:
-        y = self._output(pc)
-        t = 1 if taken else -1
-        if predicted != taken or abs(y) <= self.threshold:
-            w = self._weights[self._index(pc)]
-            w[0] = self._saturate(w[0] + t)
-            hist = self._history
-            for i in range(self.history_length):
-                w[i + 1] = self._saturate(w[i + 1] + t * hist[i])
-        # Shift the outcome into global history (newest at index 0).
-        self._history.insert(0, t)
-        self._history.pop()
+        weights = self._weights[self._index(pc)]
+        y = sum(map(mul, weights, self._history))
+        self._learn(weights, y, taken, predicted == taken)
 
-    def _saturate(self, value: int) -> int:
-        if value > self._weight_max:
-            return self._weight_max
-        if value < self._weight_min:
-            return self._weight_min
-        return value
+    def _learn(self, weights: list[int], y: int, taken: bool, correct: bool) -> None:
+        """Train *weights* on output *y* if the prediction was wrong or
+        weak, then shift the outcome into the global history."""
+        history = self._history
+        if not correct or -self.threshold <= y <= self.threshold:
+            high = self._weight_max
+            low = self._weight_min
+            step = add if taken else sub
+            weights[:] = [
+                high if w > high else low if w < low else w
+                for w in map(step, weights, history)
+            ]
+        # Newest outcome right after the bias input; the oldest drops off.
+        history.insert(1, 1 if taken else -1)
+        history.pop()

@@ -34,7 +34,7 @@ clears the LLBV and pays ``recovery_penalty`` extra cycles.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.branch.base import BranchPredictor
 from repro.isa import Instruction
@@ -43,9 +43,9 @@ from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.entry import InFlight
-from repro.pipeline.fu import FuKind, fu_kind_of
+from repro.pipeline.fu import FuKind, FuPool
 from repro.pipeline.queues import IssueQueue
-from repro.sim.config import DkipConfig, SchedulerPolicy
+from repro.sim.config import DkipConfig
 from repro.sim.stats import SimStats
 from repro.baselines.ooo import R10Core
 from repro.core.aging_rob import AgingRob
@@ -98,6 +98,13 @@ class DkipProcessor(R10Core):
         self.checkpoints = CheckpointStack(
             config.checkpoint_stack, config.checkpoint_interval
         )
+        #: Each LLIB with the Memory Processor it feeds.
+        self._llib_to_mp = ((self.llib_int, self.mp_int), (self.llib_fp, self.mp_fp))
+        #: Each MP with its unit claim: memory operations take the AP's
+        #: global ports, everything else the MP's own units.
+        self._mp_issue = tuple(
+            (mp, self._mp_fu_claim(mp.fus)) for mp in (self.mp_int, self.mp_fp)
+        )
 
     # ------------------------------------------------------------------
     # Per-cycle pipeline
@@ -110,7 +117,7 @@ class DkipProcessor(R10Core):
         self.ap.new_cycle()
         self._issue()       # CP issue (inherited loop, AP ports for memory)
         self._issue_mps()   # MP issue
-        self._dispatch()    # inherited: into Aging-ROB + CP queues + LSQ
+        self._dispatch(self.config.decode_width)  # into Aging-ROB + CP queues + LSQ
         self.fetch.cycle(self.now)
 
     def _try_take_fu(self, kind: FuKind) -> bool:
@@ -119,30 +126,48 @@ class DkipProcessor(R10Core):
             return self.ap.try_take_port()
         return self.fus.try_take(kind)
 
+    def _mp_fu_claim(self, fus: FuPool) -> Callable[[FuKind], bool]:
+        """An issue-slot claim on an MP's units *fus* that sends memory
+        operations to the AP's global ports instead."""
+        take = fus.try_take
+        take_port = self.ap.try_take_port
+        mem = FuKind.MEM
+
+        def take_fu(kind: FuKind) -> bool:
+            return take_port() if kind == mem else take(kind)
+
+        return take_fu
+
     # ------------------------------------------------------------------
     # Analyze stage
     # ------------------------------------------------------------------
 
     def _analyze(self) -> None:
+        rob = self.rob  # the Aging-ROB's FIFO
+        if not rob:
+            return
+        now = self.now
+        timer = self.aging_rob.timer
+        stats = self.stats
         width = self.config.commit_width
         analyzed = 0
-        while analyzed < width:
-            entry = self.aging_rob.head_mature(self.now)
-            if entry is None:
-                break
+        while analyzed < width and rob:
+            entry = rob[0]
+            if now - entry.dispatch_cycle < timer:
+                break  # the head has not matured yet
             instr = entry.instr
             if entry.executed:
                 # Short latency: retire from the CP.
-                self.aging_rob.pop_head()
+                rob.popleft()
                 if instr.is_mem:
                     if instr.is_store:
-                        self.hierarchy.access(instr.addr, write=True, now=self.now)
+                        self.hierarchy.access(instr.addr, write=True, now=now)
                         self.lsq.store_committed(entry)
                     self.lsq.release()
                 if instr.dest is not None:
                     self.llbv.clear_short_definition(instr.dest)
                 self.committed += 1
-                self.stats.committed_cp += 1
+                stats.committed_cp += 1
                 analyzed += 1
                 continue
             if (
@@ -152,7 +177,7 @@ class DkipProcessor(R10Core):
             ):
                 # Long-latency load: the access continues in the AP; the
                 # destination register is marked in the LLBV.
-                self.aging_rob.pop_head()
+                rob.popleft()
                 entry.long_latency = True
                 self.ap.track_long_latency_load(entry)
                 if instr.dest is not None:
@@ -162,14 +187,14 @@ class DkipProcessor(R10Core):
             if not entry.issued and self.llbv.any_long_source(entry):
                 # Low-locality slice member: insert into its LLIB.
                 if not self._insert_into_llib(entry):
-                    self.stats.analyze_stall_cycles += 1
-                    self.stats.llib_full_stall_cycles += 1
+                    stats.analyze_stall_cycles += 1
+                    stats.llib_full_stall_cycles += 1
                     break
                 analyzed += 1
                 continue
             # Short latency but still in flight: stall until writeback so
             # checkpointed state only ever contains architected values.
-            self.stats.analyze_stall_cycles += 1
+            stats.analyze_stall_cycles += 1
             break
 
     def _insert_into_llib(self, entry: InFlight) -> bool:
@@ -242,7 +267,9 @@ class DkipProcessor(R10Core):
     # ------------------------------------------------------------------
 
     def _extract(self) -> None:
-        for llib, mp in ((self.llib_int, self.mp_int), (self.llib_fp, self.mp_fp)):
+        for llib, mp in self._llib_to_mp:
+            if not llib._entries:
+                continue
             extracted = 0
             # Table 2: insertion/extraction rate of 4 per cycle per LLIB.
             while extracted < 4 and mp.has_space and llib.head_extractable():
@@ -255,36 +282,15 @@ class DkipProcessor(R10Core):
     # ------------------------------------------------------------------
 
     def _issue_mps(self) -> None:
-        for mp in (self.mp_int, self.mp_fp):
+        execute = self._execute
+        for mp, take_fu in self._mp_issue:
             if not mp.queue.occupancy:
                 # Nothing dispatched to this MP: skip the per-cycle FU
-                # reset and the issue loop (state-identical — ``try_take``
-                # is only consulted from the loop below).
+                # reset and the select pass (state-identical — its unit
+                # claims are only made from that pass).
                 continue
             mp.fus.new_cycle()
-            budget = mp.config.decode_width
-            deferred: list[InFlight] = []
-            in_order = mp.config.scheduler == SchedulerPolicy.IN_ORDER
-            while budget > 0:
-                entry = mp.queue.next_issuable(self.now)
-                if entry is None:
-                    break
-                kind = fu_kind_of(entry.instr.op)
-                if kind == FuKind.MEM:
-                    granted = self.ap.try_take_port()
-                else:
-                    granted = mp.fus.try_take(kind)
-                if not granted:
-                    if in_order:
-                        break
-                    mp.queue.defer(entry)
-                    deferred.append(entry)
-                    continue
-                mp.queue.take(entry)
-                self._execute(entry)
-                budget -= 1
-            for entry in deferred:
-                mp.queue.wake(entry)
+            mp.queue.issue(mp.config.decode_width, take_fu, execute)
 
     # ------------------------------------------------------------------
     # Quiescence protocol
@@ -336,7 +342,7 @@ class DkipProcessor(R10Core):
         return True
 
     def _extract_possible(self) -> bool:
-        for llib, mp in ((self.llib_int, self.mp_int), (self.llib_fp, self.mp_fp)):
+        for llib, mp in self._llib_to_mp:
             if mp.has_space and llib.head_extractable():
                 return True
         return False

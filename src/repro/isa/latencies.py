@@ -36,9 +36,9 @@ class LatencyTable:
     agen: int = 1
 
     def __post_init__(self) -> None:
-        # latency_of runs for every issued instruction in every core; the
-        # fields are frozen, so its lookup is built once, here.
-        object.__setattr__(self, "_table", {
+        # The cores read a latency for every issued instruction; the fields
+        # are frozen, so the per-class tuple is built once, here.
+        table = {
             OpClass.INT_ALU: self.int_alu,
             OpClass.INT_MUL: self.int_mul,
             OpClass.FP_ADD: self.fp_add,
@@ -51,7 +51,11 @@ class LatencyTable:
             OpClass.STORE: self.agen,
             OpClass.FP_LOAD: self.agen,
             OpClass.FP_STORE: self.agen,
-        })
+        }
+        #: Latency per operation class, indexed by the ``OpClass`` value.
+        object.__setattr__(self, "by_op", tuple(
+            table[OpClass(value)] for value in range(len(OpClass))
+        ))
 
     def latency_of(self, op: OpClass) -> int:
         """Return the fixed latency of *op*.
@@ -59,7 +63,7 @@ class LatencyTable:
         For loads/stores this is only the address-generation part; callers
         add the memory-system latency on top.
         """
-        return self._table[op]
+        return self.by_op[op]
 
 
 #: Default latencies used across the evaluation.

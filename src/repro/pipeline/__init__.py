@@ -25,7 +25,7 @@ makes the 1024-entry SLIQ and 2048-entry LLIBs affordable in pure Python.
 
 from repro.pipeline.entry import InFlight
 from repro.pipeline.regstate import RegisterTracker
-from repro.pipeline.fu import FuKind, FuPool, fu_kind_of
+from repro.pipeline.fu import FU_OF_OP, FuKind, FuPool
 from repro.pipeline.fetch import FetchUnit
 from repro.pipeline.queues import IssueQueue
 from repro.pipeline.lsq import LoadStoreQueue
@@ -36,7 +36,7 @@ __all__ = [
     "RegisterTracker",
     "FuKind",
     "FuPool",
-    "fu_kind_of",
+    "FU_OF_OP",
     "FetchUnit",
     "IssueQueue",
     "LoadStoreQueue",

@@ -35,10 +35,12 @@ class InFlight:
         "checkpoint",
     )
 
-    def __init__(self, instr: Instruction, fetch_cycle: int) -> None:
+    def __init__(
+        self, instr: Instruction, fetch_cycle: int, dispatch_cycle: int = -1
+    ) -> None:
         self.instr = instr
         self.fetch_cycle = fetch_cycle
-        self.dispatch_cycle = -1
+        self.dispatch_cycle = dispatch_cycle
         self.issue_cycle = -1
         self.done_cycle = -1
         self.executed = False          # value produced and visible

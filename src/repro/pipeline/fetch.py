@@ -77,9 +77,8 @@ class FetchUnit:
             instr = next(trace, None)
             if instr is None:
                 self.exhausted = True
-                return
+                break
             buffer.append(instr)
-            stats.fetched += 1
             fetched += 1
             if instr.is_cond_branch:
                 correct = self.predictor.update(instr.pc, bool(instr.taken))
@@ -87,15 +86,16 @@ class FetchUnit:
                 if not correct:
                     stats.branch_mispredictions += 1
                     self._waiting_seq = instr.seq
-                    return  # stop fetching past the mispredicted branch
+                    break  # stop fetching past the mispredicted branch
                 if instr.taken:
                     # Correctly predicted taken: the fetch group still ends
                     # at the redirect (one group per taken branch).
-                    return
+                    break
             elif instr.taken:
                 # Taken jump: target assumed BTB-hit, fetch continues next
                 # cycle (one-cycle fetch-group break).
-                return
+                break
+        stats.fetched += fetched
 
     def next_fetch_cycle(self, now: int) -> int | None:
         """Earliest cycle >= *now* at which fetch could pull instructions.

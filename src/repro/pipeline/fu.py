@@ -40,9 +40,11 @@ _KIND_OF_OP = {
 }
 
 
-def fu_kind_of(op: OpClass) -> FuKind:
-    """Functional-unit kind executing operation class *op*."""
-    return _KIND_OF_OP[op]
+#: Functional-unit kind executing each operation class, indexed by the
+#: ``OpClass`` value; the issue stage reads it once per issue attempt.
+FU_OF_OP: tuple[FuKind, ...] = tuple(
+    _KIND_OF_OP[OpClass(value)] for value in range(len(OpClass))
+)
 
 
 _ZERO_USED = [0, 0, 0, 0, 0]
@@ -75,9 +77,9 @@ class FuPool:
 
     def try_take(self, kind: FuKind) -> bool:
         """Claim an issue slot of *kind*; False when all are taken."""
-        k = int(kind)
-        if self._used[k] < self._limits[k]:
-            self._used[k] += 1
+        used = self._used
+        if used[kind] < self._limits[kind]:
+            used[kind] += 1
             return True
         return False
 

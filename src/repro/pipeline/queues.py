@@ -11,10 +11,12 @@ reservation stations behave.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Callable
 
 from repro.pipeline.entry import InFlight
+from repro.pipeline.fu import FU_OF_OP, FuKind
 from repro.sim.config import SchedulerPolicy
 
 
@@ -57,7 +59,7 @@ class IssueQueue:
         if self._in_order:
             self._fifo.append(entry)
         elif entry.unready == 0:
-            heapq.heappush(self._ready_heap, (entry.seq, entry))
+            heappush(self._ready_heap, (entry.instr.seq, entry))
 
     def remove(self, entry: InFlight) -> None:
         """Detach a waiting entry (Analyze moved it to the LLIB/SLIQ).
@@ -93,7 +95,7 @@ class IssueQueue:
                 for seq, e in self._ready_heap
                 if not e.issued and e.owner is self
             ]
-            heapq.heapify(live)
+            heapify(live)
             self._ready_heap = live
         self._stale = 0
         self.compactions += 1
@@ -101,15 +103,15 @@ class IssueQueue:
     def wake(self, entry: InFlight) -> None:
         """Called when *entry*'s last outstanding source completed."""
         if not self._in_order and not entry.issued:
-            heapq.heappush(self._ready_heap, (entry.seq, entry))
+            heappush(self._ready_heap, (entry.instr.seq, entry))
 
     # ------------------------------------------------------------------
 
     def next_issuable(self, now: int) -> InFlight | None:
         """Oldest instruction that could issue this cycle, or None.
 
-        Does not remove the instruction; call :meth:`take` after the
-        functional-unit check succeeds.
+        Does not remove the instruction (the quiescence protocol asks this
+        without issuing); :meth:`issue` is the select stage itself.
         """
         if self._in_order:
             # Lazily drop heads that issued or were detached (an entry the
@@ -126,34 +128,64 @@ class IssueQueue:
         while self._ready_heap:
             entry = self._ready_heap[0][1]
             if entry.issued or entry.owner is not self:
-                heapq.heappop(self._ready_heap)
+                heappop(self._ready_heap)
                 if self._stale:
                     self._stale -= 1
                 continue
             return entry
         return None
 
-    def take(self, entry: InFlight) -> None:
-        """Remove *entry* after it was issued (frees its slot)."""
-        self.occupancy -= 1
-        entry.issued = True
-        if self._in_order:
-            if self._fifo and self._fifo[0] is entry:
-                self._fifo.popleft()
-        else:
-            if self._ready_heap and self._ready_heap[0][1] is entry:
-                heapq.heappop(self._ready_heap)
+    def issue(
+        self,
+        budget: int,
+        take_fu: Callable[[FuKind], bool],
+        execute: Callable[[InFlight], None],
+    ) -> int:
+        """Select and issue up to *budget* entries this cycle.
 
-    def defer(self, entry: InFlight) -> None:
-        """Pop a ready entry blocked on a functional unit off the heap.
-
-        The caller collects deferred entries and re-arms them with
-        :meth:`wake` once its per-cycle issue loop finishes, so the loop can
-        inspect the next-oldest candidate without livelocking.  In-order
-        queues never defer (a blocked head blocks the queue).
+        Oldest ready entry first; an in-order queue only ever offers its
+        head.  Each candidate must claim a functional-unit slot through
+        *take_fu*; an issued entry frees its slot and goes to *execute*.
+        An out-of-order queue steps past an entry whose unit is busy and
+        re-arms it once the pass ends, so it competes again next cycle; an
+        in-order queue stops at a busy unit or an unready head.  Entries
+        that issued or were detached by :meth:`remove` drop lazily as they
+        surface.  Returns the budget left over.
         """
-        if not self._in_order and self._ready_heap and self._ready_heap[0][1] is entry:
-            heapq.heappop(self._ready_heap)
+        if self._in_order:
+            fifo = self._fifo
+            while budget > 0 and fifo:
+                entry = fifo[0]
+                if entry.issued or entry.owner is not self:
+                    fifo.popleft()
+                    if self._stale:
+                        self._stale -= 1
+                    continue
+                if entry.unready or not take_fu(FU_OF_OP[entry.instr.op]):
+                    break
+                fifo.popleft()
+                self.occupancy -= 1
+                entry.issued = True
+                execute(entry)
+                budget -= 1
+            return budget
+        heap = self._ready_heap
+        blocked = []
+        while budget > 0 and heap:
+            entry = heappop(heap)[1]
+            if entry.issued or entry.owner is not self:
+                if self._stale:
+                    self._stale -= 1
+            elif take_fu(FU_OF_OP[entry.instr.op]):
+                self.occupancy -= 1
+                entry.issued = True
+                execute(entry)
+                budget -= 1
+            else:
+                blocked.append(entry)
+        for entry in blocked:
+            heappush(heap, (entry.instr.seq, entry))
+        return budget
 
     def drain(self) -> list[InFlight]:
         """Remove and return all entries (checkpoint recovery)."""

@@ -33,33 +33,40 @@ class RegisterTracker:
         """Producer entry even if already executed (LLBV bookkeeping)."""
         return self._producers[reg]
 
-    def link_sources(self, entry: InFlight) -> None:
-        """Wire *entry* to its producers, counting unready sources.
+    def rename(self, entry: InFlight) -> None:
+        """Wire *entry* to its producers, then make it the producer of its
+        destination (the dispatch-time rename step).
 
-        Producers that have not yet executed are also recorded in
-        ``entry.sources`` so the D-KIP's LLIB head check can tell which of
-        them are Address-Processor loads (Section 3.2: extraction waits for
-        the long-latency load value, not for ordinary MP producers).
+        Each live source whose producer has not executed counts as
+        unready, and *entry* joins that producer's waiters.  Those
+        producers are also recorded in ``entry.sources`` so the D-KIP's
+        LLIB head check can tell which of them are Address-Processor loads
+        (Section 3.2: extraction waits for the long-latency load value, not
+        for ordinary MP producers).  Sources link before the destination
+        is defined, so an instruction that reads its own destination
+        register waits on the previous producer.
         """
-        sources: list[InFlight] | None = None
         producers = self._producers
-        for src in entry.instr.live_srcs():
+        instr = entry.instr
+        sources: list[InFlight] | None = None
+        for src in instr.live_srcs():
             producer = producers[src]
             if producer is not None and not producer.executed:
                 entry.unready += 1
-                producer.add_waiter(entry)
+                waiters = producer.waiters
+                if waiters is None:
+                    producer.waiters = [entry]
+                else:
+                    waiters.append(entry)
                 if sources is None:
                     sources = [producer]
                 else:
                     sources.append(producer)
         if sources:
             entry.sources = tuple(sources)
-
-    def define(self, entry: InFlight) -> None:
-        """Record *entry* as the new producer of its destination."""
-        dest = entry.instr.dest
+        dest = instr.dest
         if dest is not None:
-            self._producers[dest] = entry
+            producers[dest] = entry
 
     def clear(self) -> None:
         """Forget all producers (checkpoint recovery restores the ARF)."""

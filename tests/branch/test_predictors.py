@@ -19,6 +19,7 @@ from repro.branch import (
     PerceptronPredictor,
     make_predictor,
 )
+from repro.workloads import get_workload
 
 ALL_NAMES = ["perceptron", "gshare", "bimodal", "always-taken", "never-taken"]
 
@@ -207,6 +208,103 @@ def test_perceptron_bias_learns_history_free_branch():
         predictor.update(0x0, True)
     weights = predictor._weights[predictor._index(0x0)]
     assert weights[0] > 0  # bias votes taken
+
+
+class TwoPassPerceptron:
+    """Reference: the perceptron as it trained before its one-pass update.
+
+    One dot product for the prediction and a second one for the training
+    test, over a history list without the bias input (newest outcome at
+    index 0, ``weights[i + 1]`` pairing with ``history[i]``).
+    """
+
+    def __init__(self, num_perceptrons=256, history_length=24, weight_bits=8):
+        self.num_perceptrons = num_perceptrons
+        self.history_length = history_length
+        self.threshold = int(1.93 * history_length + 14)
+        self._weight_max = (1 << (weight_bits - 1)) - 1
+        self._weight_min = -(1 << (weight_bits - 1))
+        self._weights = [[0] * (history_length + 1) for _ in range(num_perceptrons)]
+        self._history = [1] * history_length
+        self.predictions = 0
+        self.mispredictions = 0
+
+    def _index(self, pc):
+        return (pc >> 2) & (self.num_perceptrons - 1)
+
+    def _output(self, pc):
+        w = self._weights[self._index(pc)]
+        y = w[0]
+        for i in range(self.history_length):
+            y += w[i + 1] * self._history[i]
+        return y
+
+    def _saturate(self, value):
+        return max(self._weight_min, min(self._weight_max, value))
+
+    def _train(self, pc, taken, predicted):
+        y = self._output(pc)
+        t = 1 if taken else -1
+        if predicted != taken or abs(y) <= self.threshold:
+            w = self._weights[self._index(pc)]
+            w[0] = self._saturate(w[0] + t)
+            for i in range(self.history_length):
+                w[i + 1] = self._saturate(w[i + 1] + t * self._history[i])
+        self._history.insert(0, t)
+        self._history.pop()
+
+    def update(self, pc, taken):
+        predicted = self._output(pc) >= 0
+        self.predictions += 1
+        if predicted != taken:
+            self.mispredictions += 1
+        self._train(pc, taken, predicted)
+        return predicted == taken
+
+
+def _conditional_branches(benchmark):
+    trace = get_workload(benchmark).trace(10_000)
+    return [(i.pc, bool(i.taken)) for i in trace if i.is_cond_branch]
+
+
+def _saturating_stream():
+    # Weights of 3 bits top out at +3, so |y| <= 9 * 4 stays within
+    # theta = 29 long enough that an always-taken branch keeps training
+    # into the bound, while a random branch pulls others to the floor.
+    rng = random.Random(11)
+    stream = [(0x40, True)] * 60
+    stream += [(rng.randrange(64) * 4, rng.random() < 0.3) for _ in range(400)]
+    return stream
+
+
+@pytest.mark.parametrize(
+    "stream,geometry",
+    [
+        pytest.param(lambda: _conditional_branches("mcf"), {}, id="mcf"),
+        pytest.param(lambda: _conditional_branches("twolf"), {}, id="twolf"),
+        pytest.param(
+            _saturating_stream,
+            {"num_perceptrons": 4, "history_length": 8, "weight_bits": 3},
+            id="saturating",
+        ),
+    ],
+)
+def test_perceptron_one_pass_update_matches_two_pass_reference(stream, geometry):
+    branches = stream()
+    predictor = PerceptronPredictor(**geometry)
+    reference = TwoPassPerceptron(**geometry)
+    verdicts = [predictor.update(pc, taken) for pc, taken in branches]
+    assert verdicts == [reference.update(pc, taken) for pc, taken in branches]
+    assert (predictor.predictions, predictor.mispredictions) == (
+        reference.predictions,
+        reference.mispredictions,
+    )
+    assert predictor._weights == reference._weights
+    # The one-pass history carries the constant bias input in slot 0.
+    assert predictor._history == [1] + reference._history
+    if geometry:
+        flat = [w for row in reference._weights for w in row]
+        assert reference._weight_max in flat and reference._weight_min in flat
 
 
 # ----------------------------------------------------------------------

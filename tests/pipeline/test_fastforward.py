@@ -31,9 +31,13 @@ NUM_INSTRUCTIONS = 1200
 
 CORES = {
     "r10": R10_64,
+    "r10-ino": parse_machine("r10(rob=32,sched=ino)"),
     "kilo": KILO_1024,
     "runahead": RunaheadConfig(),
     "dkip": DKIP_2048,
+    # An in-order CP queue and an out-of-order MP queue: the select paths
+    # the defaults (OOO CP, INO MPs) leave unexercised.
+    "dkip-cp-ino-mp-ooo": parse_machine("dkip(llib=512,cp=INO,mp=OOO-40)"),
     # Predictor-axis OoO: misprediction-stall accounting must replay
     # bit-exactly through the skip hooks.
     "ooo-bp": parse_machine("ooo-bp(bp=gshare-12,rob=32)"),

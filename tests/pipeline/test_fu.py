@@ -1,23 +1,24 @@
 """Unit tests for functional-unit arbitration."""
 
 from repro.isa import OpClass
-from repro.pipeline.fu import FuKind, FuPool, fu_kind_of
+from repro.pipeline.fu import FU_OF_OP, FuKind, FuPool
 from repro.sim.config import FuConfig
 
 
 def test_op_to_kind_mapping():
-    assert fu_kind_of(OpClass.INT_ALU) == FuKind.ALU
-    assert fu_kind_of(OpClass.BRANCH) == FuKind.ALU
-    assert fu_kind_of(OpClass.INT_MUL) == FuKind.IMUL
-    assert fu_kind_of(OpClass.FP_ADD) == FuKind.FPADD
-    assert fu_kind_of(OpClass.FP_DIV) == FuKind.FPMUL
-    assert fu_kind_of(OpClass.LOAD) == FuKind.MEM
-    assert fu_kind_of(OpClass.FP_STORE) == FuKind.MEM
+    assert FU_OF_OP[OpClass.INT_ALU] == FuKind.ALU
+    assert FU_OF_OP[OpClass.BRANCH] == FuKind.ALU
+    assert FU_OF_OP[OpClass.INT_MUL] == FuKind.IMUL
+    assert FU_OF_OP[OpClass.FP_ADD] == FuKind.FPADD
+    assert FU_OF_OP[OpClass.FP_DIV] == FuKind.FPMUL
+    assert FU_OF_OP[OpClass.LOAD] == FuKind.MEM
+    assert FU_OF_OP[OpClass.FP_STORE] == FuKind.MEM
 
 
 def test_every_op_class_has_a_unit():
+    assert len(FU_OF_OP) == len(OpClass)
     for op in OpClass:
-        assert isinstance(fu_kind_of(op), FuKind)
+        assert isinstance(FU_OF_OP[op], FuKind)
 
 
 def test_limits_enforced_per_cycle():

@@ -5,15 +5,36 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa import Instruction, OpClass
 from repro.pipeline.entry import InFlight
+from repro.pipeline.fu import FuKind
 from repro.pipeline.queues import IssueQueue
 from repro.sim.config import SchedulerPolicy
 
 
-def make_entry(seq, unready=0):
-    instr = Instruction(seq=seq, pc=seq * 4, op=OpClass.INT_ALU, dest=1, srcs=())
+def make_entry(seq, unready=0, op=OpClass.INT_ALU):
+    instr = Instruction(seq=seq, pc=seq * 4, op=op, dest=1, srcs=())
     entry = InFlight(instr, fetch_cycle=0)
     entry.unready = unready
     return entry
+
+
+class Units:
+    """A unit claim that grants every kind except those in *busy*, and
+    logs each claim it is asked for."""
+
+    def __init__(self, busy=()):
+        self.busy = set(busy)
+        self.claims = []
+
+    def __call__(self, kind):
+        self.claims.append(kind)
+        return kind not in self.busy
+
+
+def issue(q, budget=8, busy=()):
+    """One select pass; returns the issued seqs and the budget left."""
+    issued = []
+    left = q.issue(budget, Units(busy), lambda e: issued.append(e.seq))
+    return issued, left
 
 
 def ooo(size=8):
@@ -29,11 +50,36 @@ def test_ooo_issues_ready_oldest_first():
     entries = [make_entry(2), make_entry(0), make_entry(1)]
     for e in entries:
         q.add(e)
-    order = []
-    while (e := q.next_issuable(0)) is not None:
-        q.take(e)
-        order.append(e.seq)
+    order, _ = issue(q)
     assert order == [0, 1, 2]
+
+
+def test_issue_takes_the_oldest_ready_entries_up_to_the_budget():
+    q = ooo()
+    for seq in (3, 0, 5, 2, 1, 4):
+        q.add(make_entry(seq, unready=1 if seq == 1 else 0))
+    assert issue(q, budget=3) == ([0, 2, 3], 0)
+    # The rest stay armed for the next cycle; the unready entry waits.
+    assert issue(q, budget=8) == ([4, 5], 6)
+    assert q.occupancy == 1
+
+
+def test_busy_unit_lets_a_younger_entry_issue_and_is_ready_next_cycle():
+    q = ooo()
+    multiply = make_entry(0, op=OpClass.INT_MUL)
+    add = make_entry(1)
+    q.add(multiply)
+    q.add(add)
+    assert q.next_issuable(0) is multiply
+    units = Units(busy={FuKind.IMUL})
+    issued = []
+    assert q.issue(4, units, issued.append) == 3
+    assert issued == [add]
+    assert units.claims == [FuKind.IMUL, FuKind.ALU]
+    assert not multiply.issued and q.occupancy == 1
+    # Re-armed after the pass: the next cycle offers it first.
+    assert q.next_issuable(1) is multiply
+    assert issue(q) == ([0], 7)
 
 
 def test_ooo_waiting_entries_need_wake():
@@ -57,6 +103,22 @@ def test_ino_head_blocks_queue():
     assert q.next_issuable(0) is head
 
 
+def test_in_order_issue_stops_at_an_unready_head_or_a_busy_unit():
+    q = ino()
+    head = make_entry(0, unready=1, op=OpClass.INT_MUL)
+    younger = make_entry(1)
+    q.add(head)
+    q.add(younger)
+    units = Units()
+    assert q.issue(4, units, pytest.fail) == 4
+    assert units.claims == []             # an unready head claims no unit
+    head.unready = 0
+    units = Units(busy={FuKind.IMUL})
+    assert q.issue(4, units, pytest.fail) == 4
+    assert units.claims == [FuKind.IMUL]  # the ready ALU op behind it waits
+    assert issue(q) == ([0, 1], 6)
+
+
 def test_capacity_tracking():
     q = ooo(size=2)
     q.add(make_entry(0))
@@ -64,16 +126,15 @@ def test_capacity_tracking():
     assert not q.has_space
     with pytest.raises(RuntimeError):
         q.add(make_entry(2))
-    e = q.next_issuable(0)
-    q.take(e)
+    issue(q, budget=1)
     assert q.has_space
 
 
-def test_take_marks_issued_and_frees_slot():
+def test_issue_marks_issued_and_frees_slot():
     q = ooo(size=1)
     e = make_entry(0)
     q.add(e)
-    q.take(q.next_issuable(0))
+    issue(q, budget=1)
     assert e.issued
     assert q.occupancy == 0
     assert q.next_issuable(0) is None
@@ -98,17 +159,47 @@ def test_ino_skips_detached_entries():
     assert q.next_issuable(0) is second
 
 
-def test_defer_allows_next_candidate():
+def test_issued_and_removed_entries_drop_lazily():
     q = ooo()
-    blocked = make_entry(0)
-    other = make_entry(1)
-    q.add(blocked)
-    q.add(other)
-    assert q.next_issuable(0) is blocked
-    q.defer(blocked)
-    assert q.next_issuable(0) is other
-    q.wake(blocked)           # re-armed for next cycle
-    assert q.next_issuable(0) is blocked
+    issued_twice = make_entry(0)
+    removed = make_entry(1)
+    kept = make_entry(2)
+    for e in (issued_twice, removed, kept):
+        q.add(e)
+    q.wake(issued_twice)      # a second heap copy of a ready entry
+    q.remove(removed)         # Analyze moved it to the LLIB
+    assert q._stale == 1 and len(q._ready_heap) == 4
+    assert issue(q) == ([0, 2], 6)
+    assert q._ready_heap == [] and q._stale == 0
+    assert q.occupancy == 0
+
+
+def test_in_order_removed_head_drops_lazily():
+    q = ino()
+    removed = make_entry(0, unready=1)
+    kept = make_entry(1)
+    q.add(removed)
+    q.add(kept)
+    q.remove(removed)
+    assert q._stale == 1
+    assert issue(q) == ([1], 7)
+    assert len(q._fifo) == 0 and q._stale == 0
+
+
+@pytest.mark.parametrize("make_queue", [ooo, ino])
+def test_zero_budget_touches_nothing(make_queue):
+    q = make_queue()
+    removed = make_entry(0, unready=1)
+    ready = make_entry(1)
+    q.add(removed)
+    q.add(ready)
+    q.remove(removed)
+    containers = (list(q._ready_heap), list(q._fifo))
+    units = Units()
+    assert q.issue(0, units, pytest.fail) == 0
+    assert units.claims == []
+    assert (list(q._ready_heap), list(q._fifo)) == containers
+    assert q._stale == 1 and q.occupancy == 1 and not ready.issued
 
 
 def test_add_sets_owner():
@@ -123,7 +214,7 @@ def test_drain_returns_unissued():
     a, b = make_entry(0), make_entry(1)
     q.add(a)
     q.add(b)
-    q.take(q.next_issuable(0))
+    issue(q, budget=1)
     drained = q.drain()
     assert drained == [b]
     assert q.occupancy == 0
@@ -136,10 +227,7 @@ def test_property_ooo_select_is_age_ordered(order):
     q = ooo(size=16)
     for seq in order:
         q.add(make_entry(seq))
-    issued = []
-    while (e := q.next_issuable(0)) is not None:
-        q.take(e)
-        issued.append(e.seq)
+    issued, _ = issue(q, budget=16)
     assert issued == sorted(issued)
 
 
@@ -151,14 +239,8 @@ def test_property_ino_is_fifo(ready_flags):
     entries = [make_entry(i, unready=0 if flag else 1) for i, flag in enumerate(ready_flags)]
     for e in entries:
         q.add(e)
-    issued = []
-    for e in entries:
-        head = q.next_issuable(0)
-        if head is None:
-            break
-        assert head.seq == len(issued)
-        q.take(head)
-        issued.append(head.seq)
+    issued, _ = issue(q, budget=64)
+    assert issued == list(range(len(issued)))
     expected = 0
     for flag in ready_flags:
         if not flag:
@@ -189,10 +271,7 @@ def test_ooo_compacts_when_stale_entries_dominate():
 
     assert len(q._ready_heap) <= 10 + COMPACT_THRESHOLD
     # The survivors still issue in seq order.
-    order = []
-    while (e := q.next_issuable(0)) is not None:
-        q.take(e)
-        order.append(e.seq)
+    order, _ = issue(q, budget=256)
     assert order == list(range(10))
 
 

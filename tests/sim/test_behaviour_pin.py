@@ -29,9 +29,11 @@ PIN = pathlib.Path(repro.__file__).parent / "behaviour_pin.json"
 INSTRUCTIONS = 2_000
 MACHINES = (
     "r10(rob=32)",
+    "r10(rob=32,sched=ino)",
     "kilo(sliq=256)",
     "runahead(rob=32)",
     "dkip(llib=512)",
+    "dkip(llib=512,cp=INO,mp=OOO-40)",
     "limit(rob=64)",
     "limit",
     "ooo-bp(bp=gshare-10,rob=32)",
