@@ -99,23 +99,24 @@ chaos-smoke:
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
 	  --service .chaos-svc --workers 2 --once | grep ", 0 failed"
 
-# The batched dispatch kernel end to end: the same small grid serially
-# and with REPRO_BATCH batching over the pool executor, asserting the
-# result rows are byte-identical; then one profiled cell, leaving
-# profile.pstats for CI to upload.  The limit cells cover the limit
-# core's branch-verdict memo, hits and misses, across pool workers.
-# The same check gates in CI.
+# The pool executor end to end: the same small grid in-process and on
+# a two-worker REPRO_JOBS=2 pool, asserting the result rows are
+# byte-identical; then one profiled cell, leaving profile.pstats for CI
+# to upload.  The limit cells cover the limit core's branch-verdict
+# memo, hits and misses, across pool workers.  The same check gates in
+# CI.
 PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24),limit(rob=32),limit(rob=256),limit(rob=64,predictor=gshare-10)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
 perf-smoke:
-	rm -rf .perf-serial .perf-batch
-	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
-	  --csv .perf-serial
-	REPRO_BATCH=4 REPRO_JOBS=2 \
+	rm -rf .perf-serial .perf-pool
+	REPRO_JOBS=1 \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
-	  --csv .perf-batch
-	cmp .perf-serial/perfsmoke.csv .perf-batch/perfsmoke.csv
+	  --csv .perf-serial
+	REPRO_JOBS=2 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
+	  --csv .perf-pool
+	cmp .perf-serial/perfsmoke.csv .perf-pool/perfsmoke.csv
 	PYTHONPATH=src $(PYTHON) -m repro.experiments profile dkip mcf \
 	  --instructions 4000 --profile-out profile.pstats
 

@@ -123,8 +123,9 @@ def test_dual_core_cycles_per_second(benchmark, workload_name):
 
 @pytest.mark.benchmark(group="simulator-throughput")
 def test_batched_grid_throughput(benchmark):
-    """The batched dispatch kernel: one BatchRunner interleaving four
-    cells, the unit of work ``run_cells(batch=N)`` amortizes."""
+    """One BatchRunner interleaving four cells.  Sweeps run one cell at
+    a time through ``run_core``; this times the kernel perfbench's
+    tracer test drives."""
     workloads = {name: get_workload(name) for name in CORE_WORKLOADS}
     traces = {
         name: workload.trace(CORE_INSTRUCTIONS)

@@ -6,15 +6,15 @@ verify`` and the service workers — takes one path:
 * a harness plans a cell list and calls :func:`run_cells` once.  Cached
   cells come straight from the :class:`repro.store.ResultStore` (the
   ``store=`` argument); the missing ones are grouped by (workload,
-  memory) and dispatched in units through one
+  memory) and dispatched one cell at a time through one
   :class:`repro.resilience.ResilientExecutor` call — in-process for one
   job without a deadline, on supervised workers (``REPRO_JOBS``)
   otherwise — and written back as each cell completes, so repeated
   sweeps cost only the delta and an interrupted sweep resumes;
-* every unit runs through :func:`run_unit`, the one cell body, which
-  steps its cells through :class:`repro.sim.batch.BatchRunner`.  The
-  process running it keeps the last workload (and so its trace) and the
-  last warmed cache snapshot in per-process memos, so a group of cells
+* every cell runs through :func:`run_cell`, the one cell body, which
+  simulates it with :func:`repro.sim.runner.run_core`.  The process
+  running it keeps the last workload (and so its trace) and the last
+  warmed cache snapshot in per-process memos, so a group of cells
   sharing a (workload, memory) pair pays for trace generation and
   warm-up once.
 """
@@ -40,8 +40,7 @@ from repro.resilience import (
     active_report,
     cell_label,
 )
-from repro.sim.batch import BatchRunner
-from repro.sim.runner import MachineConfig
+from repro.sim.runner import MachineConfig, run_core
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
 from repro.viz.ascii import table
@@ -104,7 +103,7 @@ class WorkloadPool:
 
 
 # ----------------------------------------------------------------------
-# The one execution path: plan, order, dispatch units to one cell body
+# The one execution path: plan, order, dispatch cells to one cell body
 # ----------------------------------------------------------------------
 
 
@@ -125,28 +124,6 @@ def resolve_jobs(jobs: int | None, num_tasks: int) -> int:
     return max(1, min(jobs, num_tasks))
 
 
-def resolve_batch(batch: int | None) -> int:
-    """Batch-size policy: explicit argument > ``REPRO_BATCH`` > 1 (off).
-
-    A batch of N makes N cells one unit of dispatch: the cell body steps
-    them round-robin through one :class:`repro.sim.batch.BatchRunner`,
-    amortizing dispatch across the unit.  Cells still persist, retry and
-    count individually by fingerprint.
-    """
-    if batch is None:
-        env = os.environ.get("REPRO_BATCH", "").strip()
-        if env:
-            try:
-                batch = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_BATCH must be an integer batch size, got {env!r}"
-                ) from None
-        else:
-            batch = 1
-    return max(1, batch)
-
-
 @functools.lru_cache(maxsize=1)
 def _workload(name: str, seed: int):
     """Per-process memo of the last workload a cell used.
@@ -160,32 +137,17 @@ def _workload(name: str, seed: int):
     return get_workload(name, seed=seed)
 
 
-def run_unit(cells, num_instructions: int, max_cycles: int | None = None):
-    """The one cell body: run a unit of cells, yielding each as it ends.
+def run_cell(cell, num_instructions: int, max_cycles: int | None = None) -> SimStats:
+    """The one cell body: simulate one ``(config, workload name, memory,
+    seed)`` cell and return its stats.
 
-    *cells* are ``(config, workload name, memory, seed)`` tuples; they are
-    stepped through one :class:`repro.sim.batch.BatchRunner` (a unit of
-    one is a batch of one).  Yields ``(position, stats)`` per finished
-    cell, or ``(position, exception)`` for a cell that failed — including
-    at construction (an unknown workload), so a broken cell fails alone.
+    An exception it raises (an unknown workload, a ``DeadlockError``)
+    fails that cell alone.
     """
-    runner = BatchRunner()
-    for position, (config, name, memory, seed) in enumerate(cells):
-        try:
-            workload = _workload(name, seed)
-            runner.add_simulation(
-                position,
-                config,
-                workload.trace(num_instructions),
-                memory=memory,
-                regions=workload.regions,
-                max_cycles=max_cycles,
-                workload_name=workload.name,
-            )
-        except Exception as error:  # noqa: BLE001 - isolated per cell
-            yield position, error
-    for position, _outcome, value in runner.stream():
-        yield position, value
+    config, name, memory, seed = cell
+    return run_core(
+        config, _workload(name, seed), num_instructions, memory, max_cycles=max_cycles
+    )
 
 
 def pair_order(indices: Sequence[int], pair) -> list[int]:
@@ -218,15 +180,13 @@ def run_cells(
     max_cycles: int | None = None,
     policy: ExecutionPolicy | None = None,
     report: FailureReport | None = None,
-    batch: int | None = None,
 ) -> list[SimStats | None]:
     """Run every (config, benchmark, memory) cell, store-first, in order.
 
     The one way a cell runs — machines of any registered kind (including
     the limit core) and a different memory system per cell.  Cached
     cells never dispatch; the missing ones are grouped by (workload,
-    memory), cut into units of *batch* cells (default ``$REPRO_BATCH``,
-    else 1) and handed to :func:`run_unit` through one
+    memory) and handed one at a time to :func:`run_cell` through one
     :class:`repro.resilience.ResilientExecutor` call — in this process
     when one job suffices and no deadline is set, on supervised workers
     otherwise.  Each cell persists to *store* as it completes; that
@@ -267,11 +227,9 @@ def run_cells(
         results[i] = stats
 
     body = functools.partial(
-        run_unit, num_instructions=num_instructions, max_cycles=max_cycles
+        run_cell, num_instructions=num_instructions, max_cycles=max_cycles
     )
-    executor = ResilientExecutor(
-        body, resolve_jobs(jobs, len(pending)), policy, report, resolve_batch(batch)
-    )
+    executor = ResilientExecutor(body, resolve_jobs(jobs, len(pending)), policy, report)
     executor.run(tasks, on_result)
     return results
 
@@ -331,7 +289,7 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
     service workers).
 
     Decodes the machine and memory configurations and the workload
-    identity, then runs the cell through :func:`run_unit` — the body
+    identity, then runs the cell through :func:`run_cell` — the body
     every sweep uses — so the result must match the stored stats bit for
     bit unless simulator behaviour drifted under the fingerprint.  A
     non-null ``predictor`` field (written before the branch predictor
@@ -351,10 +309,7 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
             "cell was stored (trace generator updated?)"
         )
     cell = (machine, spec["name"], memory, spec["seed"])
-    ((_position, value),) = run_unit([cell], payload["instructions"], max_cycles)
-    if isinstance(value, BaseException):
-        raise value
-    return value
+    return run_cell(cell, payload["instructions"], max_cycles)
 
 
 def _with_predictor(machine, predictor: str):

@@ -179,11 +179,12 @@ class CycleCore:
         *num_instructions* have committed.
 
         It yields ``self.now`` at pause points — after every fast-forward
-        jump, and after at most *round_budget* consecutively ticked cycles
-        — so a :class:`repro.sim.batch.BatchRunner` can step several
-        independent machines round-robin in one process.  The final
-        :class:`SimStats` record is the generator's return value
-        (``StopIteration.value``).
+        jump, and after at most *round_budget* consecutively ticked cycles.
+        :meth:`run` resumes it straight through, which is how every sweep
+        cell runs; :class:`repro.sim.batch.BatchRunner`, which is off the
+        sweep path, uses the pauses to step several independent machines
+        round-robin in one process.  The final :class:`SimStats` record
+        is the generator's return value (``StopIteration.value``).
 
         Args:
             max_cycles: Upper bound on simulated time (deadlock guard).

@@ -1,32 +1,31 @@
 """Fault-tolerant cell execution: per-cell retries, deadlines, supervision.
 
 :class:`ResilientExecutor` runs every cell of a sweep under one
-execution policy.  Cells travel in *units* (``batch`` cells, default
-one): the cell body receives a unit's payloads and reports each cell as
-it finishes, so the executor classifies, retries and counts cells one by
-one whatever the unit size:
+execution policy.  One cell is the unit of dispatch: the cell body is
+called with one cell's payload and returns its result, and an exception
+it raises fails that cell, so the executor classifies, retries and
+counts each cell on its own:
 
 - **classification** — exceptions from a cell come back as typed
   outcomes (:mod:`repro.resilience.report`): transient errors retry with
-  exponential backoff and jitter (a failed cell re-runs as a unit of
-  one), permanent ones fail the cell immediately, and the failure budget
-  (``policy.max_failures``) bounds how many final failures a run absorbs
-  before aborting with
+  exponential backoff and jitter, permanent ones fail the cell
+  immediately, and the failure budget (``policy.max_failures``) bounds
+  how many final failures a run absorbs before aborting with
   :class:`~repro.resilience.report.CellExecutionError`.
 
-With ``jobs == 1`` and no deadline, units run in the driver process:
+With ``jobs == 1`` and no deadline, cells run in the driver process:
 nothing forks and no fault is injected, so a ``cell:kill`` clause can
 never take down the driver.  Otherwise each worker is one supervised
-process with a dedicated pipe; the driver dispatches one unit at a time,
-so it always knows exactly which cells a worker holds.  That makes the
-two supervision duties precise:
+process with a dedicated pipe; the driver dispatches one cell at a time,
+so it always knows which cell a worker holds.  That makes the two
+supervision duties precise:
 
-- **deadlines** — a unit that reports no cell within
+- **deadlines** — a cell that does not report within
   ``policy.cell_timeout`` gets its worker killed and, while retry budget
-  remains, its unreported cells requeued;
+  remains, is requeued;
 - **worker death** — a worker that exits without reporting (OOM kill,
   injected ``cell:kill`` fault, segfault) is detected by pipe EOF,
-  respawned, and its unreported cells requeued.
+  respawned, and its cell requeued.
 
 Completed results stream to the caller's ``on_result`` callback as they
 arrive (the sweep layer persists each one to the content-addressed
@@ -56,7 +55,7 @@ import traceback as traceback_module
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.resilience.faults import TransientCellError, plan_from_env
 from repro.resilience.report import (
@@ -186,30 +185,20 @@ def _failure_info(error: BaseException) -> dict:
     }
 
 
-def _outcome(value) -> tuple[bool, Any]:
-    """``(True, result)`` or ``(False, failure info)`` for one reported cell."""
-    if isinstance(value, BaseException):
-        return False, _failure_info(value)
-    return True, value
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn, fn: Callable[[list], Iterable[tuple[int, Any]]]) -> None:
-    """Worker loop: receive one unit, run it, report each cell, repeat.
+def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
+    """Worker loop: receive one cell, run it, send back its outcome, repeat.
 
-    Each cell the body reports is sent as its own ``"cell"`` message, so
-    the driver knows exactly which cells survive a mid-unit worker
-    death; the last cell's message ends the unit.  Only when the body
-    leaves cells unreported does a terminal message follow: ``"crash"``
-    carrying the exception that escaped the body, or ``"done"``.  The
-    fault plan (``$REPRO_FAULT``) injects here, at each cell's completion
-    point, keyed to the cell's label and the unit's dispatch attempt —
-    so ``kill`` clauses take down this process, never the driver.
+    The outcome is ``(True, result)`` or ``(False, failure info)``.  The
+    fault plan (``$REPRO_FAULT``) injects here, at the cell's completion
+    point, keyed to the cell's label and its dispatch attempt — so
+    ``kill`` clauses take down this process, never the driver.
     """
+    plan = plan_from_env()
     while True:
         try:
             item = conn.recv()
@@ -217,28 +206,18 @@ def _worker_main(conn, fn: Callable[[list], Iterable[tuple[int, Any]]]) -> None:
             return
         if item is None:
             return
-        attempt, labels, payloads = item
-        plan = plan_from_env()
-        unreported = set(range(len(payloads)))
+        attempt, label, payload = item
         try:
-            for position, value in fn(payloads):
-                if plan is not None and not isinstance(value, BaseException):
-                    try:
-                        plan.inject_cell(labels[position], attempt)
-                    except Exception as error:  # noqa: BLE001 - this cell's fault
-                        value = error
-                unreported.discard(position)
-                conn.send(("cell", position, _outcome(value)))
+            outcome = (True, fn(payload))
+            if plan is not None:
+                plan.inject_cell(label, attempt)
         except KeyboardInterrupt:
             return
-        except BaseException as error:  # noqa: BLE001 - classified, not dropped
-            message = ("crash", None, _failure_info(error))
-        else:
-            message = ("done", None, None)
-        if not unreported:
-            continue
+        except BaseException as error:  # noqa: BLE001 - this cell's failure
+            # Even SystemExit fails only its cell: the worker lives on.
+            outcome = (False, _failure_info(error))
         try:
-            conn.send(message)
+            conn.send(outcome)
         except (BrokenPipeError, OSError):
             return
 
@@ -248,66 +227,42 @@ def _worker_main(conn, fn: Callable[[list], Iterable[tuple[int, Any]]]) -> None:
 # ----------------------------------------------------------------------
 
 
-class _Unit:
-    """Cells dispatched together, with their shared attempt counter.
+class _Cell:
+    """One ``(index, label, payload)`` task plus its attempt counter."""
 
-    ``cells`` holds ``(index, label, payload)`` triples; ``done`` the
-    positions already reported, which a requeue after a worker death or
-    a timeout prunes away.
-    """
+    __slots__ = ("index", "label", "payload", "attempt", "not_before", "first_start")
 
-    __slots__ = ("cells", "attempt", "not_before", "first_start", "done")
-
-    def __init__(self, cells: list, attempt: int = 0, first_start: float | None = None):
-        self.cells = cells
-        self.attempt = attempt
+    def __init__(self, index: int, label: str, payload: Any) -> None:
+        self.index = index
+        self.label = label
+        self.payload = payload
+        self.attempt = 0
         self.not_before = 0.0
-        self.first_start = first_start
-        self.done: set[int] = set()
-
-    @property
-    def label(self) -> str:
-        """The first cell's label, which keys the unit's backoff jitter."""
-        return self.cells[0][1]
-
-    def unfinished(self) -> list[int]:
-        """Positions of the cells that have not reported yet."""
-        return [p for p in range(len(self.cells)) if p not in self.done]
+        self.first_start: float | None = None
 
 
 class _Worker:
-    """One supervised process plus its dedicated pipe and current unit."""
+    """One supervised process plus its dedicated pipe and current cell."""
 
-    __slots__ = ("process", "conn", "unit", "started")
+    __slots__ = ("process", "conn", "cell", "started")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.unit: _Unit | None = None
+        self.cell: _Cell | None = None
         self.started = 0.0
-
-
-#: Failure info of a cell its unit finished without reporting.
-_UNREPORTED = {
-    "kind": PERMANENT,
-    "error": "MissingResult",
-    "message": "the cell body finished its unit without reporting this cell",
-    "traceback": "",
-}
 
 
 class ResilientExecutor:
     """Run cells under an execution policy, in-process or on workers.
 
-    *fn* is the module-level cell body: called with the payloads of one
-    unit (up to *batch* cells), it yields ``(position, value)`` per cell
-    as each finishes, *value* being the cell's result or the exception
-    that failed it.  With ``jobs == 1`` and no ``policy.cell_timeout``
-    the units run in this process; otherwise on up to *jobs* supervised
-    workers.  Either way every cell is classified, retried and counted on
-    its own: a retryable failure re-runs as a unit of one, and failures
-    and counters accumulate into *report*.  :meth:`run` raises
-    :class:`~repro.resilience.report.CellExecutionError` when the
+    *fn* is the module-level cell body: called with one cell's payload,
+    it returns the cell's result, and an exception it raises fails that
+    cell.  With ``jobs == 1`` and no ``policy.cell_timeout`` the cells
+    run in this process; otherwise on up to *jobs* supervised workers.
+    Either way every cell is classified, retried and counted on its own,
+    and failures and counters accumulate into *report*.  :meth:`run`
+    raises :class:`~repro.resilience.report.CellExecutionError` when the
     policy's failure budget is exhausted (completed cells have already
     streamed to ``on_result`` by then).
     """
@@ -317,17 +272,15 @@ class ResilientExecutor:
 
     def __init__(
         self,
-        fn: Callable[[list], Iterable[tuple[int, Any]]],
+        fn: Callable[[Any], Any],
         jobs: int,
         policy: ExecutionPolicy = STRICT,
         report: FailureReport | None = None,
-        batch: int = 1,
     ) -> None:
         self.fn = fn
         self.jobs = max(1, jobs)
         self.policy = policy
         self.report = report if report is not None else FailureReport()
-        self.batch = max(1, batch)
         self._workers: list[_Worker] = []
 
     # -- the run loops --------------------------------------------------
@@ -339,19 +292,16 @@ class ResilientExecutor:
     ) -> dict[int, Any]:
         """Execute every ``(index, label, payload)`` cell; return results.
 
-        Consecutive cells form units of ``batch``.  The mapping holds one
-        entry per *completed* cell; cells that failed past their budget
-        are absent (their :class:`~repro.resilience.report.CellFailure`
-        records live in ``self.report``).  ``on_result(index, result)``
-        fires in the driver as each cell completes, in completion order.
+        The mapping holds one entry per *completed* cell; cells that
+        failed past their budget are absent (their
+        :class:`~repro.resilience.report.CellFailure` records live in
+        ``self.report``).  ``on_result(index, result)`` fires in the
+        driver as each cell completes, in completion order.
         """
         results: dict[int, Any] = {}
         self.report.cells += len(tasks)
-        pending: deque[_Unit] = deque(
-            _Unit(list(tasks[start : start + self.batch]))
-            for start in range(0, len(tasks), self.batch)
-        )
-        delayed: list[_Unit] = []
+        pending: deque[_Cell] = deque(_Cell(*task) for task in tasks)
+        delayed: list[_Cell] = []
         if self.jobs == 1 and self.policy.cell_timeout is None:
             self._run_here(pending, delayed, results, on_result)
         elif pending:
@@ -364,27 +314,20 @@ class ResilientExecutor:
             now = time.monotonic()
             self._release(pending, delayed, now)
             if not pending:
-                time.sleep(max(0.0, min(u.not_before for u in delayed) - now))
+                time.sleep(max(0.0, min(c.not_before for c in delayed) - now))
                 continue
-            unit = pending.popleft()
-            if unit.first_start is None:
-                unit.first_start = now
-            reports = iter(self.fn([cell[2] for cell in unit.cells]))
-            while True:
-                # Only the body's own errors are the cell's; an error from
-                # on_result (a failed store write) propagates.
-                try:
-                    position, value = next(reports)
-                except StopIteration:
-                    self._settle_rest(unit, _UNREPORTED, pending, delayed)
-                    break
-                except Exception as error:  # noqa: BLE001 - classified, not dropped
-                    self._settle_rest(unit, _failure_info(error), pending, delayed)
-                    break
-                self._settle(
-                    unit, position, _outcome(value), time.monotonic(),
-                    results, on_result, pending, delayed,
-                )
+            cell = pending.popleft()
+            if cell.first_start is None:
+                cell.first_start = now
+            # Only the body's own errors are the cell's; an error from
+            # on_result (a failed store write) propagates.
+            try:
+                outcome = (True, self.fn(cell.payload))
+            except Exception as error:  # noqa: BLE001 - classified, not dropped
+                outcome = (False, _failure_info(error))
+            self._settle(
+                cell, outcome, time.monotonic(), results, on_result, pending, delayed
+            )
 
     def _run_pool(
         self, remaining: int, pending: deque, delayed: list, results: dict, on_result
@@ -397,13 +340,13 @@ class ResilientExecutor:
                 now = time.monotonic()
                 self._release(pending, delayed, now)
                 self._dispatch(pending, now)
-                busy = [w for w in self._workers if w.unit is not None]
+                busy = [w for w in self._workers if w.cell is not None]
                 if not busy:
                     if pending:
                         continue
                     if delayed:
                         time.sleep(
-                            max(0.0, min(u.not_before for u in delayed) - now) + 0.001
+                            max(0.0, min(c.not_before for c in delayed) - now) + 0.001
                         )
                         continue
                     break  # pragma: no cover - defensive; remaining>0 implies work
@@ -415,15 +358,16 @@ class ResilientExecutor:
                 for conn in ready:
                     worker = by_conn[id(conn)]
                     try:
-                        message = worker.conn.recv()
+                        outcome = worker.conn.recv()
                     except (EOFError, OSError):
                         remaining -= self._on_lost(worker, now, pending, delayed, death=True)
                         continue
-                    remaining -= self._on_message(
-                        worker, message, now, results, on_result, pending, delayed
+                    cell, worker.cell = worker.cell, None
+                    remaining -= self._settle(
+                        cell, outcome, now, results, on_result, pending, delayed
                     )
                 if self.policy.cell_timeout is not None:
-                    for worker in [w for w in self._workers if w.unit is not None]:
+                    for worker in [w for w in self._workers if w.cell is not None]:
                         if now - worker.started >= self.policy.cell_timeout:
                             remaining -= self._on_lost(
                                 worker, now, pending, delayed, death=False
@@ -434,57 +378,45 @@ class ResilientExecutor:
     # -- per-cell accounting ---------------------------------------------
 
     def _settle(
-        self, unit: _Unit, position: int, outcome: tuple[bool, Any], now: float,
+        self, cell: _Cell, outcome: tuple[bool, Any], now: float,
         results: dict, on_result, pending: deque, delayed: list,
     ) -> int:
-        """Account one reported cell; return 1 when it is resolved."""
-        index, label, _payload = unit.cells[position]
-        unit.done.add(position)
+        """Account one cell's outcome; return 1 when it is resolved."""
         ok, value = outcome
         if ok:
-            results[index] = value
+            results[cell.index] = value
             self.report.completed += 1
             if on_result is not None:
-                on_result(index, value)
+                on_result(cell.index, value)
             return 1
-        if value["kind"] == RETRYABLE and unit.attempt < self.policy.retries:
-            single = _Unit([unit.cells[position]], unit.attempt, unit.first_start)
-            self._requeue(single, now, pending, delayed)
+        if value["kind"] != PERMANENT and cell.attempt < self.policy.retries:
+            self._requeue(cell, now, pending, delayed)
             return 0
-        self._fail(unit, position, value, now)
+        self._fail(cell, value, now)
         return 1
 
-    def _settle_rest(self, unit: _Unit, info: dict, pending: deque, delayed: list) -> int:
-        """Settle every unreported cell of *unit* with the failure *info*."""
-        now = time.monotonic()
-        return sum(
-            self._settle(unit, position, (False, info), now, {}, None, pending, delayed)
-            for position in unit.unfinished()
-        )
-
-    def _requeue(self, unit: _Unit, now: float, pending: deque, delayed: list) -> None:
-        """Schedule *unit*'s next attempt after its backoff delay."""
-        unit.attempt += 1
-        self.report.retries += len(unit.cells)
-        delay = self.policy.backoff_for(unit.label, unit.attempt)
+    def _requeue(self, cell: _Cell, now: float, pending: deque, delayed: list) -> None:
+        """Schedule *cell*'s next attempt after its backoff delay."""
+        cell.attempt += 1
+        self.report.retries += 1
+        delay = self.policy.backoff_for(cell.label, cell.attempt)
         if delay <= 0:
-            pending.append(unit)
+            pending.append(cell)
         else:
-            unit.not_before = now + delay
-            delayed.append(unit)
+            cell.not_before = now + delay
+            delayed.append(cell)
 
-    def _fail(self, unit: _Unit, position: int, info: dict, now: float) -> None:
+    def _fail(self, cell: _Cell, info: dict, now: float) -> None:
         """Record one cell's final failure; abort when the budget is exhausted."""
-        index, label, _payload = unit.cells[position]
-        start = unit.first_start if unit.first_start is not None else now
+        start = cell.first_start if cell.first_start is not None else now
         failure = CellFailure(
-            index=index,
-            cell=label,
+            index=cell.index,
+            cell=cell.label,
             kind=info["kind"],
             error=info["error"],
             message=info["message"],
             traceback=info.get("traceback", ""),
-            attempts=unit.attempt + 1,
+            attempts=cell.attempt + 1,
             duration=now - start,
         )
         self.report.record(failure)
@@ -494,10 +426,10 @@ class ResilientExecutor:
 
     @staticmethod
     def _release(pending: deque, delayed: list, now: float) -> None:
-        """Move units whose backoff has elapsed back to *pending*."""
-        for unit in [u for u in delayed if u.not_before <= now]:
-            delayed.remove(unit)
-            pending.append(unit)
+        """Move cells whose backoff has elapsed back to *pending*."""
+        for cell in [c for c in delayed if c.not_before <= now]:
+            delayed.remove(cell)
+            pending.append(cell)
 
     # -- worker lifecycle -------------------------------------------------
 
@@ -527,7 +459,7 @@ class ResilientExecutor:
     def _shutdown(self) -> None:
         """Stop every worker: sentinel to idle ones, kill busy ones."""
         for worker in list(self._workers):
-            if worker.unit is None and worker.process.is_alive():
+            if worker.cell is None and worker.process.is_alive():
                 try:
                     worker.conn.send(None)
                 except OSError:
@@ -537,29 +469,27 @@ class ResilientExecutor:
                 self._discard(worker, kill=True)
 
     def _dispatch(self, pending: deque, now: float) -> None:
-        """Hand ready units to idle workers (respawning dead ones)."""
+        """Hand ready cells to idle workers (respawning dead ones)."""
         for worker in list(self._workers):
-            if worker.unit is not None or not pending:
+            if worker.cell is not None or not pending:
                 continue
             if not worker.process.is_alive():
                 self.report.worker_deaths += 1
                 self._discard(worker)
                 self._workers.append(self._spawn())
                 worker = self._workers[-1]
-            unit = pending.popleft()
-            if unit.first_start is None:
-                unit.first_start = now
-            labels = [cell[1] for cell in unit.cells]
-            payloads = [cell[2] for cell in unit.cells]
+            cell = pending.popleft()
+            if cell.first_start is None:
+                cell.first_start = now
             try:
-                worker.conn.send((unit.attempt, labels, payloads))
+                worker.conn.send((cell.attempt, cell.label, cell.payload))
             except (BrokenPipeError, OSError):
-                pending.appendleft(unit)
+                pending.appendleft(cell)
                 self.report.worker_deaths += 1
                 self._discard(worker, kill=True)
                 self._workers.append(self._spawn())
                 continue
-            worker.unit = unit
+            worker.cell = cell
             worker.started = now
 
     def _wait_timeout(self, busy: list, delayed: list, now: float) -> float:
@@ -571,64 +501,31 @@ class ResilientExecutor:
             ]
             timeout = min(timeout, *deadlines)
         if delayed:
-            timeout = min(timeout, *[u.not_before - now for u in delayed])
+            timeout = min(timeout, *[c.not_before - now for c in delayed])
         return max(0.01, timeout)
-
-    def _on_message(
-        self, worker: _Worker, message, now: float, results: dict, on_result,
-        pending: deque, delayed: list,
-    ) -> int:
-        """Handle one worker report; return the number of cells resolved."""
-        unit = worker.unit
-        status, position, value = message
-        if status == "cell":
-            # Restart the deadline clock so cell_timeout bounds the gap
-            # between cells, not the unit; the last cell frees the worker.
-            worker.started = now
-            if len(unit.done) + 1 == len(unit.cells):
-                worker.unit = None
-            return self._settle(
-                unit, position, value, now, results, on_result, pending, delayed
-            )
-        worker.unit = None
-        return self._settle_rest(
-            unit, value if status == "crash" else _UNREPORTED, pending, delayed
-        )
 
     def _on_lost(
         self, worker: _Worker, now: float, pending: deque, delayed: list, death: bool
     ) -> int:
-        """A worker died or overran its deadline mid-unit: replace it, then
-        requeue the unit's unreported cells or fail them."""
-        unit = worker.unit
-        if death:
-            self.report.worker_deaths += 1
-        else:
-            self.report.timeouts += 1
+        """A worker died or overran its deadline mid-cell: replace it, then
+        requeue its cell whole or fail it; return 1 when the cell failed."""
+        cell = worker.cell
         self._discard(worker, kill=True)
         self._workers.append(self._spawn())
-        if unit is None:  # pragma: no cover - losses surface while busy
-            return 0
-        unfinished = unit.unfinished()
-        if unit.attempt < self.policy.retries:
-            rest = _Unit([unit.cells[p] for p in unfinished], unit.attempt, unit.first_start)
-            self._requeue(rest, now, pending, delayed)
-            return 0
         if death:
+            self.report.worker_deaths += 1
             info = {
                 "kind": RETRYABLE,
                 "error": "WorkerDeath",
                 "message": f"worker exited with code {worker.process.exitcode} while "
-                f"running this cell (attempt {unit.attempt + 1})",
+                f"running this cell (attempt {cell.attempt + 1})",
             }
         else:
+            self.report.timeouts += 1
             info = {
                 "kind": TIMEOUT,
                 "error": "CellTimeout",
                 "message": f"exceeded the {self.policy.cell_timeout:g}s per-cell "
-                f"deadline (attempt {unit.attempt + 1})",
+                f"deadline (attempt {cell.attempt + 1})",
             }
-        for position in unfinished:
-            self._fail(unit, position, info, now)
-        return len(unfinished)
-
+        return self._settle(cell, (False, info), now, {}, None, pending, delayed)

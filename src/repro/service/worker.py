@@ -11,10 +11,11 @@ heartbeats its claim between attempts.  The claimed cells that are not
 yet stored run grouped by (workload, memory), so the worker process's
 one-entry workload and warm-up memos build each trace and warm each
 hierarchy once per group.  The claim is one in-process
-:class:`~repro.resilience.ResilientExecutor` run, so transient failures
-back off and retry in-worker under the same policy code every sweep
-uses, while permanent ones are recorded in the shard report's failure
-taxonomy and left for the scheduler to account.
+:class:`~repro.resilience.ResilientExecutor` run whose body computes one
+cell per call, so transient failures back off and retry in-worker under
+the same policy code every sweep uses, while permanent ones are recorded
+in the shard report's failure taxonomy and left for the scheduler to
+account.
 
 Crash safety needs no protocol: cells already stored survive the crash
 (the store is the ledger), the abandoned claim's lease expires, and the
@@ -84,16 +85,15 @@ class ServiceWorker:
         first_attempt = int(claim.get("generation", 0)) * (job.retries + 1)
         tries: dict[int, int] = {}
 
-        def body(payloads: list):
-            for position, index in enumerate(payloads):
-                if tries:  # claim() has just stamped the first heartbeat
-                    self.queue.heartbeat(claim)
-                cell = job.cells[index]
-                attempt = first_attempt + tries.get(index, 0)
-                tries[index] = tries.get(index, 0) + 1
-                if plan is not None:
-                    plan.inject_cell(cell.label, attempt)
-                yield position, compute_cell(cell.key, max_cycles=job.max_cycles)
+        def body(index: int):
+            if tries:  # claim() has just stamped the first heartbeat
+                self.queue.heartbeat(claim)
+            cell = job.cells[index]
+            attempt = first_attempt + tries.get(index, 0)
+            tries[index] = tries.get(index, 0) + 1
+            if plan is not None:
+                plan.inject_cell(cell.label, attempt)
+            return compute_cell(cell.key, max_cycles=job.max_cycles)
 
         def on_result(index: int, stats) -> None:
             cell = job.cells[index]

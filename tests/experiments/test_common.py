@@ -12,10 +12,17 @@ from repro.experiments.common import (
     Stopwatch,
     WorkloadPool,
     mean_ipc,
+    run_cells,
     scale_of,
     suite_names,
 )
+from repro.machines import parse_machine
+from repro.machines.registry import kind_of, machine_kinds
+from repro.memory.configs import TABLE1_CONFIGS
+from repro.resilience import ExecutionPolicy, FailureReport
+from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
 from repro.sim.stats import SimStats
+from repro.store import ResultStore
 from repro.workloads import SPECFP_NAMES, SPECINT_NAMES
 
 
@@ -161,3 +168,130 @@ def test_pair_order_groups_workloads_then_memories():
         ("mcf", "A"), ("mcf", "A"), ("mcf", "B"), ("swim", "A"), ("swim", "B"),
     ]
     assert order[:2] == [0, 4]  # stable within a pair
+
+
+# ----------------------------------------------------------------------
+# run_cells: serial == pool, the store, per-cell failure isolation
+# ----------------------------------------------------------------------
+
+MEMORY = TABLE1_CONFIGS["MEM-400"]
+
+#: One example of every machine kind the sweep layer can dispatch.
+CORES = {
+    "r10": R10_64,
+    "kilo": KILO_1024,
+    "runahead": RunaheadConfig(),
+    "dkip": DKIP_2048,
+    "ooo-bp": parse_machine("ooo-bp(bp=gshare-12,rob=32)"),
+    "dual": parse_machine("dual(rob=32,co=synth(chase=8),bp=gshare-10)"),
+    "limit": parse_machine("limit"),
+}
+
+GRID = [
+    (R10_64, "mcf", MEMORY),
+    (DKIP_2048, "swim", TABLE1_CONFIGS["MEM-100"]),
+    (parse_machine("ooo-bp(bp=gshare-10,rob=24)"), "mcf",
+     TABLE1_CONFIGS["L2-11"]),
+    (R10_64, "swim", MEMORY),
+]
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_dispatch_settings(monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+
+
+@pytest.fixture(scope="module")
+def serial_vs_pool():
+    """Every kind × (mcf, swim), run in-process and on a 2-worker pool."""
+    assert {kind_of(config).name for config in CORES.values()} == set(machine_kinds())
+    cells = [
+        (config, name, MEMORY) for config in CORES.values() for name in ("mcf", "swim")
+    ]
+    serial = run_cells(cells, 600, WorkloadPool(), jobs=1)
+    pool = run_cells(cells, 600, WorkloadPool(), jobs=2)
+    return {
+        tag: (serial[2 * i : 2 * i + 2], pool[2 * i : 2 * i + 2])
+        for i, tag in enumerate(CORES)
+    }
+
+
+@pytest.mark.parametrize("tag", list(CORES))
+def test_run_cells_pool_matches_serial(serial_vs_pool, tag):
+    serial, pool = serial_vs_pool[tag]
+    assert [stats.to_dict() for stats in pool] == [stats.to_dict() for stats in serial]
+
+
+@pytest.fixture(scope="module")
+def grid_baseline():
+    return [stats.to_dict() for stats in run_cells(GRID, 600, WorkloadPool(), jobs=1)]
+
+
+def test_run_cells_pool_store_warm_rerun_is_all_hits(grid_baseline, tmp_path):
+    store = ResultStore(tmp_path)
+    got = run_cells(GRID, 600, WorkloadPool(), jobs=2, store=store)
+    assert [stats.to_dict() for stats in got] == grid_baseline
+    # Every cell persisted individually; a warm rerun is all hits.
+    rerun = run_cells(GRID, 600, WorkloadPool(), jobs=2, store=store)
+    assert [stats.to_dict() for stats in rerun] == grid_baseline
+    assert store.hits == len(GRID)
+
+
+def test_run_cells_tolerant_deadlock_sibling_persists(tmp_path):
+    """Under a tolerant policy, a deadlocking cell becomes its own
+    failure record while its siblings complete and persist."""
+    cells = [
+        (R10_64, "mcf", MEMORY),               # ~11k cycles at 600 insns
+        (R10_64, "swim", TABLE1_CONFIGS["MEM-100"]),  # ~800 cycles
+    ]
+    store = ResultStore(tmp_path)
+    policy = ExecutionPolicy(retries=0, max_failures=1)
+    report = FailureReport()
+    got = run_cells(cells, 600, WorkloadPool(), store=store,
+                    max_cycles=3000, policy=policy, report=report)
+    assert got[0] is None
+    assert got[1] is not None and got[1].committed == 600
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert failure.error == "DeadlockError"
+    assert "mcf" in failure.cell
+    assert store.writes == 1  # the surviving sibling persisted
+
+
+def test_run_cells_broken_cell_fails_alone():
+    """A cell that cannot even be constructed fails on its own."""
+    cells = [
+        (R10_64, "swim", TABLE1_CONFIGS["MEM-100"]),
+        (R10_64, "no-such-benchmark", MEMORY),
+    ]
+    policy = ExecutionPolicy(retries=0, max_failures=1)
+    report = FailureReport()
+    got = run_cells(cells, 400, WorkloadPool(), policy=policy, report=report)
+    assert got[0] is not None and got[0].committed == 400
+    assert got[1] is None
+    assert len(report.failures) == 1
+
+
+def test_killed_worker_cell_is_requeued_alone(monkeypatch, tmp_path, grid_baseline):
+    """A fault-injected worker death loses only the cell that worker held:
+    it is requeued whole, and every other cell persists exactly once."""
+    monkeypatch.setenv("REPRO_FAULT", "cell:kill@swim × MEM-100#0")
+    store = ResultStore(tmp_path)
+    puts = []
+    original_put = ResultStore.put
+    monkeypatch.setattr(
+        ResultStore, "put",
+        lambda self, key, stats: (puts.append(key),
+                                  original_put(self, key, stats))[1],
+    )
+    policy = ExecutionPolicy(retries=3, max_failures=0)
+    report = FailureReport()
+    got = run_cells(GRID, 600, WorkloadPool(), jobs=2, store=store,
+                    policy=policy, report=report)
+    assert [stats.to_dict() for stats in got] == grid_baseline
+    # Only the killed cell re-ran, once.
+    assert report.worker_deaths == 1 and report.retries == 1
+    # One store write per cell — no finished cell was recomputed.
+    assert len(puts) == len(GRID)
+    assert len(set(puts)) == len(GRID)

@@ -143,12 +143,10 @@ def test_cli_rejects_malformed_resilience_flags(capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("batch", ["1", "2"])
 def test_cli_tolerant_sweep_reports_failures_and_exits_nonzero(
-    tmp_path, capsys, monkeypatch, batch
+    tmp_path, capsys, monkeypatch
 ):
     monkeypatch.setenv("REPRO_JOBS", "2")
-    monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_FAULT", "cell:fail@mcf")
     failures_json = tmp_path / "failures.json"
     argv = [
@@ -159,7 +157,6 @@ def test_cli_tolerant_sweep_reports_failures_and_exits_nonzero(
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert "n/a (failed: permanent)" in captured.out
-    # Counters count cells whatever the dispatch unit.
     assert "cell failures: 1 of 3 cell(s) failed" in captured.err
     assert "InjectedFailure" in captured.err
     import json
@@ -181,7 +178,6 @@ def test_cli_faults_reach_the_figure_harnesses(
     import json
 
     monkeypatch.setenv("REPRO_JOBS", "2")
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     common = [experiment, "--scale", "quick", "--no-store", "--json"]
     assert cli.main(common + [str(tmp_path / "clean")]) == 0
     clean = json.loads((tmp_path / "clean" / f"{experiment}.json").read_text())

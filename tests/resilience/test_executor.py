@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import random
@@ -71,17 +70,10 @@ def _sleep_if_negative(payload):
     return payload
 
 
-def _cellwise(body, payloads):
-    """Unit body running *body* on each payload, reporting each cell."""
-    for position, payload in enumerate(payloads):
-        try:
-            yield position, body(payload)
-        except Exception as error:  # noqa: BLE001 - reported per cell
-            yield position, error
-
-
-def _unit(body):
-    return functools.partial(_cellwise, body)
+def _exit_on_three(payload):
+    if payload == 3:
+        raise SystemExit("three exits")
+    return payload
 
 
 def _tasks(payloads):
@@ -137,7 +129,7 @@ def test_resilience_context_nests_and_restores():
 def test_executor_runs_all_tasks_and_streams_results():
     report = FailureReport()
     streamed = []
-    executor = ResilientExecutor(_unit(_double), jobs=2, report=report)
+    executor = ResilientExecutor(_double, jobs=2, report=report)
     results = executor.run(
         _tasks([1, 2, 3, 4]), on_result=lambda i, r: streamed.append((i, r))
     )
@@ -151,10 +143,11 @@ def test_executor_permanent_failure_is_tolerated_under_budget(jobs):
     report = FailureReport()
     policy = ExecutionPolicy(max_failures=None)
     executor = ResilientExecutor(
-        _unit(_fail_on_three), jobs=jobs, policy=policy, report=report
+        _fail_on_three, jobs=jobs, policy=policy, report=report
     )
     results = executor.run(_tasks([1, 2, 3, 4]))
     assert results == {0: 1, 1: 2, 3: 4}  # index 2 (payload 3) is absent
+    assert report.cells == 4 and report.completed == 3
     (failure,) = report.failures
     assert failure.index == 2 and failure.kind == PERMANENT
     assert failure.error == "ValueError" and "cell-2" in failure.cell
@@ -167,7 +160,7 @@ def test_executor_permanent_failure_is_tolerated_under_budget(jobs):
 def test_executor_strict_budget_aborts_but_keeps_streamed_results():
     report = FailureReport()
     streamed = []
-    executor = ResilientExecutor(_unit(_fail_on_three), jobs=1, report=report)
+    executor = ResilientExecutor(_fail_on_three, jobs=1, report=report)
     with pytest.raises(CellExecutionError, match="cell-2"):
         executor.run(_tasks([1, 2, 3, 4]), on_result=lambda i, r: streamed.append(i))
     assert streamed == [0, 1]  # jobs=1 preserves dispatch order
@@ -178,7 +171,7 @@ def test_executor_retries_transient_failures(tmp_path):
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
     executor = ResilientExecutor(
-        _unit(_transient_until_marker), jobs=1, policy=policy, report=report
+        _transient_until_marker, jobs=1, policy=policy, report=report
     )
     marker = str(tmp_path / "marker")
     results = executor.run(_tasks([(marker, "value")]))
@@ -191,7 +184,7 @@ def test_executor_respawns_dead_worker_and_requeues_its_cell(tmp_path):
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
     # jobs=2: a lone job would run in-process, where nothing may die.
     executor = ResilientExecutor(
-        _unit(_die_until_marker), jobs=2, policy=policy, report=report
+        _die_until_marker, jobs=2, policy=policy, report=report
     )
     marker = str(tmp_path / "marker")
     results = executor.run(_tasks([(marker, "survived")]))
@@ -203,7 +196,7 @@ def test_executor_worker_death_past_budget_is_a_final_failure():
     report = FailureReport()
     policy = ExecutionPolicy(retries=1, max_failures=None, backoff_base=0.001)
     executor = ResilientExecutor(
-        _unit(_always_die), jobs=2, policy=policy, report=report
+        _always_die, jobs=2, policy=policy, report=report
     )
     results = executor.run(_tasks(["x"]))
     assert results == {}
@@ -212,11 +205,25 @@ def test_executor_worker_death_past_budget_is_a_final_failure():
     assert report.worker_deaths == 2  # initial attempt + one retry
 
 
+def test_pool_worker_fails_a_system_exit_cell_and_lives_on():
+    """The worker owns the exception boundary: even SystemExit from the
+    body fails only its cell, and the worker process survives it."""
+    report = FailureReport()
+    policy = ExecutionPolicy(max_failures=None)
+    executor = ResilientExecutor(_exit_on_three, jobs=2, policy=policy, report=report)
+    results = executor.run(_tasks([1, 3, 5]))
+    assert results == {0: 1, 2: 5}
+    (failure,) = report.failures
+    assert failure.index == 1 and failure.kind == PERMANENT
+    assert failure.error == "SystemExit" and failure.attempts == 1
+    assert report.worker_deaths == 0 and report.completed == 2
+
+
 def test_executor_timeout_kills_and_fails_past_budget():
     report = FailureReport()
     policy = ExecutionPolicy(cell_timeout=0.3, retries=0, max_failures=None)
     executor = ResilientExecutor(
-        _unit(_sleep_forever), jobs=1, policy=policy, report=report
+        _sleep_forever, jobs=1, policy=policy, report=report
     )
     start = time.monotonic()
     results = executor.run(_tasks(["x"]))
@@ -231,7 +238,7 @@ def test_executor_timeout_only_hits_the_overdue_cell():
     report = FailureReport()
     policy = ExecutionPolicy(cell_timeout=0.5, retries=0, max_failures=None)
     executor = ResilientExecutor(
-        _unit(_sleep_if_negative), jobs=2, policy=policy, report=report
+        _sleep_if_negative, jobs=2, policy=policy, report=report
     )
     results = executor.run(_tasks([-1, 7]))
     assert results == {1: 7}
@@ -268,7 +275,7 @@ def test_backoff_for_is_keyed_per_cell_and_attempt():
 
 
 # ----------------------------------------------------------------------
-# Units: per-cell accounting, in-process mode
+# Per-cell accounting, in-process mode
 # ----------------------------------------------------------------------
 
 
@@ -281,44 +288,27 @@ def _transient_on_marker_cell(payload):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_units_count_and_fail_cells_not_units(jobs):
-    report = FailureReport()
-    policy = ExecutionPolicy(max_failures=None)
-    executor = ResilientExecutor(
-        _unit(_fail_on_three), jobs=jobs, policy=policy, report=report, batch=2
-    )
-    results = executor.run(_tasks([1, 2, 3]))
-    assert results == {0: 1, 1: 2}
-    assert report.cells == 3 and report.completed == 2
-    (failure,) = report.failures
-    assert failure.index == 2 and failure.cell == "cell-2"
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_cell_retries_alone(tmp_path, jobs):
     marker = str(tmp_path / "marker")
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
     executor = ResilientExecutor(
-        _unit(_transient_on_marker_cell), jobs=jobs, policy=policy, report=report,
-        batch=3,
+        _transient_on_marker_cell, jobs=jobs, policy=policy, report=report
     )
     results = executor.run(_tasks([("", "a"), (marker, "b"), ("", "c")]))
     assert results == {0: "a", 1: "b", 2: "c"}
-    # Only the failed cell re-ran: one retry, not one per unit member.
+    # Only the failed cell re-ran: one retry.
     assert report.retries == 1 and report.completed == 3 and report.cells == 3
 
 
 def test_in_process_transient_cell_retries_until_it_succeeds():
     calls = []
 
-    def body(payloads):
-        for position, payload in enumerate(payloads):
-            calls.append(payload)
-            if payload == "flaky" and calls.count("flaky") < 3:
-                yield position, TransientCellError("not yet")
-            else:
-                yield position, payload
+    def body(payload):
+        calls.append(payload)
+        if payload == "flaky" and calls.count("flaky") < 3:
+            raise TransientCellError("not yet")
+        return payload
 
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, backoff_base=0.001)
@@ -333,10 +323,9 @@ def test_in_process_transient_cell_retries_until_it_succeeds():
 def test_in_process_transient_cell_past_its_retries_is_a_final_failure():
     calls = []
 
-    def body(payloads):
-        for position, payload in enumerate(payloads):
-            calls.append(payload)
-            yield position, TransientCellError("never recovers")
+    def body(payload):
+        calls.append(payload)
+        raise TransientCellError("never recovers")
 
     report = FailureReport()
     policy = ExecutionPolicy(retries=2, max_failures=None, backoff_base=0.001)
@@ -351,32 +340,17 @@ def test_in_process_transient_cell_past_its_retries_is_a_final_failure():
 def test_in_process_mode_neither_forks_nor_injects(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT", "cell:kill")
     report = FailureReport()
-    executor = ResilientExecutor(_unit(_double), jobs=1, report=report)
+    executor = ResilientExecutor(_double, jobs=1, report=report)
     results = executor.run(_tasks([1, 2, 3]))
     assert results == {0: 2, 1: 4, 2: 6}
     assert report.worker_deaths == 0 and not multiprocessing.active_children()
-
-
-def test_escaping_body_error_fails_every_unreported_cell():
-    def body(payloads):
-        yield 0, payloads[0]
-        raise ValueError("the unit broke")
-
-    report = FailureReport()
-    executor = ResilientExecutor(
-        body, jobs=1, policy=ExecutionPolicy(max_failures=None), report=report,
-        batch=3,
-    )
-    assert executor.run(_tasks(["x", "y", "z"])) == {0: "x"}
-    assert [f.index for f in report.failures] == [1, 2]
-    assert all("the unit broke" in f.message for f in report.failures)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_on_result_errors_propagate_instead_of_failing_cells(jobs):
     """A failed store write is the caller's error, not the cell's."""
     report = FailureReport()
-    executor = ResilientExecutor(_unit(_double), jobs=jobs, report=report)
+    executor = ResilientExecutor(_double, jobs=jobs, report=report)
 
     def on_result(index, result):
         raise OSError("disk full")

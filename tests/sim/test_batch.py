@@ -1,27 +1,21 @@
-"""Differential + failure-isolation suite for the batched sweep kernel.
+"""Differential + failure-isolation suite for :class:`repro.sim.batch.BatchRunner`.
 
-The batching layer (:class:`repro.sim.batch.BatchRunner` +
-``run_cells(batch=N)``) is a pure dispatch optimization: interleaving N
-independent cells inside one process must leave every cell's whole
-:class:`SimStats` record bit-identical to serial execution, for every
-registered machine kind, and a cell that fails inside a batch must fail
-alone — its siblings complete, persist to the store, and survive even a
-fault-injected worker death.
+Interleaving N independent cells inside one process must leave every
+cell's whole :class:`SimStats` record bit-identical to serial execution,
+for every registered machine kind, and a cell that fails inside a batch
+must fail alone while its siblings complete.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import WorkloadPool, run_cells
 from repro.machines import parse_machine
 from repro.memory.configs import TABLE1_CONFIGS
 from repro.pipeline.core import DeadlockError
-from repro.resilience import ExecutionPolicy, FailureReport
 from repro.sim.batch import BatchRunner
 from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
 from repro.sim.runner import simulate
-from repro.store import ResultStore
 from repro.workloads import get_workload
 
 NUM_INSTRUCTIONS = 800
@@ -113,105 +107,3 @@ def test_deadlock_mid_batch_fails_alone(workload):
         outcome, stats = out[tag]
         assert outcome == "ok"
         assert stats.committed == 600
-
-
-GRID = [
-    (R10_64, "mcf", MEMORY),
-    (DKIP_2048, "swim", TABLE1_CONFIGS["MEM-100"]),
-    (parse_machine("ooo-bp(bp=gshare-10,rob=24)"), "mcf",
-     TABLE1_CONFIGS["L2-11"]),
-    (R10_64, "swim", MEMORY),
-]
-
-
-@pytest.fixture(scope="module")
-def grid_baseline():
-    return [
-        stats.to_dict()
-        for stats in run_cells(GRID, 600, WorkloadPool())
-    ]
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_batching(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_FAULT", raising=False)
-
-
-def test_run_cells_batch_larger_than_grid(grid_baseline):
-    got = run_cells(GRID, 600, WorkloadPool(), batch=99)
-    assert [stats.to_dict() for stats in got] == grid_baseline
-
-
-def test_run_cells_batched_pool(grid_baseline, tmp_path):
-    store = ResultStore(tmp_path)
-    got = run_cells(GRID, 600, WorkloadPool(), jobs=2, batch=2, store=store)
-    assert [stats.to_dict() for stats in got] == grid_baseline
-    # Every cell persisted individually; a warm rerun is all hits.
-    rerun = run_cells(GRID, 600, WorkloadPool(), jobs=2, batch=2, store=store)
-    assert [stats.to_dict() for stats in rerun] == grid_baseline
-    assert store.hits == len(GRID)
-
-
-def test_run_cells_tolerant_deadlock_sibling_persists(tmp_path):
-    """Under a tolerant policy, a deadlocking cell inside a batch becomes
-    its own failure record while siblings complete and persist."""
-    cells = [
-        (R10_64, "mcf", MEMORY),               # ~11k cycles at 600 insns
-        (R10_64, "swim", TABLE1_CONFIGS["MEM-100"]),  # ~800 cycles
-    ]
-    store = ResultStore(tmp_path)
-    policy = ExecutionPolicy(retries=0, max_failures=1)
-    report = FailureReport()
-    got = run_cells(cells, 600, WorkloadPool(), batch=2, store=store,
-                    max_cycles=3000, policy=policy, report=report)
-    assert got[0] is None
-    assert got[1] is not None and got[1].committed == 600
-    assert len(report.failures) == 1
-    failure = report.failures[0]
-    assert failure.error == "DeadlockError"
-    assert "mcf" in failure.cell
-    assert store.writes == 1  # the surviving sibling persisted
-
-
-def test_run_cells_broken_cell_fails_alone():
-    """A cell that cannot even be constructed fails inside the batch."""
-    cells = [
-        (R10_64, "swim", TABLE1_CONFIGS["MEM-100"]),
-        (R10_64, "no-such-benchmark", MEMORY),
-    ]
-    policy = ExecutionPolicy(retries=0, max_failures=1)
-    report = FailureReport()
-    got = run_cells(cells, 400, WorkloadPool(), batch=2,
-                    policy=policy, report=report)
-    assert got[0] is not None and got[0].committed == 400
-    assert got[1] is None
-    assert len(report.failures) == 1
-
-
-def test_pool_worker_kill_requeues_only_unfinished(monkeypatch, tmp_path,
-                                                   grid_baseline):
-    """A fault-injected worker death mid-batch loses only the cells that
-    had not streamed yet: finished siblings persist exactly once and the
-    requeued batch is pruned to the remainder."""
-    monkeypatch.setenv("REPRO_FAULT", "cell:kill@swim × MEM-100#0")
-    store = ResultStore(tmp_path)
-    puts = []
-    original_put = ResultStore.put
-    monkeypatch.setattr(
-        ResultStore, "put",
-        lambda self, key, stats: (puts.append(key),
-                                  original_put(self, key, stats))[1],
-    )
-    policy = ExecutionPolicy(retries=3, max_failures=0)
-    report = FailureReport()
-    got = run_cells(GRID, 600, WorkloadPool(), jobs=2, batch=4, store=store,
-                    policy=policy, report=report)
-    assert [stats.to_dict() for stats in got] == grid_baseline
-    assert report.worker_deaths >= 1
-    assert report.retries >= 1
-    # One store write per cell — the killed batch's finished cells were
-    # not recomputed on the retry attempt.
-    assert len(puts) == len(GRID)
-    assert len(set(puts)) == len(GRID)

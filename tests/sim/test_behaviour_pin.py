@@ -60,8 +60,7 @@ def _digest(stats) -> str:
 
 
 def _pinned_grid() -> dict[str, str]:
-    # In-process (jobs=1): $REPRO_FAULT never injects there, and a
-    # $REPRO_BATCH unit size cannot change a cell's stats.
+    # In-process (jobs=1): $REPRO_FAULT never injects there.
     cells = _cells()
     stats = run_cells(
         [
