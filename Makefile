@@ -55,16 +55,20 @@ workload-smoke:
 
 # The SimPoint pipeline end to end: capture a small trace, select
 # weighted phases (writing the .toml phase spec), then run the phase
-# sweep cold and warm against .simpoint-store (the warm run simulates
-# zero cells — every phase cell resumes from the store).  The same
-# check gates in CI.
+# sweep cold into a fresh .simpoint-store, which must then hold the one
+# phase selection it planned, and warm (the warm run simulates zero
+# cells — every phase cell resumes from the store).  The same check
+# gates in CI.
 simpoint-smoke:
+	rm -rf .simpoint-store
 	PYTHONPATH=src $(PYTHON) -m repro.experiments simpoint \
 	  .simpoint-trace.trc.gz --capture mcf --instructions 8000 \
 	  --interval 1000 --k 3 --machines "dkip(llib=1024)" \
 	  --spec-out .simpoint-phases.toml
 	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
 	  .simpoint-phases.toml --scale quick --store .simpoint-store
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cache stats \
+	  --store .simpoint-store | grep -x "phase records   1"
 	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
 	  .simpoint-phases.toml --scale quick --store .simpoint-store \
 	  | grep ", 0 simulated"

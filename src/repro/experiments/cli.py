@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the tables and figures of 'A Decoupled "
         "KILO-Instruction Processor' (HPCA 2006)",
         epilog="cache subcommands: 'cache stats' (store inventory), "
-        "'cache prune [--all]' (drop corrupt/stale entries), "
+        "'cache prune [--all]' (drop corrupt/stale entries and defective "
+        "phase records), "
         "'cache verify [--sample N]' (re-run stored cells and diff).",
     )
     parser.add_argument(
@@ -161,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--all",
         action="store_true",
         dest="prune_all",
-        help="cache prune: remove every entry, not just corrupt/stale ones",
+        help="cache prune: remove every entry and phase record, not just "
+        "corrupt/stale ones",
     )
     parser.add_argument(
         "--out",
@@ -474,6 +476,8 @@ def run_cache_command(args) -> int:
         print(f"corrupt         {summary['corrupt']}")
         print(f"stale schema    {summary['stale_schema']}")
         print(f"size            {summary['bytes']} bytes")
+        print(f"phase records   {summary['phase_records']}")
+        print(f"phase defective {summary['phase_defective']}")
         for kind, count in summary["machines"].items():
             print(f"  machine {kind:<24s} {count}")
         for name, count in summary["workloads"].items():

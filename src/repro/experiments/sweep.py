@@ -284,7 +284,17 @@ def resolve_workloads(
     resolves to its canonical name so equivalent spellings share one
     grid cell (and one store entry).
     """
+    return _resolve(tokens, scale, None)[0]
+
+
+def _resolve(
+    tokens: Sequence[str], scale: Scale, store: ResultStore | None
+) -> tuple[dict[str, tuple[str, ...]], dict[str, PhaseExpansion]]:
+    """:func:`resolve_workloads`, plus the expansion of every phase-set
+    token, each expanded once (through *store*'s phase selections when
+    one is given)."""
     resolved: dict[str, tuple[str, ...]] = {}
+    phases: dict[str, PhaseExpansion] = {}
     for token in tokens:
         text = token.strip()
         lower = text.lower()
@@ -294,8 +304,9 @@ def resolve_workloads(
             resolved[text] = suite_names("int", scale) + suite_names("fp", scale)
         elif text in all_names():
             resolved[text] = (text,)
-        elif (expansion := expand_phases(text)) is not None:
+        elif (expansion := expand_phases(text, store)) is not None:
             resolved[text] = expansion.names
+            phases[text] = expansion
         else:
             try:
                 workload = parse_workload(text)
@@ -306,7 +317,7 @@ def resolve_workloads(
                     f"workload spec: {error}"
                 ) from None
             resolved[text] = (workload.name,)
-    return resolved
+    return resolved, phases
 
 
 @dataclass
@@ -428,19 +439,20 @@ class GridPlan:
         )
 
 
-def plan_grid(spec: SweepSpec, scale: Scale | str = Scale.DEFAULT) -> GridPlan:
-    """Expand and validate *spec* into its executable grid plan."""
+def plan_grid(
+    spec: SweepSpec,
+    scale: Scale | str = Scale.DEFAULT,
+    store: ResultStore | None = None,
+) -> GridPlan:
+    """Expand and validate *spec* into its executable grid plan.
+
+    With a *store*, each phase-set token's SimPoint selection is read
+    from it, or analyzed once and written to it.
+    """
     scale = scale_of(scale)
     machines = expand_machines(spec)
     memories = [parse_memory(m) for m in spec.memory]
-    workloads = resolve_workloads(expand_workload_tokens(spec), scale)
-    # Phase-set tokens carry their weights out of band (the analysis is
-    # memoized, so re-expanding the already-resolved tokens is free).
-    phases = {
-        token: expansion
-        for token in workloads
-        if (expansion := expand_phases(token)) is not None
-    }
+    workloads, phases = _resolve(expand_workload_tokens(spec), scale, store)
     benches = tuple(dict.fromkeys(
         bench for names in workloads.values() for bench in names
     ))
@@ -485,7 +497,7 @@ def sweep_grid(
 ) -> SweepGrid:
     """Execute every cell of *spec*'s grid (store-first, one process
     pool for the whole grid) and return the indexed results."""
-    plan = plan_grid(spec, scale)
+    plan = plan_grid(spec, scale, store)
     pool = pool or WorkloadPool()
     report = active_report()
     if report is None:

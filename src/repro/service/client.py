@@ -155,10 +155,12 @@ def collect_results(
     ``None`` and render as ``n/a``), attaches the recorded failures so
     the table says *why* a cell is absent, and formats it through the
     same :func:`summarize_grid` path ``dkip-experiments sweep`` uses.
-    Returns the result plus the count of cells not yet available.
+    Phase-set tokens take the SimPoint selections the scheduler stored
+    when it planned the job.  Returns the result plus the count of
+    cells not yet available.
     """
     spec = SweepSpec.from_mapping(job.sweep)
-    plan = plan_grid(spec, scale_of(job.scale))
+    plan = plan_grid(spec, scale_of(job.scale), store)
     grid = plan.grid()
     coords = plan.coords()
     missing = 0

@@ -95,7 +95,7 @@ class Scheduler:
         """Expand a queued job's sweep into fingerprinted cells."""
         try:
             spec = SweepSpec.from_mapping(job.sweep)
-            plan = plan_grid(spec, scale_of(job.scale))
+            plan = plan_grid(spec, scale_of(job.scale), self.store)
             cells = []
             for config, bench, memory in plan.cells():
                 key = cell_key(

@@ -13,13 +13,13 @@ the sweep engine combines the per-phase IPCs with the set's weights.
 Only *complete* intervals are profiled; a partial tail (a capture whose
 length is not a multiple of the interval) is dropped from clustering so
 every selectable phase can actually supply ``interval`` instructions at
-replay time.  Analyses are memoized per (file identity, parameters), so
-expanding the same phase-set token in several sweeps re-reads nothing.
+replay time.  Each call analyzes afresh; a sweep given a result store
+keeps the selection there (:func:`repro.workloads.phases.expand_phases`),
+so a warm plan never comes back here.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -106,18 +106,6 @@ class PhaseSet:
         return rows
 
 
-#: Memoized analyses keyed by (absolute path, mtime, size, parameters).
-_CACHE: dict[tuple, PhaseSet] = {}
-
-
-def _file_identity(path: str) -> tuple | None:
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None  # let load_trace produce the friendly error
-    return (os.path.abspath(path), stat.st_mtime_ns, stat.st_size)
-
-
 def analyze_trace(
     path: str, interval: int = 1024, k: int = 4, seed: int = 0
 ) -> PhaseSet:
@@ -134,10 +122,6 @@ def analyze_trace(
         raise PhaseAnalysisError(f"interval must be positive, got {interval}")
     if k <= 0:
         raise PhaseAnalysisError(f"k must be positive, got {k}")
-    identity = _file_identity(path)
-    key = identity + (interval, k, seed) if identity is not None else None
-    if key is not None and key in _CACHE:
-        return _CACHE[key]
     total = 0
 
     def counted() -> Iterator[Instruction]:
@@ -162,7 +146,7 @@ def analyze_trace(
             block_ids=bbvs.block_ids,
         )
     points = tuple(choose_simpoints(bbvs, k=k, seed=seed))
-    phase_set = PhaseSet(
+    return PhaseSet(
         path=path,
         interval=interval,
         k=k,
@@ -171,6 +155,3 @@ def analyze_trace(
         total_instructions=total,
         points=points,
     )
-    if key is not None:
-        _CACHE[key] = phase_set
-    return phase_set

@@ -2,22 +2,33 @@
 
 Layout::
 
-    <root>/objects/<digest[:2]>/<digest>.json
+    <root>/objects/<digest[:2]>/<digest>.json   one simulated cell each
+    <root>/phases/<digest>.json                 one SimPoint selection each
 
 One JSON object per cell::
 
-    {"format": 1, "digest": ..., "key": {<full key payload>}, "stats": {...}}
+    {"format": 1, "digest": ..., "key": {<full key payload>}, "stats": {...},
+     "stats_digest": ...}
+
+and per phase selection (:func:`phase_key`), the same envelope around
+the selection instead of stats::
+
+    {"format": 1, "digest": ..., "key": {...}, "selection": {...},
+     "selection_digest": ...}
 
 Writes are atomic (temp file + ``os.replace``) so a sweep killed
 mid-write never leaves a half-entry behind; reads treat *any* defect —
-truncated JSON, digest mismatch, schema drift — as a miss and recompute
-rather than crash.
+truncated JSON, digest mismatch, schema drift, an impossible selection —
+as a miss and recompute rather than crash.  Phase selections never pass
+through :meth:`ResultStore.get` or :meth:`ResultStore.put` and never
+move the cell counters (``hits``, ``writes``, ...): those count cells.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -81,6 +92,56 @@ def cell_key(
         "warmup_passes": warmup_passes,
     }
     return CellKey(payload=payload, digest=digest_canonical(payload))
+
+
+def phase_key(content: str, interval: int, k: int, seed: int, code: str) -> CellKey:
+    """Build the key of one SimPoint phase selection.
+
+    *content* is the capture's content digest, *interval*, *k* and
+    *seed* the analysis parameters, and *code* a digest of the analysis
+    code (and numpy) that computed it — everything the selection
+    depends on, so a stored one is served regardless of ``--force``.
+    """
+    payload = {
+        "canon": CANON_VERSION,
+        "record": "phases",
+        "content": content,
+        "interval": interval,
+        "k": k,
+        "seed": seed,
+        "code": code,
+    }
+    return CellKey(payload=payload, digest=digest_canonical(payload))
+
+
+def _check_selection(payload: dict, selection: dict) -> None:
+    """Raise ``ValueError`` unless *selection* is possible under *payload*.
+
+    A selection is ``{"num_intervals", "total_instructions", "points"}``
+    with points ``[interval index, weight]``.  It must hold
+    ``total // interval`` (at least one) complete intervals, between 1
+    and ``min(k, num_intervals)`` points with strictly increasing
+    indices inside them, and positive weights summing to 1 within 1e-9.
+    """
+    interval = payload["interval"]
+    total = selection["total_instructions"]
+    count = selection["num_intervals"]
+    points = selection["points"]
+    if not all(type(n) is int for n in (interval, total, count)) or interval < 1:
+        raise ValueError("interval and counts must be positive integers")
+    if count < 1 or count != total // interval:
+        raise ValueError(f"{count} intervals do not fit {total} instructions")
+    if not 1 <= len(points) <= min(payload["k"], count):
+        raise ValueError(f"{len(points)} points for k={payload['k']}")
+    previous = -1
+    for index, weight in points:
+        if type(index) is not int or not previous < index < count:
+            raise ValueError(f"interval index {index!r} out of order or range")
+        if type(weight) is not float or not weight > 0:
+            raise ValueError(f"weight {weight!r} is not positive")
+        previous = index
+    if abs(math.fsum(weight for _, weight in points) - 1.0) > 1e-9:
+        raise ValueError("weights do not sum to 1")
 
 
 class ResultStore:
@@ -161,7 +222,6 @@ class ResultStore:
         the rename, so failures never orphan ``.tmp.*`` litter.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         stats_dict = stats.to_dict()
         entry = {
             "format": ENTRY_FORMAT,
@@ -174,6 +234,13 @@ class ResultStore:
         plan = plan_from_env()
         if plan is not None:
             text = plan.corrupt_store_text(f"{key.digest}#{self.writes}", text)
+        self._publish(path, text)
+        self.writes += 1
+        return path
+
+    def _publish(self, path: Path, text: str) -> None:
+        """Write *text* to *path* atomically and durably (see :meth:`put`)."""
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(
             f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}.{os.urandom(4).hex()}"
         )
@@ -188,8 +255,62 @@ class ResultStore:
             # above, this removes it (missing_ok covers both).
             tmp.unlink(missing_ok=True)
         self._fsync_dir(path.parent)
-        self.writes += 1
+
+    # ------------------------------------------------------------------
+    # Phase selections: a second record family beside the cells
+    # ------------------------------------------------------------------
+
+    def phases_path(self, key: CellKey) -> Path:
+        """Return the path the phase selection of *key* lives at."""
+        return self.root / "phases" / f"{key.digest}.json"
+
+    def get_phases(self, key: CellKey) -> dict | None:
+        """Return the stored selection for a :func:`phase_key`, or ``None``.
+
+        Absent, unreadable, tampered-with and impossible records
+        (:func:`_check_selection`) all read as misses.  No counter moves.
+        """
+        try:
+            return _read_selection(self.phases_path(key), key)
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def put_phases(self, key: CellKey, selection: dict) -> Path:
+        """Atomically and durably persist *selection* under *key*.
+
+        Raises ``ValueError`` for a selection :func:`_check_selection`
+        rejects, so an impossible one is never written.
+        """
+        _check_selection(key.payload, selection)
+        path = self.phases_path(key)
+        entry = {
+            "format": ENTRY_FORMAT,
+            "digest": key.digest,
+            "key": key.payload,
+            "selection": selection,
+            "selection_digest": digest(selection),
+        }
+        self._publish(path, json.dumps(entry, sort_keys=True))
         return path
+
+    def iter_phase_records(self) -> Iterator[tuple[Path, dict | None]]:
+        """Every ``(path, selection)`` under ``phases/``; ``None`` = defective.
+
+        A record is checked against the key payload it carries, whose
+        digest must name its file.
+        """
+        directory = self.root / "phases"
+        if not directory.is_dir():
+            return
+        for path in sorted(directory.glob("*.json")):
+            try:
+                selection = _read_selection(path, None)
+            except FileNotFoundError:
+                continue
+            except (OSError, ValueError, KeyError, TypeError):
+                yield path, None
+                continue
+            yield path, selection
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
@@ -266,6 +387,13 @@ class ResultStore:
             machines[kind] = machines.get(kind, 0) + 1
             name = key.get("workload", {}).get("name", "?")
             workloads[name] = workloads.get(name, 0) + 1
+        phase_records = 0
+        phase_defective = 0
+        for _, selection in self.iter_phase_records():
+            if selection is None:
+                phase_defective += 1
+            else:
+                phase_records += 1
         return {
             "root": str(self.root),
             "entries": entries,
@@ -274,13 +402,17 @@ class ResultStore:
             "bytes": total_bytes,
             "machines": dict(sorted(machines.items())),
             "workloads": dict(sorted(workloads.items())),
+            "phase_records": phase_records,
+            "phase_defective": phase_defective,
         }
 
     def prune(self, everything: bool = False) -> int:
-        """Delete corrupt and schema-stale entries; return the count removed.
+        """Delete corrupt, stale and defective records; return the count removed.
 
-        With *everything* set, delete every entry.  Temp files orphaned
-        by writes that were killed mid-flight are swept either way.
+        Corrupt and schema-stale cell entries go, and so do defective
+        phase records.  With *everything* set, delete every entry and
+        every phase record.  Temp files orphaned by writes that were
+        killed mid-flight are swept either way.
         """
         removed = 0
         for path, entry in self.iter_entries():
@@ -291,9 +423,12 @@ class ResultStore:
             if everything or stale:
                 path.unlink(missing_ok=True)
                 removed += 1
-        objects = self.root / "objects"
-        if objects.is_dir():
-            for orphan in objects.glob("*/*.tmp.*"):
+        for path, selection in self.iter_phase_records():
+            if everything or selection is None:
+                path.unlink(missing_ok=True)
+                removed += 1
+        for pattern in ("objects/*/*.tmp.*", "phases/*.tmp.*"):
+            for orphan in self.root.glob(pattern):
                 orphan.unlink(missing_ok=True)
                 removed += 1
         return removed
@@ -404,3 +539,24 @@ class ResultStore:
                      "status": "stale", "detail": "; ".join(diffs[:4])}
                 )
         return reports
+
+
+def _read_selection(path: Path, key: CellKey | None) -> dict:
+    """Return the checked selection of the phase record at *path*.
+
+    The record is checked against *key*, or without one against the key
+    payload it carries.  Raises on any defect.
+    """
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
+    if key is None:
+        key = CellKey(payload=entry["key"], digest=path.stem)
+        if digest_canonical(key.payload) != key.digest:
+            raise ValueError("key digest mismatch")
+    if entry["format"] != ENTRY_FORMAT or entry["digest"] != key.digest:
+        raise ValueError("entry/key mismatch")
+    selection = entry["selection"]
+    if entry["selection_digest"] != digest(selection):
+        raise ValueError("selection digest mismatch")
+    _check_selection(key.payload, selection)
+    return selection

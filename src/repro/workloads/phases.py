@@ -21,16 +21,24 @@ Two spec forms share the kind word:
   verdict per (machine, memory) cell.  Asking the registry to
   *instantiate* the set form is an error that points at sweeps.
 
-The SimPoint analysis (and hence numpy) is imported lazily inside
-:func:`expand_phases`; merely registering the kind — or replaying a
-single phase — stays stdlib-only like the rest of the workload layer.
+Given a result store, :func:`expand_phases` keeps each selection there
+(:func:`repro.store.phase_key`), keyed by the capture's content digest,
+the parameters and :func:`analysis_code_digest`, so a warm plan reads a
+small record instead of re-analyzing.  The SimPoint analysis (and hence
+numpy) is imported lazily, only on a miss; merely registering the kind —
+or replaying a single phase — stays stdlib-only like the rest of the
+workload layer.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator
 
 from repro.fingerprint import digest
 from repro.grammar import (
@@ -46,7 +54,10 @@ from repro.trace.io import TraceFormatError, load_trace, read_trace_regions
 from repro.trace.kernel import Kernel
 from repro.workloads.base import Workload
 from repro.workloads.kinds import WorkloadKind, register_workload_kind
-from repro.workloads.tracefile import TraceFileWorkload
+from repro.workloads.tracefile import TraceFileWorkload, content_digest_of
+
+if TYPE_CHECKING:
+    from repro.store import ResultStore
 
 #: Interval length (instructions) when a spec names none.
 DEFAULT_INTERVAL = 1024
@@ -60,6 +71,15 @@ PHASES_GRAMMAR = (
 )
 
 _PARAMS = frozenset({"file", "interval", "index", "k", "seed"})
+
+#: The modules whose code decides a phase selection; their source bytes
+#: (and numpy's version) key every stored selection.
+_ANALYSIS_MODULES = ("bbv.py", "kmeans.py", "select.py", "phases.py")
+
+
+def phase_name(path: str, interval: int, index: int) -> str:
+    """The canonical single-phase workload spec of one interval."""
+    return render_spec("phases", {"file": path, "interval": interval, "index": index})
 
 
 class PhaseWorkload(TraceFileWorkload):
@@ -93,10 +113,7 @@ class PhaseWorkload(TraceFileWorkload):
         # Canonical spec-string name (overrides the trace(...) name the
         # parent set): round-trips through the grammar, pool workers and
         # cache verify rebuild the identical slice from it.
-        self.name = render_spec(
-            "phases",
-            {"file": self.path, "interval": interval, "index": index},
-        )
+        self.name = phase_name(self.path, interval, index)
 
     # ------------------------------------------------------------------
 
@@ -187,15 +204,40 @@ class PhaseExpansion:
         return len(self.names) * self.interval / self.total_instructions
 
 
-def expand_phases(token: str) -> PhaseExpansion | None:
+@functools.cache
+def analysis_code_digest() -> str:
+    """SHA-256 over the source of the SimPoint analysis and numpy's version.
+
+    Part of every stored selection's key, so editing the analysis or
+    changing numpy re-analyzes instead of serving an old selection;
+    nothing needs bumping by hand.  Reads files only: neither numpy nor
+    :mod:`repro.simpoint` is imported.
+    """
+    sha = hashlib.sha256()
+    simpoint = Path(__file__).resolve().parent.parent / "simpoint"
+    for name in _ANALYSIS_MODULES:
+        sha.update(name.encode() + b"\0" + (simpoint / name).read_bytes())
+    numpy = importlib.util.find_spec("numpy")
+    if numpy is None:
+        sha.update(b"numpy absent")
+    else:
+        sha.update((Path(numpy.origin).parent / "version.py").read_bytes())
+    return sha.hexdigest()
+
+
+def expand_phases(
+    token: str, store: ResultStore | None = None
+) -> PhaseExpansion | None:
     """Expand a phase-*set* spec into its members; ``None`` if *token*
     is not one.
 
     Returns ``None`` for anything that is not a ``phases(...)`` spec or
     that carries ``index=`` (a single, directly instantiable phase).
-    For a genuine set token the SimPoint analysis runs (memoized per
-    file identity and parameters); malformed parameters raise
-    :class:`SpecError` and unreadable/too-short captures raise the
+    For a genuine set token the selection comes from *store* when it
+    holds one for this capture content, these parameters and this
+    analysis code; otherwise the SimPoint analysis runs, and its
+    selection is stored when a store is given.  Malformed parameters
+    raise :class:`SpecError` and unreadable/too-short captures raise the
     analysis layer's typed errors.
     """
     try:
@@ -210,26 +252,51 @@ def expand_phases(token: str) -> PhaseExpansion | None:
             f"phases: missing required parameter 'file'; "
             f"grammar: {PHASES_GRAMMAR}"
         )
+    path = params["file"]
     interval = parse_count(
         "phases", "interval", params.get("interval", str(DEFAULT_INTERVAL))
     )
     k = parse_count("phases", "k", params.get("k", str(DEFAULT_K)))
     seed = parse_nonneg("phases", "seed", params.get("seed", "0"))
-    # The analysis pulls in numpy; import lazily so the workload layer
-    # (and single-phase replay) stays stdlib-only.
-    from repro.simpoint.phases import analyze_trace
+    selection = None
+    if store is not None:
+        # The store sits above the workload layer: import it at use.
+        from repro.store import phase_key
 
-    phase_set = analyze_trace(params["file"], interval=interval, k=k, seed=seed)
+        content = content_digest_of(path)
+        key = phase_key(content, interval, k, seed, analysis_code_digest())
+        selection = store.get_phases(key)
+    if selection is None:
+        # The analysis pulls in numpy; import lazily so the workload
+        # layer (single-phase replay, warm plans) stays stdlib-only.
+        from repro.simpoint.phases import analyze_trace
+
+        phase_set = analyze_trace(path, interval=interval, k=k, seed=seed)
+        selection = {
+            "num_intervals": phase_set.num_intervals,
+            "total_instructions": phase_set.total_instructions,
+            "points": [[p.interval, p.weight] for p in phase_set.points],
+        }
+        # Store only what was analyzed from the content the key names.
+        # The record only spares a later analysis, so a store this
+        # process cannot write (a read-only results client) still plans.
+        if store is not None and content_digest_of(path) == content:
+            try:
+                store.put_phases(key, selection)
+            except OSError:
+                pass
     return PhaseExpansion(
         token=token,
-        path=phase_set.path,
+        path=path,
         interval=interval,
         k=k,
         seed=seed,
-        num_intervals=phase_set.num_intervals,
-        total_instructions=phase_set.total_instructions,
-        names=phase_set.member_specs(),
-        weights=phase_set.weights,
+        num_intervals=selection["num_intervals"],
+        total_instructions=selection["total_instructions"],
+        names=tuple(
+            phase_name(path, interval, index) for index, _ in selection["points"]
+        ),
+        weights=tuple(weight for _, weight in selection["points"]),
     )
 
 

@@ -16,6 +16,11 @@ Replay is deliberately seed-insensitive: the instruction stream is
 whatever was captured, so every seed produces the identical trace (the
 determinism battery asserts exactly that for kinds registered with
 ``seed_sensitive=False``).
+
+A capture's content digest is computed once per process per file
+identity (:func:`content_digest_of`): every ``trace(...)`` and
+``phases(...)`` workload of one capture, and the key of its stored
+phase selection, share one decompress-and-hash pass.
 """
 
 from __future__ import annotations
@@ -39,6 +44,52 @@ from repro.workloads.base import Workload
 from repro.workloads.kinds import WorkloadKind, register_workload_kind
 
 TRACE_GRAMMAR = "trace(file=PATH[.gz])"
+
+#: Content digests of captures, by absolute path: the file identity the
+#: digest was computed at, and the digest.  Keyed by path so a replaced
+#: capture overwrites its stale entry instead of adding one.
+_DIGESTS: dict[str, tuple[tuple, str]] = {}
+
+
+def _file_identity(path: str) -> tuple | None:
+    """``(absolute path, inode, mtime_ns, size)`` of *path*, or ``None``
+    when it cannot be stat'ed.  Replacing a capture by rename changes
+    the inode, and editing it in place the mtime or size."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (os.path.abspath(path), stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+def content_digest_of(path: str) -> str:
+    """SHA-256 over the decoded trace text at *path* (compression-invariant).
+
+    Memoized per process by file identity, so the workloads of one
+    capture and the key of its stored phase selection hash it once.  A
+    missing, corrupt or unreadable capture raises
+    :class:`TraceFormatError`.
+    """
+    identity = _file_identity(path)
+    if identity is not None:
+        known = _DIGESTS.get(identity[0])
+        if known is not None and known[0] == identity:
+            return known[1]
+    sha = hashlib.sha256()
+    try:
+        with _open_trace(path) as handle:
+            for chunk in iter(lambda: handle.read(1 << 16), ""):
+                sha.update(chunk.encode("utf-8"))
+    except FileNotFoundError:
+        raise TraceFormatError(f"{path}: trace file does not exist") from None
+    except _READ_ERRORS as error:
+        raise TraceFormatError(
+            f"{path}: corrupt or truncated trace: {error}"
+        ) from None
+    value = sha.hexdigest()
+    if identity is not None:
+        _DIGESTS[identity[0]] = (identity, value)
+    return value
 
 
 class TraceFileWorkload(Workload):
@@ -75,7 +126,6 @@ class TraceFileWorkload(Workload):
         # (and through the process-pool workers, which rebuild workloads
         # from their names).
         self.name = f"trace(file={self.path})"
-        self._content_digest: str | None = None
         self._file_regions: list[tuple[int, int]] | None = None
         super().__init__(seed)
 
@@ -114,24 +164,13 @@ class TraceFileWorkload(Workload):
         return self._file_regions
 
     def content_digest(self) -> str:
-        """SHA-256 over the decoded trace text (compression-invariant).
+        """SHA-256 over the decoded trace text (:func:`content_digest_of`).
 
         Honours the io contract: a corrupt or unreadable capture raises
         :class:`TraceFormatError`, even though fingerprinting happens at
         store-keying time rather than replay time.
         """
-        if self._content_digest is None:
-            sha = hashlib.sha256()
-            try:
-                with _open_trace(self.path) as handle:
-                    for chunk in iter(lambda: handle.read(1 << 16), ""):
-                        sha.update(chunk.encode("utf-8"))
-            except _READ_ERRORS as error:
-                raise TraceFormatError(
-                    f"{self.path}: corrupt or truncated trace: {error}"
-                ) from None
-            self._content_digest = sha.hexdigest()
-        return self._content_digest
+        return content_digest_of(self.path)
 
     def fingerprint(self) -> str:
         """Content-addressed identity: the digest covers what the file

@@ -139,6 +139,31 @@ def test_status_and_results_reflect_the_finished_job(
     assert "mean IPC" in rendered and "n/a" not in rendered
 
 
+def test_a_phase_job_plans_its_selection_once_into_the_store(
+    queue, store, mapping, drain_service, tmp_path, monkeypatch
+):
+    from repro.simpoint import phases as simpoint_phases
+    from repro.trace.io import save_trace
+    from repro.workloads import get_workload
+
+    capture = str(tmp_path / "mcf.trc.gz")
+    save_trace(get_workload("mcf"), capture, 1200)
+    token = f"phases(file={capture},interval=300,k=2,seed=0)"
+    job, _ = _submit(queue, dict(mapping, workloads=[token], instructions=300))
+    drain_service(Scheduler(queue, store), [ServiceWorker(queue, store, name="w1")])
+    finished = queue.load_job(job.job_id)
+    assert finished.state == DONE
+    assert store.summary()["phase_records"] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("results re-analyzed a stored selection")
+
+    monkeypatch.setattr(simpoint_phases, "analyze_trace", refuse)
+    result, missing = collect_results(queue, store, finished)
+    assert missing == 0
+    assert "weighted phase(s)" in result.render()
+
+
 def test_in_worker_retries_reroll_transient_faults(
     queue, store, mapping, drain_service, monkeypatch
 ):

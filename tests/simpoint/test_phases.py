@@ -66,11 +66,9 @@ def test_fewer_intervals_than_k_clamps(capture):
 
 def test_same_seed_same_selection(capture):
     first = analyze_trace(capture, interval=250, k=3, seed=7)
-    # Defeat the memo cache by re-stat'ing through a fresh parameter set:
-    # identical parameters must return the identical (cached) object,
-    # and a cache-missing equivalent run must agree point for point.
+    # Each call analyzes afresh; identical parameters must agree point
+    # for point.
     again = analyze_trace(capture, interval=250, k=3, seed=7)
-    assert again is first                         # memoized
     assert again.points == first.points
 
 

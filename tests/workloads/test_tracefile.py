@@ -1,6 +1,7 @@
 """The trace-file workload kind: capture → replay fidelity."""
 
 import gzip
+import os
 import shutil
 
 import pytest
@@ -163,3 +164,37 @@ def test_directory_path_is_a_clean_error(tmp_path):
         replay.trace(10)
     with pytest.raises(TraceFormatError, match="cannot open trace"):
         replay.regions
+
+
+def test_content_digest_is_one_pass_per_capture_identity(capture, tmp_path, monkeypatch):
+    """Five phase workloads of one capture open it once; a capture
+    replaced by rename is hashed again, even with identical bytes."""
+    import repro.workloads.tracefile as tracefile_module
+    from repro.workloads.phases import PhaseWorkload
+
+    path, _ = capture
+    opened = []
+    real_open = tracefile_module._open_trace
+
+    def counting_open(name):
+        opened.append(name)
+        return real_open(name)
+
+    monkeypatch.setattr(tracefile_module, "_open_trace", counting_open)
+    phases = [PhaseWorkload(path, index=index, interval=60) for index in range(5)]
+    assert len({phase.fingerprint() for phase in phases}) == 5
+    assert opened == [path]
+    digest = TraceFileWorkload(path).content_digest()
+    assert opened == [path]
+
+    twin = str(tmp_path / "twin.trc.gz")
+    shutil.copyfile(path, twin)
+    os.replace(twin, path)
+    assert TraceFileWorkload(path).content_digest() == digest
+    assert opened == [path, path]
+
+    other = str(tmp_path / "other.trc.gz")
+    save_trace(get_workload("swim"), other, 300)
+    os.replace(other, path)
+    assert TraceFileWorkload(path).content_digest() != digest
+    assert opened == [path, path, path]
