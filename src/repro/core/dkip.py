@@ -37,8 +37,9 @@ from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.branch.base import BranchPredictor
+from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
-from repro.machines.params import parse_count, reject_unknown
+from repro.machines.params import SpecError, parse_count, reject_unknown
 from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -425,13 +426,14 @@ class DkipProcessor(R10Core):
 # ----------------------------------------------------------------------
 
 DKIP_GRAMMAR = (
-    "dkip(llib=N, cp=INO|OOO-n, mp=INO|OOO-n, rob=N, iq=N, timer=N, banks=N, "
-    "bank_size=N, checkpoints=N, interval=N, recovery=N, name=STR)"
+    "dkip(llib=N, cp=INO|OOO-n, mp=INO|OOO-n, rob=N, iq=N, predictor=NAME, "
+    "timer=N, banks=N, bank_size=N, checkpoints=N, interval=N, recovery=N, "
+    "name=STR)"
 )
 _DKIP_KEYS = frozenset(
     {
-        "llib", "cp", "mp", "rob", "iq", "timer", "banks", "bank_size",
-        "checkpoints", "interval", "recovery", "name",
+        "llib", "cp", "mp", "rob", "iq", "predictor", "timer", "banks",
+        "bank_size", "checkpoints", "interval", "recovery", "name",
     }
 )
 
@@ -440,10 +442,11 @@ def _parse_dkip(params: dict[str, str]) -> DkipConfig:
     """Spec params -> DkipConfig; bare ``dkip`` is exactly D-KIP-2048.
 
     Scalar parameters apply first (``llib`` also renames to
-    ``D-KIP-<llib>``), then ``cp``/``mp`` reuse :meth:`DkipConfig.with_cp`
-    / :meth:`~DkipConfig.with_mp` — including their renaming — so a spec
-    and its method-chain twin fingerprint identically; an explicit
-    ``name=`` wins over everything.
+    ``D-KIP-<llib>``; ``rob``, ``iq`` and ``predictor`` set the Cache
+    Processor's fields and rename nothing), then ``cp``/``mp`` reuse
+    :meth:`DkipConfig.with_cp` / :meth:`~DkipConfig.with_mp` — including
+    their renaming — so a spec and its method-chain twin fingerprint
+    identically; an explicit ``name=`` wins over everything.
     """
     reject_unknown("dkip", params, _DKIP_KEYS, DKIP_GRAMMAR)
     config = DkipConfig()
@@ -483,6 +486,12 @@ def _parse_dkip(params: dict[str, str]) -> DkipConfig:
     if "iq" in params:
         iq = parse_count("dkip", "iq", params["iq"])
         cp = replace(cp, iq_int=iq, iq_fp=iq)
+    if "predictor" in params:
+        try:
+            bp = canonical_predictor(params["predictor"])
+        except SpecError as error:
+            raise SpecError(f"dkip: {error}; grammar: {DKIP_GRAMMAR}") from None
+        cp = replace(cp, predictor=bp)
     if cp is not config.cache_processor:
         config = replace(config, cache_processor=cp)
     if "cp" in params:

@@ -17,19 +17,14 @@ the alternatives Section 6 cites:
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments.common import (
     ExperimentResult,
-    INSTRUCTIONS,
     Scale,
     Stopwatch,
     mean_ipc,
-    run_noted,
     scale_of,
-    suite_names,
 )
-from repro.memory import DEFAULT_MEMORY
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import (
     Check,
     FigureSpec,
@@ -38,46 +33,84 @@ from repro.report.spec import (
     single_series,
     wide_rows_as_groups,
 )
-from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
+
+#: Aging-ROB timers (cycles); the ROB holds timer x decode width entries.
+TIMERS = (4, 8, 16, 32, 64)
+LLIB_SIZES = (64, 256, 1024, 2048, 4096)
+PREDICTORS = ("perceptron", "gshare", "bimodal", "always-taken")
+
+#: Each study's grid on the default memory system, by experiment name.
+SWEEPS = {
+    spec.name: spec
+    for spec in (
+        SweepSpec(
+            name="ablation-timer",
+            title="Aging-ROB timer sweep (SpecFP mean IPC)",
+            machines=tuple(
+                f"dkip(timer={timer},rob={timer * 4},name=timer-{timer})"
+                for timer in TIMERS
+            ),
+            workloads=("fp",),
+        ),
+        SweepSpec(
+            name="ablation-llib",
+            title="LLIB capacity sweep (all benchmarks, mean IPC)",
+            machines=tuple(f"dkip(llib={size},name=llib-{size})" for size in LLIB_SIZES),
+            workloads=("fp", "int"),
+        ),
+        # The predictor is a field of the Cache Processor's config, so
+        # the perceptron row is exactly the default D-KIP-2048 and
+        # shares its stored cells with Figure 13.
+        SweepSpec(
+            name="ablation-predictor",
+            title="Branch predictor ablation (SpecINT, D-KIP)",
+            machines=("dkip",),
+            axes=(("predictor", PREDICTORS),),
+            workloads=("int",),
+        ),
+        SweepSpec(
+            name="ablation-runahead",
+            title="Runahead execution vs KILO-class machines (SpecFP mean IPC)",
+            machines=("R10-64", "runahead-64", "KILO-1024", "D-KIP-2048"),
+            workloads=("fp",),
+        ),
+    )
+}
 
 
-def _suites(result: ExperimentResult, configs, names, n, store, force):
-    """Run every config over *names* in one :func:`run_noted` call and
-    return the per-config slices of stats (``None`` marks failed cells)."""
-    cells = [(config, name, DEFAULT_MEMORY) for config in configs for name in names]
-    stats = run_noted(result, cells, n, store=store, force=force)
-    return [stats[i : i + len(names)] for i in range(0, len(stats), len(names))]
+def sweep_for(scale: Scale, study: str) -> SweepSpec:
+    """The grid of the *study* ablation (its experiment name).  The grid
+    is the same at every scale; its suite tokens follow *scale* when
+    planned."""
+    return SWEEPS[study]
+
+
+def _run(study: str, scale, store, force, headers, rows) -> ExperimentResult:
+    """Run *study*'s grid and tabulate it with ``rows(grid)``."""
+    scale = scale_of(scale)
+    spec = sweep_for(scale, study)
+    result = ExperimentResult(
+        name=spec.name, title=spec.title, headers=headers, scale=scale
+    )
+    with Stopwatch(result):
+        grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
+        result.rows.extend(rows(grid))
+    return result
 
 
 def run_timer(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
     """Aging-ROB timer sweep (capacity follows: timer x decode width)."""
-    scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names("fp", scale)
-    result = ExperimentResult(
-        name="ablation-timer",
-        title="Aging-ROB timer sweep (SpecFP mean IPC)",
-        headers=["timer (cycles)", "ROB entries", "mean IPC"],
-        scale=scale,
+    result = _run(
+        "ablation-timer", scale, store, force,
+        ["timer (cycles)", "ROB entries", "mean IPC"],
+        lambda grid: [
+            [timer, timer * 4, round(grid.mean_ipc(mi, 0, "fp"), 3)]
+            for mi, timer in enumerate(TIMERS)
+        ],
     )
-    timers = (4, 8, 16, 32, 64)
-    configs = [
-        dataclasses.replace(
-            DKIP_2048,
-            name=f"timer-{timer}",
-            rob_timer=timer,
-            cache_processor=dataclasses.replace(
-                DKIP_2048.cache_processor, rob_size=timer * 4
-            ),
-        )
-        for timer in timers
-    ]
-    with Stopwatch(result):
-        suites = _suites(result, configs, names, n, store, force)
-        for timer, stats in zip(timers, suites):
-            result.rows.append([timer, timer * 4, round(mean_ipc(stats), 3)])
     result.notes.append(
         "The paper picks 16 cycles: enough for the L2 tag probe; much "
         "larger timers re-grow the very window the D-KIP avoids."
@@ -89,79 +122,43 @@ def run_llib_size(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
     """LLIB capacity sweep (the FIFO is cheap, so how much is needed?)."""
-    scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names("fp", scale) + suite_names("int", scale)
-    result = ExperimentResult(
-        name="ablation-llib",
-        title="LLIB capacity sweep (all benchmarks, mean IPC)",
-        headers=["LLIB entries", "mean IPC", "fill-up stall cycles"],
-        scale=scale,
-    )
-    sizes = (64, 256, 1024, 2048, 4096)
-    configs = [
-        dataclasses.replace(DKIP_2048, name=f"llib-{size}", llib_size=size)
-        for size in sizes
-    ]
-    with Stopwatch(result):
-        for size, stats in zip(sizes, _suites(result, configs, names, n, store, force)):
+
+    def rows(grid):
+        for mi, size in enumerate(LLIB_SIZES):
+            stats = grid.suite_stats(mi, 0, "fp") + grid.suite_stats(mi, 0, "int")
             stalls = sum(s.llib_full_stall_cycles for s in stats if s is not None)
-            result.rows.append([size, round(mean_ipc(stats), 3), stalls])
-    return result
+            yield [size, round(mean_ipc(stats), 3), stalls]
+
+    return _run(
+        "ablation-llib", scale, store, force,
+        ["LLIB entries", "mean IPC", "fill-up stall cycles"], rows,
+    )
 
 
 def run_predictor(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
-    """Branch predictor ablation on the D-KIP (Table 2 uses the perceptron).
-
-    The predictor is a field of the Cache Processor's config, so the
-    perceptron row is exactly the default D-KIP-2048 and shares its
-    stored cells with Figure 13.
-    """
-    scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names("int", scale)
-    result = ExperimentResult(
-        name="ablation-predictor",
-        title="Branch predictor ablation (SpecINT, D-KIP)",
-        headers=["predictor", "mean IPC"],
-        scale=scale,
+    """Branch predictor ablation on the D-KIP (Table 2 uses the perceptron)."""
+    return _run(
+        "ablation-predictor", scale, store, force, ["predictor", "mean IPC"],
+        lambda grid: [
+            [predictor, round(grid.mean_ipc(mi, 0, "int"), 3)]
+            for mi, predictor in enumerate(PREDICTORS)
+        ],
     )
-    predictors = ("perceptron", "gshare", "bimodal", "always-taken")
-    configs = [
-        dataclasses.replace(
-            DKIP_2048,
-            cache_processor=dataclasses.replace(
-                DKIP_2048.cache_processor, predictor=predictor
-            ),
-        )
-        for predictor in predictors
-    ]
-    with Stopwatch(result):
-        suites = _suites(result, configs, names, n, store, force)
-        for predictor, stats in zip(predictors, suites):
-            result.rows.append([predictor, round(mean_ipc(stats), 3)])
-    return result
 
 
 def run_runahead(
     scale: Scale | str = Scale.DEFAULT, store=None, force=False
 ) -> ExperimentResult:
     """Runahead execution vs the window-based machines (SpecFP)."""
-    scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names("fp", scale)
-    result = ExperimentResult(
-        name="ablation-runahead",
-        title="Runahead execution vs KILO-class machines (SpecFP mean IPC)",
-        headers=["machine", "mean IPC"],
-        scale=scale,
+    result = _run(
+        "ablation-runahead", scale, store, force, ["machine", "mean IPC"],
+        lambda grid: [
+            [machine.name, round(grid.mean_ipc(mi, 0, "fp"), 3)]
+            for mi, machine in enumerate(grid.machines)
+        ],
     )
-    machines = (R10_64, RunaheadConfig(), KILO_1024, DKIP_2048)
-    with Stopwatch(result):
-        for machine, stats in zip(machines, _suites(result, machines, names, n, store, force)):
-            result.rows.append([machine.name, round(mean_ipc(stats), 3)])
     result.notes.append(
         "Expected shape: runahead lands between R10-64 and the true "
         "large-window machines — prefetching overlaps misses but every "

@@ -634,7 +634,11 @@ def run_sweep_command(args) -> int:
                 preset = get_sweep_preset(word)
                 result = run_preset(word, scale, store=store, force=args.force)
                 registered = REGISTRY.get(result.name)
-                figure = registered.spec if registered else figure_spec_for(preset.spec)
+                figure = (
+                    registered.spec
+                    if registered
+                    else figure_spec_for(preset.sweep_for(scale))
+                )
                 runs.append((result, figure))
         else:
             if not args.machines:
@@ -1013,7 +1017,8 @@ def _submission_mappings(args, words) -> list[dict]:
             if word.endswith((".toml", ".json")) or os.path.sep in word:
                 mappings.append(SweepSpec.from_file(word).to_mapping())
             else:
-                mappings.append(get_sweep_preset(word).spec.to_mapping())
+                preset = get_sweep_preset(word)
+                mappings.append(preset.sweep_for(Scale(args.scale)).to_mapping())
         return mappings
     if not args.machines:
         print(

@@ -3,14 +3,17 @@
 Every simulated cell — figure harnesses, ``sweep``, the report, ``cache
 verify`` and the service workers — takes one path:
 
-* a harness plans a cell list and calls :func:`run_cells` once.  Cached
-  cells come straight from the :class:`repro.store.ResultStore` (the
-  ``store=`` argument); the missing ones are grouped by (workload,
-  memory) and dispatched one cell at a time through one
-  :class:`repro.resilience.ResilientExecutor` call — in-process for one
-  job without a deadline, on supervised workers (``REPRO_JOBS``)
-  otherwise — and written back as each cell completes, so repeated
-  sweeps cost only the delta and an interrupted sweep resumes;
+* every harness, ``sweep`` and the service plan a grid with
+  :func:`repro.experiments.sweep.plan_grid`, and
+  :func:`repro.experiments.sweep.sweep_grid` calls :func:`run_cells`
+  once for the whole grid.  Cached cells come straight from the
+  :class:`repro.store.ResultStore` (the ``store=`` argument); the
+  missing ones are grouped by (workload, memory) and dispatched one
+  cell at a time through one :class:`repro.resilience.ResilientExecutor`
+  call — in-process for one job without a deadline, on supervised
+  workers (``REPRO_JOBS``) otherwise — and written back as each cell
+  completes, so repeated sweeps cost only the delta and an interrupted
+  sweep resumes;
 * every cell runs through :func:`run_cell`, the one cell body, which
   simulates it with :func:`repro.sim.runner.run_core`.  The process
   running it keeps the last workload (and so its trace) and the last
@@ -31,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.memory import DEFAULT_MEMORY, MemoryConfig
+from repro.memory import MemoryConfig
 from repro.resilience import (
     ExecutionPolicy,
     FailureReport,
@@ -232,56 +235,6 @@ def run_cells(
     executor = ResilientExecutor(body, resolve_jobs(jobs, len(pending)), policy, report)
     executor.run(tasks, on_result)
     return results
-
-
-def run_suite(
-    config: MachineConfig,
-    names: Sequence[str],
-    num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    jobs: int | None = None,
-    store: ResultStore | None = None,
-    force: bool = False,
-    max_cycles: int | None = None,
-) -> list[SimStats | None]:
-    """Simulate every named benchmark on *config*; returns per-run stats
-    in the order of *names* regardless of worker scheduling."""
-    cells = [(config, name, memory) for name in names]
-    return run_cells(
-        cells, num_instructions, pool, jobs, store, force, max_cycles
-    )
-
-
-def run_noted(
-    result: "ExperimentResult",
-    cells: Sequence[tuple[MachineConfig, str, MemoryConfig]],
-    num_instructions: int,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> list[SimStats | None]:
-    """:func:`run_cells` for a figure harness's planned cell list.
-
-    Under a tolerant policy a failed cell comes back ``None`` — harnesses
-    skip it in their means — and is named in *result*'s notes, the way
-    the sweep formatter reports failed grid cells.
-    """
-    report = active_report()
-    if report is None:
-        report = FailureReport()
-    seen = len(report.failures)
-    stats = run_cells(
-        cells, num_instructions, WorkloadPool(), store=store, force=force,
-        report=report,
-    )
-    failures = report.failures[seen:]
-    if failures:
-        result.notes.append(
-            f"{len(failures)} cell(s) failed and were excluded from the "
-            "aggregates above:"
-        )
-        result.notes.extend(f"  failed: {failure.describe()}" for failure in failures)
-    return stats
 
 
 def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:

@@ -27,6 +27,7 @@ from repro.experiments.common import (
 from repro.experiments.sweep import (
     SweepPreset,
     SweepSpec,
+    note_failures,
     register_sweep_preset,
     sweep_grid,
 )
@@ -72,6 +73,7 @@ def run(
     )
     with Stopwatch(result):
         grid = sweep_grid(CONTENTION_SWEEP, scale, store=store, force=force)
+        note_failures(result, grid)
         # Solo IPC per (bp, workload token): the slowdown baselines.
         solo: dict[tuple[str, str], float] = {}
         for mi, machine in enumerate(grid.machines):
@@ -164,7 +166,7 @@ SPEC = FigureSpec(
 register_sweep_preset(
     SweepPreset(
         name="contention",
-        spec=CONTENTION_SWEEP,
+        sweep_for=lambda scale: CONTENTION_SWEEP,
         description="dual-core shared-L2 contention: co-runner x predictor axes",
         runner=run,
     )

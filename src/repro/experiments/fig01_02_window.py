@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    INSTRUCTIONS,
     Scale,
     Stopwatch,
-    mean_ipc,
-    run_noted,
     scale_of,
-    suite_names,
 )
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.memory import TABLE1_CONFIGS
 from repro.report.spec import Check, FigureSpec, row_span_ratio, rows_as_series
-from repro.sim.config import LimitMachine
 from repro.viz.ascii import line_chart
 
 #: ROB sizes on the paper's x axis.
@@ -33,45 +29,48 @@ FULL_WINDOWS = (32, 48, 64, 128, 256, 512, 1024, 2048, 4096)
 QUICK_WINDOWS = (32, 128, 1024, 4096)
 
 
+def _windows(scale: Scale) -> tuple[int, ...]:
+    return QUICK_WINDOWS if scale == Scale.QUICK else FULL_WINDOWS
+
+
+def sweep_for(scale: Scale, suite: str) -> SweepSpec:
+    """The declarative (window x Table-1 memory) grid at *scale* for *suite*."""
+    memories = (
+        ("L1-2", "MEM-100", "MEM-400") if scale == Scale.QUICK else tuple(TABLE1_CONFIGS)
+    )
+    return SweepSpec(
+        name="fig1" if suite == "int" else "fig2",
+        title=f"Effects of memory subsystem on Spec{suite.upper()} "
+        f"(idealized core, stalls only from ROB)",
+        machines=tuple(f"limit(rob={w},histogram=off)" for w in _windows(scale)),
+        memory=memories,
+        workloads=(suite,),
+    )
+
+
 def run(
     scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
 ) -> ExperimentResult:
     """Regenerate Figure 1 (suite="int") or Figure 2 (suite="fp")."""
     scale = scale_of(scale)
-    windows = QUICK_WINDOWS if scale == Scale.QUICK else FULL_WINDOWS
-    mem_names = (
-        ("L1-2", "MEM-100", "MEM-400")
-        if scale == Scale.QUICK
-        else tuple(TABLE1_CONFIGS)
-    )
-    n = INSTRUCTIONS[scale]
-    names = suite_names(suite, scale)
-    figure = "fig1" if suite == "int" else "fig2"
+    spec = sweep_for(scale, suite)
+    windows = _windows(scale)
     result = ExperimentResult(
-        name=figure,
-        title=f"Effects of memory subsystem on Spec{suite.upper()} "
-        f"(idealized core, stalls only from ROB)",
+        name=spec.name,
+        title=spec.title,
         headers=["memory", *[f"rob-{w}" for w in windows]],
         scale=scale,
     )
     series: dict[str, list[tuple[float, float]]] = {}
     with Stopwatch(result):
-        machines = [LimitMachine(rob_size=w, record_histogram=False) for w in windows]
-        cells = [
-            (machine, bench, TABLE1_CONFIGS[mem_name])
-            for mem_name in mem_names
-            for bench in names
-            for machine in machines
-        ]
-        stats = run_noted(result, cells, n, store=store, force=force)
-        per_memory = len(names) * len(windows)
-        for mi, mem_name in enumerate(mem_names):
-            block = stats[mi * per_memory : (mi + 1) * per_memory]
-            row: list[object] = [mem_name]
+        grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
+        for gi, memory in enumerate(grid.memories):
+            row: list[object] = [memory.name]
             for wi, window in enumerate(windows):
-                mean = mean_ipc(block[wi :: len(windows)])
+                mean = grid.mean_ipc(wi, gi, suite)
                 row.append(round(mean, 3))
-                series.setdefault(mem_name, []).append((window, mean))
+                series.setdefault(memory.name, []).append((window, mean))
             result.rows.append(row)
     result.charts.append(
         line_chart(

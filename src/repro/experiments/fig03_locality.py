@@ -14,38 +14,44 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    INSTRUCTIONS,
     Scale,
     Stopwatch,
-    run_noted,
     scale_of,
-    suite_names,
 )
-from repro.memory import DEFAULT_MEMORY
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import Check, FigureSpec, cell, wide_rows_as_groups
-from repro.sim.config import LimitMachine
 from repro.sim.stats import Histogram
 from repro.viz.ascii import histogram_chart
+
+
+def sweep_for(scale: Scale, suite: str) -> SweepSpec:
+    """The unlimited-window limit core over *suite* on the default
+    memory system; the suite token follows *scale* when planned."""
+    return SweepSpec(
+        name="fig3",
+        title="Average distance between decode and issue "
+        f"(Spec{suite.upper()}, unlimited window, 400-cycle memory)",
+        machines=("limit",),
+        workloads=(suite,),
+    )
 
 
 def run(
     scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
 ) -> ExperimentResult:
     scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names(suite, scale)
+    spec = sweep_for(scale, suite)
     result = ExperimentResult(
-        name="fig3",
-        title="Average distance between decode and issue "
-        f"(Spec{suite.upper()}, unlimited window, 400-cycle memory)",
+        name=spec.name,
+        title=spec.title,
         headers=["range (cycles)", "fraction", "paper"],
         scale=scale,
     )
     aggregate = Histogram(bin_width=25, max_value=4000)
     with Stopwatch(result):
-        machine = LimitMachine(rob_size=None, record_histogram=True)
-        cells = [(machine, bench, DEFAULT_MEMORY) for bench in names]
-        for stats in run_noted(result, cells, n, store=store, force=force):
+        grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
+        for stats in grid.suite_stats(0, 0, suite):
             if stats is None:
                 continue  # failed under a tolerant policy; named in the notes
             for start, count in stats.issue_distance.bins():

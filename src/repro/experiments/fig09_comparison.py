@@ -30,6 +30,7 @@ from repro.experiments.common import (
 from repro.experiments.sweep import (
     SweepPreset,
     SweepSpec,
+    note_failures,
     register_sweep_preset,
     sweep_grid,
 )
@@ -72,6 +73,7 @@ def run(
         # One pool task per (machine, workload) pair: the whole grid —
         # all four machines, both suites — is in flight at once.
         grid = sweep_grid(SWEEP, scale, store=store, force=force)
+        note_failures(result, grid)
         for suite in ("int", "fp"):
             base = None
             chart_data = {}
@@ -102,7 +104,7 @@ def run(
 register_sweep_preset(
     SweepPreset(
         "fig9",
-        SWEEP,
+        lambda scale: SWEEP,
         description="Figure 9 headline grid: four named machines x both suites",
         runner=run,
     )

@@ -27,6 +27,7 @@ from repro.experiments.common import (
 from repro.experiments.sweep import (
     SweepPreset,
     SweepSpec,
+    note_failures,
     register_sweep_preset,
     sweep_grid,
 )
@@ -69,6 +70,7 @@ def run(
     grid_ipc: dict[tuple[str, str], float] = {}
     with Stopwatch(result):
         grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
         # Machines expand in axes-product order: cp varies slowest.
         for ci, cp in enumerate(cp_configs):
             row: list[object] = [cp]
@@ -115,7 +117,7 @@ def _run_int(scale: Scale | str = Scale.DEFAULT, store=None, force=False):
 register_sweep_preset(
     SweepPreset(
         "fig10",
-        sweep_for(Scale.FULL, "fp"),
+        lambda scale: sweep_for(scale, "fp"),
         description="Figure 10: dkip crossed over cp x mp axes on SpecFP",
         runner=_run_fp,
     )
@@ -123,7 +125,7 @@ register_sweep_preset(
 register_sweep_preset(
     SweepPreset(
         "fig10int",
-        sweep_for(Scale.FULL, "int"),
+        lambda scale: sweep_for(scale, "int"),
         description="§4.3: the same cp x mp grid on SpecINT",
         runner=_run_int,
     )

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    INSTRUCTIONS,
     Scale,
     Stopwatch,
     mean_ipc,
-    run_noted,
     scale_of,
-    suite_names,
 )
-from repro.machines import parse_machine
-from repro.memory.configs import KB, MB, memory_config_for_l2_size
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.memory.configs import KB, MB
 from repro.report.spec import Check, FigureSpec, cell, rows_as_series
 from repro.viz.ascii import line_chart
 
@@ -36,51 +33,54 @@ SIZES_QUICK = (64 * KB, 512 * KB, 4 * MB)
 DKIP_CONFIGS = (("INO", "INO"), ("OOO-20", "INO"), ("OOO-80", "INO"), ("OOO-80", "OOO-40"))
 
 
-def _machines(scale: Scale):
-    machines = [("R10-256", parse_machine("R10-256"))]
+def _sizes(scale: Scale) -> tuple[int, ...]:
+    if scale == Scale.QUICK:
+        return SIZES_QUICK
+    return SIZES_FULL if scale == Scale.FULL else SIZES_DEFAULT
+
+
+def sweep_for(scale: Scale, suite: str) -> SweepSpec:
+    """The declarative (machine x L2 size) grid at *scale* for *suite*:
+    the R10-256 baseline and the D-KIP CP/MP configurations."""
     configs = DKIP_CONFIGS if scale != Scale.QUICK else (DKIP_CONFIGS[0], DKIP_CONFIGS[-1])
-    for cp, mp in configs:
-        machines.append((f"{cp}/{mp}", parse_machine(f"dkip(cp={cp},mp={mp})")))
-    return machines
+    return SweepSpec(
+        name="fig11" if suite == "int" else "fig12",
+        title=f"Impact of L2 cache size on Spec{suite.upper()}",
+        machines=("R10-256", *(f"dkip(cp={cp},mp={mp})" for cp, mp in configs)),
+        memory=tuple(f"mem(l2={size // KB}K)" for size in _sizes(scale)),
+        workloads=(suite,),
+    )
+
+
+def _label(name: str) -> str:
+    """Row label: ``R10-256``, or ``CP/MP`` for a D-KIP (``CP-INO/MP-INO``
+    reads ``INO/INO``)."""
+    return name.replace("CP-", "").replace("MP-", "")
 
 
 def run(
     scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
 ) -> ExperimentResult:
     scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    if scale == Scale.QUICK:
-        sizes = SIZES_QUICK
-    elif scale == Scale.FULL:
-        sizes = SIZES_FULL
-    else:
-        sizes = SIZES_DEFAULT
-    names = suite_names(suite, scale)
-    figure = "fig11" if suite == "int" else "fig12"
+    spec = sweep_for(scale, suite)
+    sizes = _sizes(scale)
     result = ExperimentResult(
-        name=figure,
-        title=f"Impact of L2 cache size on Spec{suite.upper()}",
+        name=spec.name,
+        title=spec.title,
         headers=["machine", *[_size_label(s) for s in sizes], "sweep gain", "CP% 64K→4M"],
         scale=scale,
     )
     series: dict[str, list[tuple[float, float]]] = {}
-    machines = _machines(scale)
-    memories = [memory_config_for_l2_size(size) for size in sizes]
     with Stopwatch(result):
-        cells = [
-            (machine, name, memory)
-            for _label, machine in machines
-            for memory in memories
-            for name in names
-        ]
-        flat = run_noted(result, cells, n, store=store, force=force)
-        suites = [flat[i : i + len(names)] for i in range(0, len(flat), len(names))]
-        for mi, (label, _machine) in enumerate(machines):
+        grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
+        for mi, machine in enumerate(grid.machines):
+            label = _label(machine.name)
             row: list[object] = [label]
             first = last = None
             cp_fractions = []
-            for si, size in enumerate(sizes):
-                stats = [s for s in suites[mi * len(sizes) + si] if s is not None]
+            for gi, size in enumerate(sizes):
+                stats = [s for s in grid.suite_stats(mi, gi, suite) if s is not None]
                 ipc = mean_ipc(stats)
                 fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
                 cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)

@@ -15,38 +15,49 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    INSTRUCTIONS,
     Scale,
     Stopwatch,
-    run_noted,
     scale_of,
-    suite_names,
 )
-from repro.memory import DEFAULT_MEMORY
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import Check, FigureSpec, max_row_ratio, wide_rows_as_groups
-from repro.sim.config import DKIP_2048
 from repro.viz.ascii import bar_chart
+
+
+def _llib(suite: str) -> str:
+    return "integer" if suite == "int" else "floating-point"
+
+
+def sweep_for(scale: Scale, suite: str) -> SweepSpec:
+    """The default D-KIP-2048 over *suite* on the default memory system;
+    the suite token follows *scale* when planned."""
+    return SweepSpec(
+        name="fig13" if suite == "int" else "fig14",
+        title=f"Maximum number of registers and instructions in the "
+        f"{_llib(suite)} LLIB (Spec{suite.upper()})",
+        machines=("D-KIP-2048",),
+        workloads=(suite,),
+    )
 
 
 def run(
     scale: Scale | str = Scale.DEFAULT, suite: str = "int", store=None, force=False
 ) -> ExperimentResult:
     scale = scale_of(scale)
-    n = INSTRUCTIONS[scale]
-    names = suite_names(suite, scale)
-    figure = "fig13" if suite == "int" else "fig14"
-    llib = "integer" if suite == "int" else "floating-point"
+    spec = sweep_for(scale, suite)
     result = ExperimentResult(
-        name=figure,
-        title=f"Maximum number of registers and instructions in the "
-        f"{llib} LLIB (Spec{suite.upper()})",
+        name=spec.name,
+        title=spec.title,
         headers=["benchmark", "max instructions", "max registers", "LLIB filled?"],
         scale=scale,
     )
     instr_chart: dict[str, float] = {}
     with Stopwatch(result):
-        cells = [(DKIP_2048, bench, DEFAULT_MEMORY) for bench in names]
-        for bench, stats in zip(names, run_noted(result, cells, n, store, force)):
+        grid = sweep_grid(spec, scale, store=store, force=force)
+        note_failures(result, grid)
+        llib_size = grid.machines[0].config.llib_size
+        for bench in grid.workloads[suite]:
+            stats = grid.stats(0, 0, bench)
             if stats is None:
                 continue  # failed under a tolerant policy; named in the notes
             if suite == "int":
@@ -55,11 +66,11 @@ def run(
             else:
                 max_instr = stats.llib_max_instructions_fp
                 max_regs = stats.llib_max_registers_fp
-            filled = "yes" if max_instr >= DKIP_2048.llib_size else "no"
+            filled = "yes" if max_instr >= llib_size else "no"
             result.rows.append([bench, max_instr, max_regs, filled])
             instr_chart[bench] = float(max_instr)
     result.charts.append(
-        bar_chart(instr_chart, title=f"max {llib} LLIB instructions per benchmark")
+        bar_chart(instr_chart, title=f"max {_llib(suite)} LLIB instructions per benchmark")
     )
     regs = [row[2] for row in result.rows]
     instrs = [row[1] for row in result.rows]
@@ -72,11 +83,10 @@ def run(
 
 
 def _occupancy_spec(suite: str) -> FigureSpec:
-    llib = "integer" if suite == "int" else "floating-point"
     return FigureSpec(
         kind="bars",
         caption=f"Peak instructions and LLRF registers simultaneously "
-        f"live in the {llib} LLIB, per Spec{suite.upper()} benchmark",
+        f"live in the {_llib(suite)} LLIB, per Spec{suite.upper()} benchmark",
         x_label="benchmark",
         y_label="peak LLIB entries",
         groups=wide_rows_as_groups(

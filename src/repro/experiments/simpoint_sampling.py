@@ -36,7 +36,7 @@ from repro.experiments.common import (
     Stopwatch,
     scale_of,
 )
-from repro.experiments.sweep import SweepSpec, sweep_grid
+from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import Check, FigureSpec, cell, cell_ratio
 from repro.trace.io import save_trace
 from repro.viz.ascii import bar_chart
@@ -142,6 +142,7 @@ def run(
             store=store,
             force=force,
         )
+        note_failures(result, full_grid, phase_grid)
         for bench in BENCHES:
             full_token, phase_token = full_tokens[bench], phase_tokens[bench]
             expansion = phase_grid.phases[phase_token]

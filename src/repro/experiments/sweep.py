@@ -9,10 +9,13 @@ through :func:`repro.experiments.common.run_cells` and the result store;
 :class:`~repro.report.spec.FigureSpec` so any scenario renders to ASCII
 and SVG with zero new modules.
 
-The paper's own experiments ride on the same engine: fig9 and fig10 are
-registered here as :class:`SweepPreset` entries whose runners produce
-their figure-grade tables from a :func:`sweep_grid` call, so
-``dkip-experiments sweep fig9`` reproduces the figure bit-identically.
+Every figure harness plans on the same engine: each declares its grid
+as a :class:`SweepSpec` (most through a ``sweep_for(scale, ...)``
+function), runs it with :func:`sweep_grid`, reads the results by grid
+coordinate and names failed cells with :func:`note_failures`.  fig9,
+fig10, fig10int and the contention study are also registered as
+:class:`SweepPreset` entries, so ``dkip-experiments sweep fig9`` (and
+``submit fig9``) plan the very grid the figure harness runs.
 """
 
 from __future__ import annotations
@@ -322,7 +325,15 @@ def _resolve(
 
 @dataclass
 class SweepGrid:
-    """Executed grid: expanded machines, memories, and per-cell stats.
+    """One sweep grid: its expanded, validated plan and its per-cell stats.
+
+    :func:`plan_grid` builds it with no results.  Every path that runs or
+    reads a grid starts there — :func:`sweep_grid` runs its
+    :meth:`cells`, the service scheduler (:mod:`repro.service.scheduler`)
+    fingerprints and shards them, and the service ``results`` client
+    fills the grid straight from the store — so the expansion lives in
+    one place and a cell's store key is identical no matter which path
+    executes it.
 
     Under a tolerant execution policy a cell that failed past its retry
     budget holds ``None`` in ``results`` and its typed
@@ -338,11 +349,30 @@ class SweepGrid:
     memories: list[MemoryConfig]
     workloads: dict[str, tuple[str, ...]]
     benches: tuple[str, ...]
-    results: dict[tuple[int, int, str], SimStats | None] = field(default_factory=dict)
-    failures: dict[tuple[int, int, str], CellFailure] = field(default_factory=dict)
     #: Phase-set tokens expanded through the SimPoint analysis, keyed
     #: like ``workloads``; their suites aggregate by cluster weight.
     phases: dict[str, PhaseExpansion] = field(default_factory=dict)
+    results: dict[tuple[int, int, str], SimStats | None] = field(default_factory=dict)
+    failures: dict[tuple[int, int, str], CellFailure] = field(default_factory=dict)
+
+    def cells(self) -> list[tuple[Any, str, MemoryConfig]]:
+        """Every (machine config, benchmark, memory) cell, in the
+        canonical machine-major / memory / benchmark order."""
+        return [
+            (machine.config, bench, memory)
+            for machine in self.machines
+            for memory in self.memories
+            for bench in self.benches
+        ]
+
+    def coords(self) -> list[tuple[int, int, str]]:
+        """Grid coordinates aligned index-for-index with :meth:`cells`."""
+        return [
+            (mi, gi, bench)
+            for mi in range(len(self.machines))
+            for gi in range(len(self.memories))
+            for bench in self.benches
+        ]
 
     def stats(self, machine: int, memory: int, bench: str) -> SimStats | None:
         """Stats of one cell by (machine index, memory index, benchmark);
@@ -385,66 +415,12 @@ class SweepGrid:
         ]
 
 
-@dataclass(frozen=True)
-class GridPlan:
-    """The expanded, validated execution plan of one sweep grid.
-
-    The shared head of :func:`sweep_grid` and the service scheduler
-    (:mod:`repro.service.scheduler`): both need the same canonical cell
-    order and instruction budget — one to run the cells through the
-    in-process pool, the other to fingerprint and shard them across
-    service workers — so the expansion lives in one place and a cell's
-    store key is identical no matter which path executes it.
-    """
-
-    spec: SweepSpec
-    scale: Scale
-    instructions: int
-    machines: list[SweptMachine]
-    memories: list[MemoryConfig]
-    workloads: dict[str, tuple[str, ...]]
-    benches: tuple[str, ...]
-    phases: dict[str, PhaseExpansion]
-
-    def cells(self) -> list[tuple[Any, str, MemoryConfig]]:
-        """Every (machine config, benchmark, memory) cell, in the
-        canonical machine-major / memory / benchmark order."""
-        return [
-            (machine.config, bench, memory)
-            for machine in self.machines
-            for memory in self.memories
-            for bench in self.benches
-        ]
-
-    def coords(self) -> list[tuple[int, int, str]]:
-        """Grid coordinates aligned index-for-index with :meth:`cells`."""
-        return [
-            (mi, gi, bench)
-            for mi in range(len(self.machines))
-            for gi in range(len(self.memories))
-            for bench in self.benches
-        ]
-
-    def grid(self) -> SweepGrid:
-        """An empty result grid shaped like this plan."""
-        return SweepGrid(
-            spec=self.spec,
-            scale=self.scale,
-            instructions=self.instructions,
-            machines=self.machines,
-            memories=self.memories,
-            workloads=self.workloads,
-            benches=self.benches,
-            phases=self.phases,
-        )
-
-
 def plan_grid(
     spec: SweepSpec,
     scale: Scale | str = Scale.DEFAULT,
     store: ResultStore | None = None,
-) -> GridPlan:
-    """Expand and validate *spec* into its executable grid plan.
+) -> SweepGrid:
+    """Expand and validate *spec* into its grid at *scale*, results empty.
 
     With a *store*, each phase-set token's SimPoint selection is read
     from it, or analyzed once and written to it.
@@ -475,7 +451,7 @@ def plan_grid(
                 f"{shortest}-instruction interval of a phases(...) "
                 "workload; phase cells replay at most one interval"
             )
-    return GridPlan(
+    return SweepGrid(
         spec=spec,
         scale=scale,
         instructions=instructions,
@@ -497,32 +473,45 @@ def sweep_grid(
 ) -> SweepGrid:
     """Execute every cell of *spec*'s grid (store-first, one process
     pool for the whole grid) and return the indexed results."""
-    plan = plan_grid(spec, scale, store)
-    pool = pool or WorkloadPool()
+    grid = plan_grid(spec, scale, store)
     report = active_report()
     if report is None:
         report = FailureReport()
     seen_failures = len(report.failures)
+    coords = grid.coords()
     flat = run_cells(
-        plan.cells(),
-        plan.instructions,
-        pool,
+        grid.cells(),
+        grid.instructions,
+        pool or WorkloadPool(),
         jobs=jobs,
         store=store,
         force=force,
         max_cycles=spec.max_cycles,
         report=report,
     )
-    grid = plan.grid()
-    coords = plan.coords()
-    for index, coord in enumerate(coords):
-        grid.results[coord] = flat[index]
+    grid.results.update(zip(coords, flat))
     # Map this grid's final failures (appended during the run_cells call
     # above) back to grid coordinates via each failure's flat cell index.
     for failure in report.failures[seen_failures:]:
         if 0 <= failure.index < len(coords):
             grid.failures[coords[failure.index]] = failure
     return grid
+
+
+def note_failures(result: ExperimentResult, *grids: SweepGrid) -> None:
+    """Name every failed cell of *grids* in *result*'s notes.
+
+    The one place a tolerated failure reaches a result: every figure
+    harness calls it for the grids it ran, and :func:`summarize_grid`
+    for the grid it formats.
+    """
+    failures = [failure for grid in grids for failure in grid.failures.values()]
+    if failures:
+        result.notes.append(
+            f"{len(failures)} cell(s) failed and were excluded from the "
+            "aggregates above:"
+        )
+        result.notes.extend(f"  failed: {failure.describe()}" for failure in failures)
 
 
 # ----------------------------------------------------------------------
@@ -626,13 +615,7 @@ def summarize_grid(
             f"SimPoint estimate, simulating {expansion.coverage:.1%} of "
             "the capture"
         )
-    if grid.failures:
-        result.notes.append(
-            f"{len(grid.failures)} cell(s) failed and were excluded from "
-            "the aggregates above:"
-        )
-        for failure in grid.failures.values():
-            result.notes.append(f"  failed: {failure.describe()}")
+    note_failures(result, grid)
     return result
 
 
@@ -669,7 +652,9 @@ class SweepPreset:
     figure-grade runner (paper columns, reference values, charts)."""
 
     name: str
-    spec: SweepSpec
+    #: ``sweep_for(scale) -> SweepSpec``: the grid at a scale, the same
+    #: one the preset's runner plans.
+    sweep_for: Callable[[Scale], SweepSpec]
     description: str = ""
     #: ``runner(scale, store=..., force=...) -> ExperimentResult``; when
     #: None the generic :func:`run_sweep` formatting applies.
@@ -705,25 +690,28 @@ def run_preset(
     """Run a named sweep: its figure-grade runner when it has one, the
     generic formatter otherwise."""
     preset = get_sweep_preset(name)
+    scale = scale_of(scale)
     if preset.runner is not None:
         return preset.runner(scale, store=store, force=force)
-    return run_sweep(preset.spec, scale, store=store, force=force)
+    return run_sweep(preset.sweep_for(scale), scale, store=store, force=force)
 
 
 # The workload-axis showcase: latency tolerance (the paper's machine
 # axis, Figs. 9-12) against pointer-chase depth (the workload trait the
 # paper identifies as the SpecINT behaviour large windows cannot fix).
 # Runs through the generic formatter and renders like any figure.
+CHASE_SWEEP = SweepSpec(
+    name="chase",
+    title="latency tolerance vs pointer-chase depth (synth workloads)",
+    machines=("r10(rob=64)", "dkip(llib=2048)"),
+    workloads=("synth",),
+    workload_axes=(("chase", ("0", "4", "16")),),
+)
+
 register_sweep_preset(
     SweepPreset(
         name="chase",
-        spec=SweepSpec(
-            name="chase",
-            title="latency tolerance vs pointer-chase depth (synth workloads)",
-            machines=("r10(rob=64)", "dkip(llib=2048)"),
-            workloads=("synth",),
-            workload_axes=(("chase", ("0", "4", "16")),),
-        ),
+        sweep_for=lambda scale: CHASE_SWEEP,
         description="D-KIP vs OOO as serial miss chains deepen (workload axis)",
     )
 )

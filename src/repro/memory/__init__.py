@@ -15,7 +15,6 @@ from repro.memory.configs import (
     DEFAULT_MEMORY,
     MemoryConfig,
     TABLE1_CONFIGS,
-    memory_config_for_l2_size,
 )
 from repro.memory.warmup import warm_caches
 
@@ -27,6 +26,5 @@ __all__ = [
     "MemoryConfig",
     "TABLE1_CONFIGS",
     "DEFAULT_MEMORY",
-    "memory_config_for_l2_size",
     "warm_caches",
 ]

@@ -82,8 +82,3 @@ DEFAULT_MEMORY = MemoryConfig(name="default")
 
 #: L2 capacities swept in Figures 11 and 12.
 FIG11_L2_SIZES = [64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB]
-
-
-def memory_config_for_l2_size(l2_size: int) -> MemoryConfig:
-    """The Figures 11/12 configuration with the given L2 capacity."""
-    return DEFAULT_MEMORY.with_l2_size(l2_size)

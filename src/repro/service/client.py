@@ -160,12 +160,10 @@ def collect_results(
     cells not yet available.
     """
     spec = SweepSpec.from_mapping(job.sweep)
-    plan = plan_grid(spec, scale_of(job.scale), store)
-    grid = plan.grid()
-    coords = plan.coords()
+    grid = plan_grid(spec, scale_of(job.scale), store)
     missing = 0
     digest_to_coord: dict[str, tuple[int, int, str]] = {}
-    for coord, cell in zip(coords, job.cells):
+    for coord, cell in zip(grid.coords(), job.cells):
         stats = store.get(cell.store_key())
         grid.results[coord] = stats
         digest_to_coord[cell.digest] = coord

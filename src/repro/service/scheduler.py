@@ -22,7 +22,6 @@ overlapping submissions sharing one store never double-simulate a cell.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.experiments.common import WorkloadPool, scale_of
@@ -95,11 +94,11 @@ class Scheduler:
         """Expand a queued job's sweep into fingerprinted cells."""
         try:
             spec = SweepSpec.from_mapping(job.sweep)
-            plan = plan_grid(spec, scale_of(job.scale), self.store)
+            grid = plan_grid(spec, scale_of(job.scale), self.store)
             cells = []
-            for config, bench, memory in plan.cells():
+            for config, bench, memory in grid.cells():
                 key = cell_key(
-                    config, self.pool.get(bench), plan.instructions, memory
+                    config, self.pool.get(bench), grid.instructions, memory
                 )
                 cells.append(
                     JobCell(

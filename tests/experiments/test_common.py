@@ -98,21 +98,21 @@ def test_resolve_jobs_env_override(monkeypatch):
     assert resolve_jobs(None, 10) == 1       # floor at one worker
 
 
-def test_parallel_run_suite_matches_serial():
-    from repro.experiments.common import run_suite
+def test_parallel_run_cells_matches_serial():
+    from repro.memory import DEFAULT_MEMORY
     from repro.sim.config import R10_64
 
     pool = WorkloadPool()
     names = ("swim", "mcf")
-    serial = run_suite(R10_64, names, 600, pool, jobs=1)
-    fanned = run_suite(R10_64, names, 600, pool, jobs=2)
+    cells = [(R10_64, name, DEFAULT_MEMORY) for name in names]
+    serial = run_cells(cells, 600, pool, jobs=1)
+    fanned = run_cells(cells, 600, pool, jobs=2)
     assert [s.workload for s in fanned] == list(names)  # deterministic order
     for a, b in zip(serial, fanned):
         assert a == b
 
 
 def test_one_grid_call_matches_per_config_suites():
-    from repro.experiments.common import run_cells, run_suite
     from repro.memory import DEFAULT_MEMORY
     from repro.sim.config import R10_64, R10_256
 
@@ -122,7 +122,8 @@ def test_one_grid_call_matches_per_config_suites():
     grid = run_cells(cells, 600, pool, jobs=2)
     assert len(grid) == 2
     for config, stats in zip((R10_64, R10_256), grid):
-        assert [stats] == run_suite(config, names, 600, pool, jobs=1)
+        suite = [(config, name, DEFAULT_MEMORY) for name in names]
+        assert [stats] == run_cells(suite, 600, pool, jobs=1)
 
 
 def test_cells_of_one_workload_share_the_process_memos(monkeypatch):

@@ -157,6 +157,7 @@ def test_cli_tolerant_sweep_reports_failures_and_exits_nonzero(
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert "n/a (failed: permanent)" in captured.out
+    assert "1 cell(s) failed and were excluded from the aggregates above:" in captured.out
     assert "cell failures: 1 of 3 cell(s) failed" in captured.err
     assert "InjectedFailure" in captured.err
     import json
@@ -169,12 +170,22 @@ def test_cli_tolerant_sweep_reports_failures_and_exits_nonzero(
     assert "mcf" in failure["cell"] and failure["kind"] == "permanent"
 
 
-@pytest.mark.parametrize(("experiment", "bench"), [("fig3", "swim"), ("fig13", "mcf")])
+@pytest.mark.parametrize(
+    ("experiment", "bench", "failed"),
+    [
+        ("fig3", "swim", "1 of 5"),
+        ("fig13", "mcf", "1 of 5"),
+        # mcf on each of the four machines; the SpecINT means average
+        # over the surviving cells and the notes name all four.
+        ("fig9", "mcf", "4 of 40"),
+    ],
+)
 def test_cli_faults_reach_the_figure_harnesses(
-    tmp_path, capsys, monkeypatch, experiment, bench
+    tmp_path, capsys, monkeypatch, experiment, bench, failed
 ):
-    """Figure harnesses run their cells through run_cells too, so the
-    resilience flags and ``$REPRO_FAULT`` apply to them like to sweeps."""
+    """Figure harnesses run their grids through sweep_grid like sweeps do,
+    so the resilience flags and ``$REPRO_FAULT`` apply to them, and their
+    notes name every failed cell."""
     import json
 
     monkeypatch.setenv("REPRO_JOBS", "2")
@@ -184,9 +195,10 @@ def test_cli_faults_reach_the_figure_harnesses(
     capsys.readouterr()
     monkeypatch.setenv("REPRO_FAULT", f"cell:fail@{bench}")
     argv = common + [str(tmp_path / "faulty"), "--max-failures", "-1"]
-    assert cli.main(argv) == 1
+    count = int(failed.split()[0])
+    assert cli.main(argv) == count  # the exit status counts failed cells
     err = capsys.readouterr().err
-    assert "cell failures: 1 of 5 cell(s) failed" in err
+    assert f"cell failures: {failed} cell(s) failed" in err
     assert "InjectedFailure" in err and bench in err
     faulty = json.loads((tmp_path / "faulty" / f"{experiment}.json").read_text())
     if experiment == "fig13":
@@ -195,7 +207,11 @@ def test_cli_faults_reach_the_figure_harnesses(
     else:
         # Aggregate rows: every bucket is still reported.
         assert [row[0] for row in faulty["rows"]] == [row[0] for row in clean["rows"]]
-    assert any(bench in note and "failed" in note for note in faulty["notes"])
+    assert f"{count} cell(s) failed and were excluded from the aggregates above:" in (
+        faulty["notes"]
+    )
+    named = [note for note in faulty["notes"] if note.startswith("  failed: ")]
+    assert len(named) == count and all(bench in note for note in named)
 
 
 def test_cli_cell_timeout_reaches_the_figure_harnesses(capsys, monkeypatch):

@@ -171,16 +171,16 @@ def test_workload_pool_caches_spec_instances():
 
 def test_chase_preset_registered():
     assert "chase" in SWEEP_PRESETS
-    preset = SWEEP_PRESETS["chase"]
-    assert preset.spec.workload_axes
-    assert expand_workload_tokens(preset.spec) == (
+    spec = SWEEP_PRESETS["chase"].sweep_for(Scale.QUICK)
+    assert spec.workload_axes
+    assert expand_workload_tokens(spec) == (
         "synth(chase=0)",
         "synth(chase=4)",
         "synth(chase=16)",
     )
     # Canonicalization happens at resolve time: chase=0 is the default
     # point, so its grid cell is plain "synth".
-    resolved = resolve_workloads(expand_workload_tokens(preset.spec), Scale.QUICK)
+    resolved = resolve_workloads(expand_workload_tokens(spec), Scale.QUICK)
     assert resolved["synth(chase=0)"] == ("synth",)
 
 

@@ -17,7 +17,7 @@ from repro.memory import (
     TABLE1_CONFIGS,
     warm_caches,
 )
-from repro.memory.configs import KB, MB, memory_config_for_l2_size
+from repro.memory.configs import KB, MB
 from repro.sim.config import DKIP_2048, KILO_1024, R10_256, R10_64
 from repro.sim.runner import run_core, simulate
 from repro.workloads import get_workload
@@ -167,7 +167,7 @@ def test_fig12_dkip_is_cache_insensitive_on_fp():
     """The conventional core needs the big cache; the D-KIP tolerates the
     small one (paper: 1.55x vs 1.18x across the sweep)."""
     names = ("swim", "art", "apsi")
-    small, big = memory_config_for_l2_size(64 * KB), memory_config_for_l2_size(4 * MB)
+    small, big = DEFAULT_MEMORY.with_l2_size(64 * KB), DEFAULT_MEMORY.with_l2_size(4 * MB)
     r10_gain = suite_mean(R10_256, names, memory=big) / suite_mean(
         R10_256, names, memory=small
     )
@@ -180,7 +180,7 @@ def test_fig12_dkip_is_cache_insensitive_on_fp():
 @pytest.mark.slow
 def test_fig11_int_scales_with_cache_everywhere():
     names = ("gcc", "mcf", "twolf")
-    small, big = memory_config_for_l2_size(64 * KB), memory_config_for_l2_size(4 * MB)
+    small, big = DEFAULT_MEMORY.with_l2_size(64 * KB), DEFAULT_MEMORY.with_l2_size(4 * MB)
     for machine in (R10_256, DKIP_2048):
         gain = suite_mean(machine, names, memory=big) / suite_mean(
             machine, names, memory=small
@@ -196,7 +196,7 @@ def test_cp_share_grows_with_cache_size():
     shares = []
     for size in (64 * KB, 4 * MB):
         stats = simulate(
-            DKIP_2048, trace, memory=memory_config_for_l2_size(size),
+            DKIP_2048, trace, memory=DEFAULT_MEMORY.with_l2_size(size),
             regions=workload.regions,
         )
         shares.append(stats.cp_fraction)

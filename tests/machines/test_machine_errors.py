@@ -22,6 +22,7 @@ from repro.machines.spec import load_spec_file
         "dkip(cp=OOO-0)",            # queue grammar: zero size
         "dkip(cp=OOO--5)",           # queue grammar: negative size
         "dkip(mp=FAST)",             # queue grammar: unknown word
+        "dkip(predictor=tage)",      # unknown predictor family
         "limit(histogram=perhaps)",  # bad boolean
         "kilo(sliq=12.5)",           # non-integer count
         "ooo-bp(bp=tage)",           # unknown predictor family

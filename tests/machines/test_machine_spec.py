@@ -6,6 +6,7 @@ fields, equal name, and therefore a bit-identical store fingerprint.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -48,6 +49,19 @@ EQUIVALENCE = [
     ("dkip(cp=OOO-60)", DKIP_2048.with_cp("OOO-60")),
     ("dkip(cp=ooo-60)", DKIP_2048.with_cp("OOO-60")),  # values upper-case
     ("dkip(cp=INO,mp=OOO-40)", DKIP_2048.with_cp("INO").with_mp("OOO-40")),
+    # The predictor ablation's grid: predictor= sets the Cache
+    # Processor's field, so perceptron is exactly D-KIP-2048.
+    *[
+        (
+            f"dkip(predictor={predictor})",
+            replace(
+                DKIP_2048,
+                cache_processor=replace(DKIP_2048.cache_processor, predictor=predictor),
+            ),
+        )
+        for predictor in ("gshare", "bimodal", "always-taken")
+    ],
+    ("dkip(predictor=perceptron)", DKIP_2048),
     ("limit", LimitMachine()),
     ("limit(rob=inf)", LimitMachine()),
     ("limit(rob=64)", LimitMachine(rob_size=64)),
@@ -106,6 +120,7 @@ def test_spec_machines_name_themselves():
     assert parse_machine("r10(rob=128)").name == "R10-128"
     assert parse_machine("kilo(sliq=2048)").name == "KILO-2048"
     assert parse_machine("dkip(llib=8192)").name == "D-KIP-8192"
+    assert parse_machine("dkip(predictor=gshare)").name == "D-KIP-2048"
     assert parse_machine("limit(rob=256)").name == "limit-rob-256"
     assert parse_machine("runahead(rob=128)").name == "runahead-128"
     assert parse_machine("r10(rob=32,name=tiny)").name == "tiny"

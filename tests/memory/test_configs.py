@@ -1,6 +1,6 @@
 """Unit tests for memory configurations (the paper's Table 1)."""
 
-from repro.memory import DEFAULT_MEMORY, TABLE1_CONFIGS, memory_config_for_l2_size
+from repro.memory import DEFAULT_MEMORY, TABLE1_CONFIGS
 from repro.memory.configs import FIG11_L2_SIZES, KB, MB
 
 
@@ -37,7 +37,7 @@ def test_default_memory_matches_tables_2_and_3():
 
 
 def test_l2_size_override():
-    config = memory_config_for_l2_size(2 * MB)
+    config = DEFAULT_MEMORY.with_l2_size(2 * MB)
     assert config.l2_size == 2 * MB
     assert config.mem_latency == DEFAULT_MEMORY.mem_latency
     assert config.name != DEFAULT_MEMORY.name

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments import cli
+import pytest
+
+from repro.experiments import cli, sweep
+from repro.experiments.registry import get_experiment
+from repro.service import Scheduler, ServiceQueue
+from repro.store import ResultStore, cell_key
 
 GRID = [
     "--machines", "r10(rob=32),dkip(llib=4096)",
@@ -85,3 +90,36 @@ def test_submit_rejects_malformed_specs(tmp_path, capsys):
     bad = ["--machines", "r10(rob=32)", "--axes", "broken-chunk"]
     assert cli.main(["submit", *_svc(tmp_path), *bad]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+class Planned(Exception):
+    """Raised in place of running the planned cells."""
+
+
+@pytest.mark.parametrize("preset", ["fig10", "fig10int"])
+def test_a_submitted_preset_plans_the_harness_grid_at_its_scale(
+    tmp_path, capsys, monkeypatch, preset
+):
+    """``submit fig10 --scale quick`` plans exactly the cells that
+    ``fig10 --scale quick`` runs, not the full-scale grid."""
+    assert cli.main(["submit", preset, "--scale", "quick", *_svc(tmp_path)]) == 0
+    capsys.readouterr()
+    queue = ServiceQueue(tmp_path / "svc")
+    Scheduler(queue, ResultStore(tmp_path / "store")).poll_once()
+    (job,) = queue.iter_jobs()
+    submitted = sorted(cell.digest for cell in job.cells)
+
+    planned = []
+
+    def capture(cells, num_instructions, pool, **kwargs):
+        planned.extend(
+            cell_key(config, pool.get(bench), num_instructions, memory).digest
+            for config, bench, memory in cells
+        )
+        raise Planned
+
+    monkeypatch.setattr(sweep, "run_cells", capture)
+    with pytest.raises(Planned):
+        get_experiment(preset)("quick")
+    assert submitted == sorted(planned)
+    assert len(submitted) == 30  # 3 CP x 2 MP configurations x 5 benchmarks

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import WorkloadPool, run_cells, run_suite
+from repro.experiments.common import WorkloadPool, run_cells
 from repro.experiments.registry import get_experiment
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY
@@ -21,6 +21,11 @@ NAMES = ("swim", "mcf", "gcc")
 N = 600
 
 
+def suite(config, names=NAMES):
+    """One (config, benchmark, default memory) cell per benchmark."""
+    return [(config, name, DEFAULT_MEMORY) for name in names]
+
+
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
@@ -28,9 +33,9 @@ def store(tmp_path):
 
 def test_second_run_simulates_nothing(store):
     pool = WorkloadPool()
-    cold = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    cold = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     assert store.writes == len(NAMES)
-    warm = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    warm = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     assert store.hits == len(NAMES)
     assert store.writes == len(NAMES)  # nothing recomputed
     assert warm == cold
@@ -38,9 +43,9 @@ def test_second_run_simulates_nothing(store):
 
 def test_store_results_match_storeless(store):
     pool = WorkloadPool()
-    plain = run_suite(R10_64, NAMES, N, pool, jobs=1)
-    stored = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
-    rehydrated = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    plain = run_cells(suite(R10_64), N, pool, jobs=1)
+    stored = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
+    rehydrated = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     assert plain == stored == rehydrated
 
 
@@ -48,11 +53,11 @@ def test_interrupted_sweep_resumes_missing_cells_only(store):
     """Pre-populate a strict subset of cells (as a killed sweep would
     leave behind), then re-run: only the gap is simulated."""
     pool = WorkloadPool()
-    reference = run_suite(R10_64, NAMES, N, pool, jobs=1)
+    reference = run_cells(suite(R10_64), N, pool, jobs=1)
     # "Interrupted" run: only the first cell made it to disk.
     key = cell_key(R10_64, pool.get(NAMES[0]), N, DEFAULT_MEMORY)
     store.put(key, reference[0])
-    resumed = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    resumed = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     assert resumed == reference
     assert store.hits == 1
     assert store.writes == 1 + (len(NAMES) - 1)
@@ -61,13 +66,13 @@ def test_interrupted_sweep_resumes_missing_cells_only(store):
 def test_incremental_run_recomputes_only_changed_cells(store):
     """Changing one swept parameter misses only the changed cells."""
     pool = WorkloadPool()
-    run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     writes = store.writes
     # Same config, one extra benchmark: exactly one new cell.
-    run_suite(R10_64, NAMES + ("art",), N, pool, jobs=1, store=store)
+    run_cells(suite(R10_64, NAMES + ("art",)), N, pool, jobs=1, store=store)
     assert store.writes == writes + 1
     # A different machine config misses every cell again.
-    run_suite(R10_256, NAMES, N, pool, jobs=1, store=store)
+    run_cells(suite(R10_256), N, pool, jobs=1, store=store)
     assert store.writes == writes + 1 + len(NAMES)
 
 
@@ -83,7 +88,7 @@ def test_parallel_sweep_writes_back_and_resumes(store):
     assert store.hits == 2 * len(NAMES)
     assert warm == cold
     # In-process and pooled runs share one key space.
-    serial = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    serial = run_cells(suite(R10_64), N, pool, jobs=1, store=store)
     assert serial == cold[: len(NAMES)]
     assert store.writes == 2 * len(NAMES)
 
@@ -94,10 +99,10 @@ def test_spec_built_machine_hits_dataclass_cells(store):
     and SimStats to its dataclass-built twin, so the spec run is served
     entirely from the twin's cached cells."""
     pool = WorkloadPool()
-    dataclass_stats = run_suite(R10_256, NAMES, N, pool, jobs=1, store=store)
+    dataclass_stats = run_cells(suite(R10_256), N, pool, jobs=1, store=store)
     writes = store.writes
-    spec_stats = run_suite(
-        parse_machine("r10(rob=256,iq=160)"), NAMES, N, pool, jobs=1, store=store
+    spec_stats = run_cells(
+        suite(parse_machine("r10(rob=256,iq=160)")), N, pool, jobs=1, store=store
     )
     assert store.writes == writes          # zero cells simulated
     assert store.hits == len(NAMES)        # every cell served from disk
@@ -109,11 +114,11 @@ def test_limit_machine_flows_through_the_generic_grid(store):
     spec-built limit machine hits the cells a dataclass sweep stored."""
     pool = WorkloadPool()
     machine = LimitMachine(rob_size=64, record_histogram=False)
-    dataclass_stats = run_suite(machine, NAMES, N, pool, jobs=1, store=store)
+    dataclass_stats = run_cells(suite(machine), N, pool, jobs=1, store=store)
     writes = store.writes
-    spec_stats = run_suite(
-        parse_machine("limit(rob=64,histogram=off)"),
-        NAMES, N, pool, jobs=1, store=store,
+    spec_stats = run_cells(
+        suite(parse_machine("limit(rob=64,histogram=off)")),
+        N, pool, jobs=1, store=store,
     )
     assert store.writes == writes
     assert spec_stats == dataclass_stats
@@ -131,9 +136,9 @@ def test_spec_twins_fingerprint_identically_for_every_kind(store):
     for spec, twin in pairs:
         built = parse_machine(spec)
         assert built.fingerprint() == twin.fingerprint()
-        twin_stats = run_suite(twin, ("mcf",), N, pool, jobs=1, store=store)
+        twin_stats = run_cells(suite(twin, ("mcf",)), N, pool, jobs=1, store=store)
         writes = store.writes
-        spec_stats = run_suite(built, ("mcf",), N, pool, jobs=1, store=store)
+        spec_stats = run_cells(suite(built, ("mcf",)), N, pool, jobs=1, store=store)
         assert store.writes == writes
         assert spec_stats == twin_stats
 
