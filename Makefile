@@ -105,15 +105,17 @@ chaos-smoke:
 
 # The pool executor end to end: the same small grid in-process and on
 # a two-worker REPRO_JOBS=2 pool, asserting the result rows are
-# byte-identical; then one profiled cell, leaving profile.pstats for CI
-# to upload.  The limit cells cover the limit core's branch-verdict
-# memo, hits and misses, across pool workers.  The same check gates in
-# CI.
+# byte-identical; the same for the sampling experiment, each run into
+# its own fresh store, so captures and SimPoint selections made on pool
+# workers are checked against the in-process path; then one profiled
+# cell, leaving profile.pstats for CI to upload.  The limit cells cover
+# the limit core's branch-verdict memo, hits and misses, across pool
+# workers.  The same check gates in CI.
 PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24),limit(rob=32),limit(rob=256),limit(rob=64,predictor=gshare-10)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
 perf-smoke:
-	rm -rf .perf-serial .perf-pool
+	rm -rf .perf-serial .perf-pool .perf-serial-store .perf-pool-store
 	REPRO_JOBS=1 \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
 	  --csv .perf-serial
@@ -121,6 +123,13 @@ perf-smoke:
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
 	  --csv .perf-pool
 	cmp .perf-serial/perfsmoke.csv .perf-pool/perfsmoke.csv
+	REPRO_JOBS=1 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments sampling --scale quick \
+	  --store .perf-serial-store --csv .perf-serial
+	REPRO_JOBS=2 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments sampling --scale quick \
+	  --store .perf-pool-store --csv .perf-pool
+	cmp .perf-serial/sampling.csv .perf-pool/sampling.csv
 	PYTHONPATH=src $(PYTHON) -m repro.experiments profile dkip mcf \
 	  --instructions 4000 --profile-out profile.pstats
 

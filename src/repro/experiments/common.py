@@ -11,15 +11,16 @@ verify`` and the service workers — takes one path:
   missing ones are grouped by (workload, memory) and dispatched one
   cell at a time through one :class:`repro.resilience.ResilientExecutor`
   call — in-process for one job without a deadline, on supervised
-  workers (``REPRO_JOBS``) otherwise — and written back as each cell
-  completes, so repeated sweeps cost only the delta and an interrupted
-  sweep resumes;
+  workers (``REPRO_JOBS``) otherwise, where an idle worker takes the
+  next cell of the (workload, memory) pair, else of the workload, it ran
+  last — and written back as each cell completes, so repeated sweeps
+  cost only the delta and an interrupted sweep resumes;
 * every cell runs through :func:`run_cell`, the one cell body, which
   simulates it with :func:`repro.sim.runner.run_core`.  The process
   running it keeps the last workload (and so its trace) and the last
   warmed cache snapshot in per-process memos, so a group of cells
   sharing a (workload, memory) pair pays for trace generation and
-  warm-up once.
+  warm-up once per process, in a pool worker as in-process.
 """
 
 from __future__ import annotations
@@ -188,11 +189,15 @@ def run_cells(
 
     The one way a cell runs — machines of any registered kind (including
     the limit core) and a different memory system per cell.  Cached
-    cells never dispatch; the missing ones are grouped by (workload,
-    memory) and handed one at a time to :func:`run_cell` through one
-    :class:`repro.resilience.ResilientExecutor` call — in this process
-    when one job suffices and no deadline is set, on supervised workers
-    otherwise.  Each cell persists to *store* as it completes; that
+    cells never dispatch; the missing ones are ordered by (workload,
+    memory) (:func:`pair_order`) and handed one at a time to
+    :func:`run_cell` through one :class:`repro.resilience.ResilientExecutor`
+    call — in this process, in that order, when one job suffices and no
+    deadline is set; otherwise on supervised workers, each cell keyed by
+    its (workload, memory) pair so an idle worker takes the next cell of
+    the pair or workload it ran last
+    (:func:`repro.resilience.executor.affine_key`) and its memos hit as
+    they do in-process.  Each cell persists to *store* as it completes; that
     per-cell write-back is what makes a killed sweep resumable, and what
     makes retried cells idempotent (the fingerprint is the ledger).
 
@@ -219,9 +224,13 @@ def run_cells(
         report = active_report()
         if report is None:
             report = FailureReport()
+
+    def pair(i: int) -> tuple[str, MemoryConfig]:
+        return cells[i][1], cells[i][2]
+
     tasks = [
-        (i, cell_label(*cells[i]), (*cells[i], pool.seed))
-        for i in pair_order(pending, lambda i: (cells[i][1], cells[i][2]))
+        (i, cell_label(*cells[i]), (*cells[i], pool.seed), pair(i))
+        for i in pair_order(pending, pair)
     ]
 
     def on_result(i: int, stats: SimStats) -> None:

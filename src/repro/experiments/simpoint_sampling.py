@@ -13,6 +13,13 @@ own pipeline (see ``docs/METHODOLOGY.md``).  For each benchmark it
 4. reports the weighted-IPC estimate next to the full-trace IPC with
    the relative sampling error.
 
+The missing captures are made in one
+:class:`~repro.resilience.ResilientExecutor` run, one task per
+benchmark on ``REPRO_JOBS`` workers; given a store, each task also runs
+step 3's analysis and stores the selection, so the driver plans the
+phase grid from the stored record instead of analyzing (and never
+imports numpy).
+
 The verdict checks grade ``sampled IPC / full IPC`` against 1.0, so the
 reproduction report states how much accuracy the sampling methodology
 costs on this simulator.  The residual error is dominated by per-phase
@@ -34,13 +41,16 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
+    resolve_jobs,
     scale_of,
 )
 from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import Check, FigureSpec, cell, cell_ratio
+from repro.resilience import ResilientExecutor
 from repro.trace.io import save_trace
 from repro.viz.ascii import bar_chart
 from repro.workloads import get_workload
+from repro.workloads.phases import expand_phases
 
 #: scale -> (capture length, interval length, requested k).  Interval
 #: counts stay small enough for quick CI runs while keeping intervals
@@ -72,9 +82,14 @@ WARN_REL = 0.30
 def _capture_dir(store) -> str:
     """Directory captures live in: under the store when one is given.
 
-    A store-rooted path is stable across runs, so phase-cell fingerprints
-    (which hash trace *content*, not paths) get their warm-store reuse,
-    and re-running at the same scale skips the capture entirely.
+    A store-rooted path is stable across runs of the same store, so
+    re-running at the same scale skips the capture and serves every
+    sampling cell from the store.  Only there: a cell's key carries its
+    workload's name, and a ``trace(file=...)`` or ``phases(file=...)``
+    workload is named by its capture's path, so a store copied or moved
+    to another directory re-simulates every sampling cell (all 14 at
+    quick scale); its phase selections, keyed by capture content, still
+    hit.
     """
     if store is not None:
         directory = os.path.join(str(store.root), "traces")
@@ -83,12 +98,40 @@ def _capture_dir(store) -> str:
     return tempfile.mkdtemp(prefix="repro-sampling-")
 
 
-def _capture(bench: str, directory: str, total: int) -> str:
-    """Capture *total* instructions of *bench*, reusing an existing file."""
-    path = os.path.join(directory, f"{bench}-{total}.trc.gz")
-    if not os.path.exists(path):
-        save_trace(get_workload(bench), path, total)
-    return path
+def _capture(payload: tuple) -> None:
+    """The capture pool's task body: capture one benchmark.
+
+    Saves *total* instructions of *bench* to *path* and, given a store,
+    expands *phase_token* there, so the capture's SimPoint selection is
+    analyzed in this (worker) process and the driver's plan reads it.
+    """
+    bench, path, total, phase_token, store = payload
+    save_trace(get_workload(bench), path, total)
+    if store is not None:
+        expand_phases(phase_token, store)
+
+
+def _capture_missing(
+    paths: dict[str, str], phase_tokens: dict[str, str], total: int, store
+) -> None:
+    """Make every missing capture in one executor run, on ``REPRO_JOBS``
+    workers; a run whose captures all exist forks nothing.
+
+    The executor's defaults apply: the strict policy, so a failed
+    capture fails the harness naming it, and a report of its own, so
+    these tasks never count as grid cells.
+    """
+    tasks = [
+        (
+            i,
+            f"capture {os.path.basename(path)}",
+            (bench, path, total, phase_tokens[bench], store),
+        )
+        for i, (bench, path) in enumerate(paths.items())
+        if not os.path.exists(path)
+    ]
+    if tasks:
+        ResilientExecutor(_capture, resolve_jobs(None, len(tasks))).run(tasks)
 
 
 def run(
@@ -113,12 +156,16 @@ def run(
     )
     with Stopwatch(result):
         directory = _capture_dir(store)
-        paths = {bench: _capture(bench, directory, total) for bench in BENCHES}
+        paths = {
+            bench: os.path.join(directory, f"{bench}-{total}.trc.gz")
+            for bench in BENCHES
+        }
         full_tokens = {bench: f"trace(file={path})" for bench, path in paths.items()}
         phase_tokens = {
             bench: f"phases(file={path},interval={interval},k={k},seed=0)"
             for bench, path in paths.items()
         }
+        _capture_missing(paths, phase_tokens, total, store)
         # Two grids, because their instruction budgets differ.
         full_grid = sweep_grid(
             SweepSpec(

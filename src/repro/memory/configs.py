@@ -79,6 +79,3 @@ TABLE1_CONFIGS: dict[str, MemoryConfig] = {
 #: Default memory system of the evaluation (Tables 2 and 3): 32 KB L1 at
 #: 2 cycles, 512 KB L2 at 11 cycles, 400-cycle main memory.
 DEFAULT_MEMORY = MemoryConfig(name="default")
-
-#: L2 capacities swept in Figures 11 and 12.
-FIG11_L2_SIZES = [64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB]

@@ -13,12 +13,15 @@ counts each cell on its own:
   how many final failures a run absorbs before aborting with
   :class:`~repro.resilience.report.CellExecutionError`.
 
-With ``jobs == 1`` and no deadline, cells run in the driver process:
-nothing forks and no fault is injected, so a ``cell:kill`` clause can
-never take down the driver.  Otherwise each worker is one supervised
-process with a dedicated pipe; the driver dispatches one cell at a time,
-so it always knows which cell a worker holds.  That makes the two
-supervision duties precise:
+With ``jobs == 1`` and no deadline, cells run in the driver process, in
+task order: nothing forks and no fault is injected, so a ``cell:kill``
+clause can never take down the driver.  Otherwise each worker is one
+supervised process with a dedicated pipe; the driver dispatches one cell
+at a time, so it always knows which cell a worker holds.  A task may
+carry a ``(workload, memory)`` key, and an idle worker takes the cell
+:func:`affine_key` picks from the pending cells by key, so a worker stays
+on one workload and its per-process memos hit.  Holding one cell per
+worker also makes the two supervision duties precise:
 
 - **deadlines** — a cell that does not report within
   ``policy.cell_timeout`` gets its worker killed and, while retry budget
@@ -55,7 +58,7 @@ import traceback as traceback_module
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterator, Mapping, Sequence
 
 from repro.resilience.faults import TransientCellError, plan_from_env
 from repro.resilience.report import (
@@ -228,29 +231,109 @@ def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
 
 
 class _Cell:
-    """One ``(index, label, payload)`` task plus its attempt counter."""
+    """One ``(index, label, payload[, key])`` task plus its attempt counter."""
 
-    __slots__ = ("index", "label", "payload", "attempt", "not_before", "first_start")
+    __slots__ = (
+        "index", "label", "payload", "key", "attempt", "not_before", "first_start"
+    )
 
-    def __init__(self, index: int, label: str, payload: Any) -> None:
+    def __init__(
+        self, index: int, label: str, payload: Any, key: Hashable = None
+    ) -> None:
         self.index = index
         self.label = label
         self.payload = payload
+        self.key = key
         self.attempt = 0
         self.not_before = 0.0
         self.first_start: float | None = None
 
 
 class _Worker:
-    """One supervised process plus its dedicated pipe and current cell."""
+    """One supervised process plus its dedicated pipe, its current cell
+    and the key of the last cell it was given (what its memos hold)."""
 
-    __slots__ = ("process", "conn", "cell", "started")
+    __slots__ = ("process", "conn", "cell", "started", "last")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.cell: _Cell | None = None
         self.started = 0.0
+        self.last: Hashable = None
+
+
+def _workload_of(key: Hashable) -> Hashable:
+    """The workload a ``(workload, memory)`` key belongs to (``None`` for
+    a task without a key)."""
+    return None if key is None else key[0]
+
+
+def affine_key(
+    pending: Mapping[Hashable, Mapping[Hashable, Any]],
+    last: Hashable,
+    busy: Collection[Hashable],
+) -> Hashable:
+    """The key whose next pending cell an idle worker takes.
+
+    *pending* maps each workload to its keys that have pending cells,
+    both in order of first appearance; *last* is the key of the worker's
+    last cell (``None`` for a fresh worker, or after a task without a
+    key), and *busy* the keys of the cells other workers hold.  In order:
+
+    1. the pair the worker ran last, so the warm-up snapshot memo hits;
+    2. else the first pending pair of the workload it ran last, so the
+       workload (and its trace) memo hits;
+    3. else the first key of a workload no busy worker holds;
+    4. else the head of the queue.
+
+    Rung 3 skips at most one workload per busy worker, so a choice costs
+    O(workers) whatever the number of pending cells.
+    """
+    keys = pending.get(_workload_of(last)) if last is not None else None
+    if keys:
+        return last if last in keys else next(iter(keys))
+    held = {_workload_of(key) for key in busy if key is not None}
+    for workload, keys in pending.items():
+        if workload not in held:
+            return next(iter(keys))
+    return next(iter(next(iter(pending.values()))))
+
+
+class _Pending:
+    """The pool's pending cells: one FIFO queue per key, grouped by
+    workload, keys and workloads in order of first appearance.
+
+    A cell requeued after a failure returns to the end of its key's
+    queue.  Appending and taking a cell are O(1) dict and deque steps
+    besides the :func:`affine_key` choice.
+    """
+
+    def __init__(self, cells: Sequence[_Cell]) -> None:
+        self.queues: dict[Hashable, dict[Hashable, deque[_Cell]]] = {}
+        for cell in cells:
+            self.append(cell)
+
+    def __bool__(self) -> bool:
+        return bool(self.queues)
+
+    def append(self, cell: _Cell) -> None:
+        """Queue *cell* behind the pending cells of its key."""
+        keys = self.queues.setdefault(_workload_of(cell.key), {})
+        keys.setdefault(cell.key, deque()).append(cell)
+
+    def take(self, last: Hashable, busy: Collection[Hashable]) -> _Cell:
+        """Remove and return the cell an idle worker whose last key was
+        *last* takes while other workers hold *busy* (see :func:`affine_key`)."""
+        key = affine_key(self.queues, last, busy)
+        workload = _workload_of(key)
+        keys = self.queues[workload]
+        cell = keys[key].popleft()
+        if not keys[key]:
+            del keys[key]
+            if not keys:
+                del self.queues[workload]
+        return cell
 
 
 class ResilientExecutor:
@@ -287,25 +370,28 @@ class ResilientExecutor:
 
     def run(
         self,
-        tasks: Sequence[tuple[int, str, Any]],
+        tasks: Sequence[tuple[int, str, Any] | tuple[int, str, Any, Hashable]],
         on_result: Callable[[int, Any], None] | None = None,
     ) -> dict[int, Any]:
-        """Execute every ``(index, label, payload)`` cell; return results.
+        """Execute every ``(index, label, payload[, key])`` cell; return
+        results.
 
-        The mapping holds one entry per *completed* cell; cells that
-        failed past their budget are absent (their
+        The optional *key* is the cell's ``(workload, memory)`` pair; on
+        the pool, idle workers take cells by :func:`affine_key`.  The
+        mapping holds one entry per *completed* cell; cells that failed
+        past their budget are absent (their
         :class:`~repro.resilience.report.CellFailure` records live in
         ``self.report``).  ``on_result(index, result)`` fires in the
         driver as each cell completes, in completion order.
         """
         results: dict[int, Any] = {}
         self.report.cells += len(tasks)
-        pending: deque[_Cell] = deque(_Cell(*task) for task in tasks)
+        cells = [_Cell(*task) for task in tasks]
         delayed: list[_Cell] = []
         if self.jobs == 1 and self.policy.cell_timeout is None:
-            self._run_here(pending, delayed, results, on_result)
-        elif pending:
-            self._run_pool(len(tasks), pending, delayed, results, on_result)
+            self._run_here(deque(cells), delayed, results, on_result)
+        elif cells:
+            self._run_pool(len(cells), _Pending(cells), delayed, results, on_result)
         return results
 
     def _run_here(self, pending: deque, delayed: list, results: dict, on_result) -> None:
@@ -330,10 +416,10 @@ class ResilientExecutor:
             )
 
     def _run_pool(
-        self, remaining: int, pending: deque, delayed: list, results: dict, on_result
+        self, remaining: int, pending: _Pending, delayed: list, results: dict, on_result
     ) -> None:
         """The supervised loop over worker processes."""
-        for _ in range(min(self.jobs, len(pending))):
+        for _ in range(min(self.jobs, remaining)):
             self._workers.append(self._spawn())
         try:
             while remaining > 0:
@@ -379,7 +465,7 @@ class ResilientExecutor:
 
     def _settle(
         self, cell: _Cell, outcome: tuple[bool, Any], now: float,
-        results: dict, on_result, pending: deque, delayed: list,
+        results: dict, on_result, pending: deque | _Pending, delayed: list,
     ) -> int:
         """Account one cell's outcome; return 1 when it is resolved."""
         ok, value = outcome
@@ -395,7 +481,9 @@ class ResilientExecutor:
         self._fail(cell, value, now)
         return 1
 
-    def _requeue(self, cell: _Cell, now: float, pending: deque, delayed: list) -> None:
+    def _requeue(
+        self, cell: _Cell, now: float, pending: deque | _Pending, delayed: list
+    ) -> None:
         """Schedule *cell*'s next attempt after its backoff delay."""
         cell.attempt += 1
         self.report.retries += 1
@@ -425,7 +513,7 @@ class ResilientExecutor:
             raise CellExecutionError(failure, self.report)
 
     @staticmethod
-    def _release(pending: deque, delayed: list, now: float) -> None:
+    def _release(pending: deque | _Pending, delayed: list, now: float) -> None:
         """Move cells whose backoff has elapsed back to *pending*."""
         for cell in [c for c in delayed if c.not_before <= now]:
             delayed.remove(cell)
@@ -468,8 +556,9 @@ class ResilientExecutor:
             else:
                 self._discard(worker, kill=True)
 
-    def _dispatch(self, pending: deque, now: float) -> None:
-        """Hand ready cells to idle workers (respawning dead ones)."""
+    def _dispatch(self, pending: _Pending, now: float) -> None:
+        """Hand ready cells to idle workers (respawning dead ones), each
+        the cell :func:`affine_key` picks for it."""
         for worker in list(self._workers):
             if worker.cell is not None or not pending:
                 continue
@@ -478,18 +567,20 @@ class ResilientExecutor:
                 self._discard(worker)
                 self._workers.append(self._spawn())
                 worker = self._workers[-1]
-            cell = pending.popleft()
+            busy = [w.cell.key for w in self._workers if w.cell is not None]
+            cell = pending.take(worker.last, busy)
             if cell.first_start is None:
                 cell.first_start = now
             try:
                 worker.conn.send((cell.attempt, cell.label, cell.payload))
             except (BrokenPipeError, OSError):
-                pending.appendleft(cell)
+                pending.append(cell)
                 self.report.worker_deaths += 1
                 self._discard(worker, kill=True)
                 self._workers.append(self._spawn())
                 continue
             worker.cell = cell
+            worker.last = cell.key
             worker.started = now
 
     def _wait_timeout(self, busy: list, delayed: list, now: float) -> float:
@@ -505,7 +596,7 @@ class ResilientExecutor:
         return max(0.01, timeout)
 
     def _on_lost(
-        self, worker: _Worker, now: float, pending: deque, delayed: list, death: bool
+        self, worker: _Worker, now: float, pending: _Pending, delayed: list, death: bool
     ) -> int:
         """A worker died or overran its deadline mid-cell: replace it, then
         requeue its cell whole or fail it; return 1 when the cell failed."""

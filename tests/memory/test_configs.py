@@ -1,7 +1,8 @@
 """Unit tests for memory configurations (the paper's Table 1)."""
 
 from repro.memory import DEFAULT_MEMORY, TABLE1_CONFIGS
-from repro.memory.configs import FIG11_L2_SIZES, KB, MB
+from repro.experiments.fig11_12_cache import SIZES_FULL
+from repro.memory.configs import KB, MB
 
 
 def test_table1_has_six_rows():
@@ -49,10 +50,10 @@ def test_mem_latency_override():
 
 
 def test_fig11_sweep_range():
-    assert FIG11_L2_SIZES[0] == 64 * KB
-    assert FIG11_L2_SIZES[-1] == 4 * MB
-    assert len(FIG11_L2_SIZES) == 7
-    assert all(b == 2 * a for a, b in zip(FIG11_L2_SIZES, FIG11_L2_SIZES[1:]))
+    assert SIZES_FULL[0] == 64 * KB
+    assert SIZES_FULL[-1] == 4 * MB
+    assert len(SIZES_FULL) == 7
+    assert all(b == 2 * a for a, b in zip(SIZES_FULL, SIZES_FULL[1:]))
 
 
 def test_configs_are_immutable():

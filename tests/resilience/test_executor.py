@@ -358,3 +358,111 @@ def test_on_result_errors_propagate_instead_of_failing_cells(jobs):
     with pytest.raises(OSError, match="disk full"):
         executor.run(_tasks([1, 2]), on_result)
     assert report.failures == []
+
+
+# ----------------------------------------------------------------------
+# Workload-affine dispatch (the pool's choice of an idle worker's cell)
+# ----------------------------------------------------------------------
+
+
+def _pending(*keys):
+    """A pending set of one cell per key, indexed in order."""
+    from repro.resilience.executor import _Cell, _Pending
+
+    return _Pending([_Cell(i, f"cell-{i}", None, key) for i, key in enumerate(keys)])
+
+
+def _queues(*keys):
+    """Pending keys grouped by workload, as :func:`affine_key` reads them."""
+    return _pending(*keys).queues
+
+
+def test_affine_key_rung1_keeps_the_pair_it_ran_last():
+    from repro.resilience.executor import affine_key
+
+    pending = _queues(("mcf", "A"), ("mcf", "B"), ("swim", "A"))
+    assert affine_key(pending, ("mcf", "B"), busy=[("mcf", "A")]) == ("mcf", "B")
+
+
+def test_affine_key_rung2_stays_on_the_workload_it_ran_last():
+    from repro.resilience.executor import affine_key
+
+    pending = _queues(("swim", "A"), ("mcf", "B"), ("mcf", "C"))
+    # Its pair is drained: the first pending pair of the same workload,
+    # even though swim heads the queue and nobody holds it.
+    assert affine_key(pending, ("mcf", "A"), busy=[]) == ("mcf", "B")
+
+
+def test_affine_key_rung3_takes_a_workload_no_busy_worker_holds():
+    from repro.resilience.executor import affine_key
+
+    pending = _queues(("mcf", "A"), ("swim", "A"), ("swim", "B"), ("gcc", "A"))
+    assert affine_key(pending, None, busy=[("mcf", "B")]) == ("swim", "A")
+    assert affine_key(pending, ("art", "A"), busy=[("mcf", "B"), ("swim", "A")]) == (
+        "gcc", "A"
+    )
+    # A fresh pool: the first worker takes the head, the next another workload.
+    assert affine_key(pending, None, busy=[]) == ("mcf", "A")
+
+
+def test_affine_key_rung4_falls_back_to_the_head_of_the_queue():
+    from repro.resilience.executor import affine_key
+
+    pending = _queues(("mcf", "B"), ("swim", "A"))
+    busy = [("swim", "A"), ("mcf", "A")]
+    assert affine_key(pending, ("art", "A"), busy) == ("mcf", "B")
+
+
+def test_pending_takes_keys_in_order_of_first_appearance():
+    keys = [("mcf", "A"), ("swim", "A"), ("mcf", "A"), ("gcc", "A"), ("mcf", "B")]
+    pending = _pending(*keys)
+    order = []
+    while pending:
+        order.append(pending.take(None, busy=[]).index)
+    # Each key's cells in a row, keys (and workloads) by first appearance.
+    assert order == [0, 2, 4, 1, 3]
+
+
+def test_pending_returns_a_retried_cell_to_its_keys_queue():
+    pending = _pending(("mcf", "A"), ("mcf", "A"), ("swim", "A"))
+    first = pending.take(None, busy=[])
+    assert first.index == 0
+    pending.append(first)  # a retry: behind its key's pending cells
+    taken = [pending.take(("mcf", "A"), busy=[]).index for _ in range(3)]
+    assert taken == [1, 0, 2]
+    assert not pending
+    # A retried cell whose key had drained makes the key pending again.
+    pending.append(first)
+    assert pending.take(("swim", "A"), busy=[]) is first
+
+
+def test_a_task_without_a_key_carries_no_affinity():
+    from repro.resilience.executor import affine_key
+
+    pending = _pending(None, ("mcf", "A"), None)
+    # Keyless cells queue together in their own FIFO and are taken
+    # like any other workload's; a worker that ran one prefers nothing.
+    assert [pending.take(None, busy=[]).index for _ in range(2)] == [0, 2]
+    assert affine_key(_queues(("mcf", "A"), None), None, busy=[None]) == ("mcf", "A")
+    # A busy keyless cell holds no workload.
+    assert affine_key(_queues(None, ("mcf", "A")), None, busy=[None]) is None
+
+
+def _pid_and_payload(payload):
+    return os.getpid(), payload
+
+
+def test_pool_workers_keep_their_workload():
+    """Two workers, two workloads: each worker starts on its own workload
+    and switches at most once, when its workload has run dry."""
+    tasks = [
+        (i, f"cell-{i}", workload, (workload, "MEM"))
+        for i, workload in enumerate(["mcf"] * 6 + ["swim"] * 6)
+    ]
+    ran: dict[int, list[str]] = {}
+    executor = ResilientExecutor(_pid_and_payload, jobs=2)
+    executor.run(tasks, lambda i, result: ran.setdefault(result[0], []).append(result[1]))
+    assert sorted(sequence[0] for sequence in ran.values()) == ["mcf", "swim"]
+    for sequence in ran.values():
+        switches = sum(a != b for a, b in zip(sequence, sequence[1:]))
+        assert switches <= 1
