@@ -105,7 +105,9 @@ chaos-smoke:
 
 # The pool executor end to end: the same small grid in-process and on
 # a two-worker REPRO_JOBS=2 pool, asserting the result rows are
-# byte-identical; the same for the sampling experiment, each run into
+# byte-identical; the same for the Figure-1 window sweep, whose limit
+# cells settle in the driver while the freed workers already run their
+# next ones; the same for the sampling experiment, each run into
 # its own fresh store, so captures and SimPoint selections made on pool
 # workers are checked against the in-process path; then one profiled
 # cell, leaving profile.pstats for CI to upload.  The limit cells cover
@@ -123,6 +125,13 @@ perf-smoke:
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
 	  --csv .perf-pool
 	cmp .perf-serial/perfsmoke.csv .perf-pool/perfsmoke.csv
+	REPRO_JOBS=1 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments fig1 --scale quick \
+	  --no-store --csv .perf-serial
+	REPRO_JOBS=2 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments fig1 --scale quick \
+	  --no-store --csv .perf-pool
+	cmp .perf-serial/fig1.csv .perf-pool/fig1.csv
 	REPRO_JOBS=1 \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sampling --scale quick \
 	  --store .perf-serial-store --csv .perf-serial

@@ -28,14 +28,16 @@ rather than the state the preceding intervals would have left, which
 biases big-cache machines hardest (the D-KIP-2048 column).
 
 Rows deliberately carry no trace paths — captures live under the result
-store (``<store>/traces/``) or a throwaway temporary directory, and the
-report must not depend on either.
+store (``<store>/traces/``) or a temporary directory removed when the run
+ends, and the report must not depend on either.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -79,8 +81,11 @@ PASS_REL = 0.12
 WARN_REL = 0.30
 
 
-def _capture_dir(store) -> str:
-    """Directory captures live in: under the store when one is given.
+@contextmanager
+def _capture_dir(store) -> Iterator[str]:
+    """Directory captures live in: under the store when one is given,
+    else a temporary directory removed when the block exits, whether it
+    returns or raises.
 
     A store-rooted path is stable across runs of the same store, so
     re-running at the same scale skips the capture and serves every
@@ -94,8 +99,10 @@ def _capture_dir(store) -> str:
     if store is not None:
         directory = os.path.join(str(store.root), "traces")
         os.makedirs(directory, exist_ok=True)
-        return directory
-    return tempfile.mkdtemp(prefix="repro-sampling-")
+        yield directory
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-sampling-") as directory:
+        yield directory
 
 
 def _capture(payload: tuple) -> None:
@@ -154,8 +161,7 @@ def run(
         ],
         scale=scale,
     )
-    with Stopwatch(result):
-        directory = _capture_dir(store)
+    with Stopwatch(result), _capture_dir(store) as directory:
         paths = {
             bench: os.path.join(directory, f"{bench}-{total}.trc.gz")
             for bench in BENCHES

@@ -2,7 +2,10 @@
 
 These models answer one question per access — "how many cycles until the
 value is usable?" — and keep hit/miss statistics.  Replacement is true LRU
-within each set.  A cache with ``size=None`` is infinite (every line hits
+within each set.  A set is a plain ``dict`` of its lines in insertion
+order, least recently used first: a hit or a re-fill moves its line to the
+end by deleting and re-inserting it, and an eviction deletes the first
+line.  A cache with ``size=None`` is infinite (every line hits
 after the first touch), which Table 1 of the paper uses for its perfect-L1
 and perfect-L2 configurations.
 """
@@ -10,7 +13,6 @@ and perfect-L2 configurations.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 
 
 #: Outstanding-fill table size that triggers an expiry sweep on the next
@@ -87,11 +89,11 @@ class Cache:
         if size is None:
             self._num_sets = 1
             self._infinite_lines: set[int] = set()
-            self._sets: list[OrderedDict[int, None]] = []
+            self._sets: list[dict[int, None]] = []
         else:
             self._num_sets = size // (line_size * assoc)
             self._infinite_lines = set()
-            self._sets = [OrderedDict() for _ in range(self._num_sets)]
+            self._sets = [{} for _ in range(self._num_sets)]
         self._fills: dict[int, int] = {}
         self.hits = 0
         self.misses = 0
@@ -121,7 +123,8 @@ class Cache:
             return False
         s = self._sets[line % self._num_sets]
         if line in s:
-            s.move_to_end(line)
+            del s[line]
+            s[line] = None
             self.hits += 1
             return True
         self.misses += 1
@@ -140,10 +143,9 @@ class Cache:
             return
         s = self._sets[line % self._num_sets]
         if line in s:
-            s.move_to_end(line)
-            return
-        if len(s) >= self.assoc:
-            s.popitem(last=False)
+            del s[line]
+        elif len(s) >= self.assoc:
+            del s[next(iter(s))]
         s[line] = None
 
     # ------------------------------------------------------------------
@@ -263,8 +265,11 @@ class Cache:
         }
 
     def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot`; the snapshot stays reusable."""
-        self._sets = [OrderedDict(s) for s in state["sets"]]
+        """Reinstate a :meth:`snapshot`; the snapshot stays reusable.
+
+        ``dict.copy`` keeps each set's LRU order.
+        """
+        self._sets = [s.copy() for s in state["sets"]]
         self._infinite_lines = set(state["infinite_lines"])
         self._fills = dict(state["fills"])
         self.hits = state["hits"]

@@ -34,7 +34,13 @@ Completed results stream to the caller's ``on_result`` callback as they
 arrive (the sweep layer persists each one to the content-addressed
 store there), so even an aborted run resumes from everything that
 finished — the store's fingerprints are the idempotency ledger, and a
-retried cell dedupes to a bit-identical entry.
+retried cell dedupes to a bit-identical entry.  On the pool the driver
+first receives every ready outcome and hands each freed worker its next
+cell, and only then settles those outcomes, so a worker computes while
+the driver writes the store.
+
+``multiprocessing`` is imported only where a worker is spawned or
+waited on, so a process that runs no pool never loads it.
 
 Service workers run each claim as one in-process :meth:`run`, so this
 class is the one place that classifies, retries and backs off a cell.
@@ -50,8 +56,6 @@ through every harness without touching their signatures.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import multiprocessing.connection
 import random
 import time
 import traceback as traceback_module
@@ -382,7 +386,8 @@ class ResilientExecutor:
         past their budget are absent (their
         :class:`~repro.resilience.report.CellFailure` records live in
         ``self.report``).  ``on_result(index, result)`` fires in the
-        driver as each cell completes, in completion order.
+        driver as each cell completes, in completion order; on the pool,
+        after the worker that ran the cell has been given its next one.
         """
         results: dict[int, Any] = {}
         self.report.cells += len(tasks)
@@ -419,6 +424,8 @@ class ResilientExecutor:
         self, remaining: int, pending: _Pending, delayed: list, results: dict, on_result
     ) -> None:
         """The supervised loop over worker processes."""
+        from multiprocessing.connection import wait
+
         for _ in range(min(self.jobs, remaining)):
             self._workers.append(self._spawn())
         try:
@@ -436,11 +443,12 @@ class ResilientExecutor:
                         )
                         continue
                     break  # pragma: no cover - defensive; remaining>0 implies work
-                ready = multiprocessing.connection.wait(
+                ready = wait(
                     [w.conn for w in busy], self._wait_timeout(busy, delayed, now)
                 )
                 now = time.monotonic()
                 by_conn = {id(w.conn): w for w in busy}
+                outcomes = []
                 for conn in ready:
                     worker = by_conn[id(conn)]
                     try:
@@ -448,7 +456,12 @@ class ResilientExecutor:
                     except (EOFError, OSError):
                         remaining -= self._on_lost(worker, now, pending, delayed, death=True)
                         continue
-                    cell, worker.cell = worker.cell, None
+                    outcomes.append((worker.cell, outcome))
+                    worker.cell = None
+                # Freed workers take their next cells before the driver
+                # settles (on_result, the store put) what they sent.
+                self._dispatch(pending, now)
+                for cell, outcome in outcomes:
                     remaining -= self._settle(
                         cell, outcome, now, results, on_result, pending, delayed
                     )
@@ -523,6 +536,8 @@ class ResilientExecutor:
 
     def _spawn(self) -> _Worker:
         """Start one worker process and keep the driver end of its pipe."""
+        import multiprocessing
+
         parent_conn, child_conn = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_worker_main, args=(child_conn, self.fn), daemon=True

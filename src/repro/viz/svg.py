@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 #: Colorblind-safe categorical palette (Okabe-Ito), cycled per series.
 PALETTE = (
@@ -39,6 +38,15 @@ PALETTE = (
 )
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content.
+
+    The same output as ``xml.sax.saxutils.escape`` without extra
+    entities, whose import loads ``urllib.request`` and ``ssl``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _empty_svg(title: str) -> str:

@@ -170,11 +170,9 @@ def test_warm_sampling_forks_nothing_and_writes_nothing(cold_sampling, monkeypat
     assert _store_files(store) == before and store.writes == writes
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_failing_capture_fails_the_harness_naming_it(tmp_path, monkeypatch, jobs):
+def _fail_the_swim_capture(monkeypatch, jobs):
+    """Run the sampling captures on *jobs* workers, the swim one failing."""
     from repro.experiments import simpoint_sampling
-    from repro.resilience import CellExecutionError
-    from repro.store import ResultStore
 
     save_trace = simpoint_sampling.save_trace
 
@@ -186,8 +184,35 @@ def test_failing_capture_fails_the_harness_naming_it(tmp_path, monkeypatch, jobs
     monkeypatch.setenv("REPRO_JOBS", jobs)
     monkeypatch.delenv("REPRO_FAULT", raising=False)
     monkeypatch.setattr(simpoint_sampling, "save_trace", failing_save)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_capture_fails_the_harness_naming_it(tmp_path, monkeypatch, jobs):
+    from repro.experiments import simpoint_sampling
+    from repro.resilience import CellExecutionError
+    from repro.store import ResultStore
+
+    _fail_the_swim_capture(monkeypatch, jobs)
     with pytest.raises(CellExecutionError, match=r"capture swim-48000\.trc\.gz"):
         simpoint_sampling.run(Scale.QUICK, store=ResultStore(tmp_path / "store"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_storeless_sampling_removes_its_captures_when_it_fails(
+    tmp_path, monkeypatch, jobs
+):
+    """Without a store the captures live in a temporary directory, which
+    is removed even when a capture fails the run."""
+    import tempfile
+
+    from repro.experiments import simpoint_sampling
+    from repro.resilience import CellExecutionError
+
+    _fail_the_swim_capture(monkeypatch, jobs)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(CellExecutionError, match=r"capture swim-48000\.trc\.gz"):
+        simpoint_sampling.run(Scale.QUICK)
+    assert not list(tmp_path.glob("repro-sampling-*"))
 
 
 def test_cli_list(capsys):

@@ -1,5 +1,7 @@
 """Unit and property tests for the cache model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,58 @@ def test_lru_eviction_order():
     assert c.probe(lines[0])
     assert not c.probe(lines[1])
     assert c.probe(lines[2])
+
+
+def _lru_lookup(sets, line):
+    """Reference LRU: a hit moves *line* to the end of its set's list."""
+    s = sets[line % len(sets)]
+    if line in s:
+        s.remove(line)
+        s.append(line)
+        return True
+    return False
+
+
+def _lru_fill(sets, line, assoc):
+    """Reference LRU: install *line* at the end, evicting the head when full."""
+    s = sets[line % len(sets)]
+    if line in s:
+        s.remove(line)
+    elif len(s) >= assoc:
+        s.pop(0)
+    s.append(line)
+
+
+def test_restore_keeps_lru_order():
+    """A cache restored from a snapshot taken partway through a seeded
+    lookup/fill stream goes on exactly like the cache it came from: the
+    same hit/miss outcomes, and every set in the same LRU order as a
+    list-based reference model."""
+    rng = random.Random(7)
+    stream = [(rng.random() < 0.6, rng.randrange(48)) for _ in range(3000)]
+    original = Cache("L1", 512, 4, 64, 1)  # 2 sets x 4 ways
+    reference = [[] for _ in range(original._num_sets)]
+
+    def step(caches, is_lookup, line):
+        if is_lookup:
+            outcomes = {cache.lookup(line) for cache in caches}
+            outcomes.add(_lru_lookup(reference, line))
+            assert len(outcomes) == 1
+        else:
+            for cache in caches:
+                cache.fill(line)
+            _lru_fill(reference, line, original.assoc)
+        for cache in caches:
+            assert [list(s) for s in cache._sets] == reference
+
+    for is_lookup, line in stream[:1500]:
+        step([original], is_lookup, line)
+    restored = Cache("L1", 512, 4, 64, 1)
+    restored.restore(original.snapshot())
+    for is_lookup, line in stream[1500:]:
+        step([original, restored], is_lookup, line)
+    assert restored.hits > 0 and restored.misses > 0
+    assert (restored.hits, restored.misses) == (original.hits, original.misses)
 
 
 def test_probe_has_no_side_effects():

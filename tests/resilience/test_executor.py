@@ -76,6 +76,12 @@ def _exit_on_three(payload):
     return payload
 
 
+def _mark_start(payload):
+    directory, value = payload
+    open(os.path.join(directory, f"started-{value}"), "w").close()
+    return value
+
+
 def _tasks(payloads):
     return [(i, f"cell-{i}", p) for i, p in enumerate(payloads)]
 
@@ -358,6 +364,26 @@ def test_on_result_errors_propagate_instead_of_failing_cells(jobs):
     with pytest.raises(OSError, match="disk full"):
         executor.run(_tasks([1, 2]), on_result)
     assert report.failures == []
+
+
+def test_a_freed_worker_gets_its_next_cell_before_on_result_runs(tmp_path):
+    """The driver hands a freed worker its next cell before it settles
+    (``on_result``, the store put) the cell the worker sent back."""
+    policy = ExecutionPolicy(cell_timeout=60.0)  # a deadline: one pool worker
+    executor = ResilientExecutor(_mark_start, jobs=1, policy=policy)
+    started = {}
+
+    def on_result(index, result):
+        if index == 0:
+            marker = tmp_path / "started-1"
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started[1] = marker.exists()
+
+    results = executor.run(_tasks([(str(tmp_path), 0), (str(tmp_path), 1)]), on_result)
+    assert results == {0: 0, 1: 1}
+    assert started == {1: True}
 
 
 # ----------------------------------------------------------------------
