@@ -86,22 +86,35 @@ contention-smoke:
 # The fault-tolerant executor under deterministic chaos: the battery in
 # tests/resilience/ plus one CLI run where 40% of cell attempts are
 # killed mid-flight and the sweep must still exit 0 with a full grid;
-# then the serve-smoke grid drained by two worker processes whose every
-# first cell attempt fails transiently, which their in-worker retries
-# must heal (`serve --once` exits 0 even when cells fail, hence the
-# grep).  The same check gates in CI.
+# then the serve-smoke grid drained twice, each time by two worker
+# processes into a fresh spool.  In the first drain every first cell
+# attempt fails transiently, which the in-worker retries must heal; in
+# the second every generation-0 first attempt kills its worker, which
+# `serve` must replace so the requeued cells still run.  `serve --once`
+# exits with the count of failed and lost cells, so each drain gates on
+# its status; its output goes to a log the grep then checks.  The same
+# check gates in CI.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience -x -q
 	REPRO_JOBS=2 REPRO_FAULT="cell:kill:0.4,seed=11" \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
 	  --machines "r10(rob=32)" --workloads "mcf,swim" \
 	  --scale quick --instructions 2000 --no-store --retries 8
-	rm -rf .chaos-svc
+	rm -rf .chaos-svc .chaos-kill-svc
 	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
 	  --service .chaos-svc
 	REPRO_FAULT="cell:transient@#0" \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
-	  --service .chaos-svc --workers 2 --once | grep ", 0 failed"
+	  --service .chaos-svc --workers 2 --once > .chaos-svc/serve.log \
+	  || { cat .chaos-svc/serve.log; exit 1; }
+	grep ", 0 failed" .chaos-svc/serve.log
+	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
+	  --service .chaos-kill-svc
+	REPRO_FAULT="cell:kill@#0" \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
+	  --service .chaos-kill-svc --workers 2 --once --lease 2 \
+	  > .chaos-kill-svc/serve.log || { cat .chaos-kill-svc/serve.log; exit 1; }
+	grep ", 0 failed" .chaos-kill-svc/serve.log
 
 # The pool executor end to end: the same small grid in-process and on
 # a two-worker REPRO_JOBS=2 pool, asserting the result rows are

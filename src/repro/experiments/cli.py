@@ -1035,9 +1035,13 @@ def run_serve_command(args) -> int:
 
     The scheduler loop runs in this process; each ``--workers`` slot is
     a separate OS process polling the same spool, so a worker death is a
-    real process death and the store is genuinely shared.  ``--once``
-    drains every submitted job and exits (the smoke-test mode); without
-    it the service runs until interrupted.
+    real process death and the store is genuinely shared.  A worker that
+    exits while the drain flag is down is replaced in its slot under a
+    fresh name, so ``status`` tells the new worker from the dead one's
+    orphaned claim.  ``--once`` drains every submitted job and exits
+    (the smoke-test mode) with the count of failed and lost cells,
+    capped at 125, as its status; a job that failed to plan counts one.
+    Without it the service runs until interrupted.
     """
     import multiprocessing
     import time
@@ -1053,32 +1057,44 @@ def run_serve_command(args) -> int:
     poll = args.poll if args.poll is not None else 0.2
     lease = args.lease if args.lease is not None else 30.0
     scheduler = Scheduler(queue, store, lease=lease)
-    processes = []
-    for slot in range(max(0, workers)):
+
+    def spawn(slot: int, restart: int) -> multiprocessing.Process:
+        suffix = f".{restart}" if restart else ""
+        name = f"worker-{slot}{suffix}@{os.getpid()}"
         process = multiprocessing.Process(
             target=worker_main,
             args=(str(queue.root),),
-            kwargs={
-                "store_root": str(store.root),
-                "poll": poll,
-                "name": f"worker-{slot}@{os.getpid()}",
-            },
+            kwargs={"store_root": str(store.root), "poll": poll, "name": name},
+            name=name,
             daemon=True,
         )
         process.start()
-        processes.append(process)
+        return process
+
+    processes = [spawn(slot, 0) for slot in range(max(0, workers))]
+    restarts = [0] * len(processes)
     print(
         f"serving {queue.root} with {len(processes)} worker(s); "
         f"store {store.root}",
         flush=True,
     )
-    status = 0
     try:
         while True:
             for event in scheduler.poll_once():
                 print(event, flush=True)
             if args.once and scheduler.drained():
                 break
+            for slot, process in enumerate(processes):
+                if process.is_alive() or queue.stop_requested():
+                    continue
+                process.join()
+                restarts[slot] += 1
+                processes[slot] = spawn(slot, restarts[slot])
+                print(
+                    f"{process.name} exited with status {process.exitcode}; "
+                    f"slot {slot} restarted as {processes[slot].name}",
+                    flush=True,
+                )
             time.sleep(poll)
     except KeyboardInterrupt:
         pass
@@ -1089,12 +1105,16 @@ def run_serve_command(args) -> int:
         for process in processes:  # pragma: no cover - last resort
             if process.is_alive():
                 process.terminate()
-    if args.once:
-        status = max(
-            (1 for job in queue.iter_jobs() if job.state == FAILED),
-            default=0,
-        )
-    return status
+    if not args.once:
+        return 0
+    failures = 0
+    for job in queue.iter_jobs():
+        if job.state == FAILED:
+            failures += 1
+        else:
+            summary = job.summary()
+            failures += summary["failed"] + summary["lost"]
+    return min(failures, 125)
 
 
 def run_submit_command(args) -> int:

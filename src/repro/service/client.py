@@ -58,10 +58,15 @@ def submit_job(
 
 
 def job_status(queue: ServiceQueue, store: ResultStore, job: Job) -> dict:
-    """One job's live progress: counts, per-shard completion, taxonomy."""
-    stored = sum(
-        1 for cell in job.cells if store.validated(cell.store_key())
-    )
+    """One job's live progress: counts, per-shard completion, taxonomy.
+
+    Each cell is validated once; every shard's ``done`` count is read
+    off that one set of stored indices.
+    """
+    stored = {
+        index for index, cell in enumerate(job.cells)
+        if store.validated(cell.store_key())
+    }
     shards = []
     for claimed, batch in (
         (False, queue.iter_tickets()), (True, queue.iter_claims())
@@ -70,11 +75,7 @@ def job_status(queue: ServiceQueue, store: ResultStore, job: Job) -> dict:
             if str(data.get("job", "")) != job.job_id:
                 continue
             indices = [int(i) for i in data.get("indices", [])]
-            done = sum(
-                1 for i in indices
-                if 0 <= i < len(job.cells)
-                and store.validated(job.cells[i].store_key())
-            )
+            done = sum(1 for i in indices if i in stored)
             shards.append(
                 {
                     "name": name,
@@ -98,7 +99,7 @@ def job_status(queue: ServiceQueue, store: ResultStore, job: Job) -> dict:
         "state": job.state,
         "error": job.error,
         "cells": len(job.cells),
-        "stored": stored,
+        "stored": len(stored),
         "cached": job.cached,
         "failed": len(job.failed_digests()),
         "lost": len(job.lost),

@@ -42,7 +42,9 @@ def atomic_write_json(path: Path, data: Mapping[str, Any]) -> None:
 
     No fsync: spool files are coordination state, not the results of
     record — a crash loses at worst one in-flight rewrite, which the
-    scheduler regenerates from the store on its next poll.
+    scheduler regenerates from the store on its next poll.  The text is
+    encoded in one ``json.dumps`` call, which runs the C encoder;
+    ``json.dump`` writes the same bytes through the pure-Python one.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(
@@ -50,7 +52,7 @@ def atomic_write_json(path: Path, data: Mapping[str, Any]) -> None:
     )
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
+            handle.write(json.dumps(data, sort_keys=True))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -5,10 +5,18 @@ pass is a pure function of the spool and the store — queued jobs get
 planned into fingerprinted cell lists, unresolved cells not covered by
 an outstanding ticket get (re)dispatched, stale claims get reaped, and
 jobs whose every cell is stored/failed/lost get completed.  Because the
-pass re-derives "what is missing" from the store every time, every
-failure mode the service cares about — worker death, duplicate
-dispatch, a scheduler restart, a client resubmitting a finished job —
-collapses into the same recovery: *requeue the missing fingerprints*.
+pass re-derives "what is missing" from the store for every cell no
+ticket or claim covers, every failure mode the service cares about —
+worker death, duplicate dispatch, a scheduler restart, a client
+resubmitting a finished job — collapses into the same recovery:
+*requeue the missing fingerprints*.
+
+A covered cell is not probed: its claim is still computing it.  It is
+validated on the first pass after that claim finishes or is reaped, so
+a pass costs one store read per cell that left flight, not one per
+unstored cell, and a job record is rewritten about once per closed
+ticket.  A job whose cells another job's ticket covers therefore
+completes when that ticket closes.
 
 Skip decisions go through validated store reads
 (:meth:`repro.store.ResultStore.validated`, i.e. ``get()`` semantics),
@@ -192,12 +200,12 @@ class Scheduler:
                     covered.add(job.cells[int(index)].digest)
         return covered
 
-    def _refresh_stored(self, job: Job) -> bool:
-        """Validate not-yet-seen digests against the store; True if new."""
+    def _refresh_stored(self, job: Job, covered: set[str]) -> bool:
+        """Validate unstored, uncovered digests against the store; True if new."""
         stored = set(job.stored)
         grew = False
         for cell in job.cells:
-            if cell.digest in stored:
+            if cell.digest in stored or cell.digest in covered:
                 continue
             if self.store.validated(cell.store_key()):
                 stored.add(cell.digest)
@@ -210,9 +218,9 @@ class Scheduler:
         """Issue tickets for every unresolved, uncovered cell.
 
         One code path serves the initial sharding, post-crash recovery,
-        and warm resubmits alike: compare the job's cells against the
-        store, subtract permanently failed/lost digests and cells
-        already in flight (in *any* job — that is the cross-job dedup),
+        and warm resubmits alike: subtract the cells already in flight
+        (in *any* job — that is the cross-job dedup), compare the rest
+        against the store, subtract permanently failed/lost digests,
         and shard whatever remains.
         """
         covered = self._covered_digests(jobs)
@@ -223,7 +231,7 @@ class Scheduler:
         for job in jobs.values():
             if job.state != RUNNING:
                 continue
-            grew = self._refresh_stored(job)
+            grew = self._refresh_stored(job, covered)
             stored = set(job.stored)
             pending = [
                 index

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.service import build_job
+import json
+
+from repro.service import Scheduler, build_job
 from repro.service.jobs import DONE, QUEUED, RUNNING
 from repro.service.queue import atomic_write_json, read_json
 
@@ -17,6 +19,38 @@ def test_atomic_write_leaves_no_tmp_litter(tmp_path):
     atomic_write_json(path, {"a": 2})
     assert read_json(path) == {"a": 2}
     assert list(path.parent.glob("*.tmp.*")) == []
+
+
+def test_spool_files_have_the_bytes_json_dump_writes(
+    tmp_path, queue, store, mapping, clock
+):
+    job, _ = queue.submit(_job(mapping))
+    Scheduler(queue, store).poll_once()  # plans cells, writes two tickets
+    claim = queue.claim("w1")
+    clock.advance(0.25)
+    queue.heartbeat(claim)
+    report = {
+        "completed": 1,
+        "duration_s": 0.125,
+        "failures": [
+            {"cell": "r10(rob=32) × mcf", "digest": "ab" * 32, "kind": "permanent"}
+        ],
+        "worker": "w1",
+    }
+    queue.write_report(claim, report)
+    ((ticket_name, ticket),) = queue.iter_tickets()
+    written = {
+        queue.job_path(job.job_id): queue.load_job(job.job_id).to_dict(),
+        queue.shards_dir / ticket_name: ticket,
+        queue.claims_dir / claim["name"]: claim,
+        queue.done_dir / claim["name"]: report,
+    }
+    reference = tmp_path / "reference.json"
+    for path, data in written.items():
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, sort_keys=True)
+        assert path.read_bytes() == reference.read_bytes(), path.name
+    assert written[queue.job_path(job.job_id)]["cells"]
 
 
 def test_read_json_treats_torn_and_absent_as_none(tmp_path):

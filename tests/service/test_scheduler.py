@@ -11,6 +11,19 @@ def _submit(queue, mapping, shards=2):
     return job
 
 
+def _probes(monkeypatch, store) -> list[str]:
+    """The digest of every ``store.validated`` call from now on."""
+    probed: list[str] = []
+    validated = store.validated
+
+    def probe(key):
+        probed.append(key.digest)
+        return validated(key)
+
+    monkeypatch.setattr(store, "validated", probe)
+    return probed
+
+
 def test_plan_expands_and_shards_the_grid(queue, store, mapping):
     job = _submit(queue, mapping, shards=2)
     scheduler = Scheduler(queue, store)
@@ -146,3 +159,37 @@ def test_drained_reflects_outstanding_work(queue, store, mapping):
     assert not scheduler.drained()  # a queued job is outstanding
     scheduler.poll_once()
     assert not scheduler.drained()  # now its tickets are
+
+
+def test_a_pass_reads_no_store_entry_while_every_unstored_cell_is_covered(
+    queue, store, mapping, monkeypatch
+):
+    _submit(queue, mapping, shards=2)
+    scheduler = Scheduler(queue, store)
+    scheduler.poll_once()  # plans, then two tickets cover all four cells
+    probed = _probes(monkeypatch, store)
+    scheduler.poll_once()
+    assert probed == []
+    assert queue.claim("w1") is not None  # a claim covers like a ticket
+    scheduler.poll_once()
+    assert probed == []
+
+
+def test_a_finished_claims_cells_are_validated_once_on_the_next_pass(
+    queue, store, mapping, monkeypatch
+):
+    job = _submit(queue, mapping, shards=2)
+    scheduler = Scheduler(queue, store)
+    scheduler.poll_once()
+    tickets = dict(queue.iter_tickets())
+    assert ServiceWorker(queue, store, name="w1").poll_once()
+    (finished,) = set(tickets) - set(dict(queue.iter_tickets()))
+    cells = queue.load_job(job.job_id).cells
+    digests = sorted(cells[index].digest for index in tickets[finished]["indices"])
+    probed = _probes(monkeypatch, store)
+    scheduler.poll_once()
+    assert sorted(probed) == digests  # the other ticket's cells are not read
+    assert queue.load_job(job.job_id).stored == digests
+    probed.clear()
+    scheduler.poll_once()
+    assert probed == []  # a stored cell is never read again

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import cli, sweep
+from repro.experiments.common import compute_cell
 from repro.experiments.registry import get_experiment
-from repro.service import Scheduler, ServiceQueue
+from repro.service import Scheduler, ServiceQueue, job_status
 from repro.store import ResultStore, cell_key
 
 GRID = [
@@ -66,6 +72,60 @@ def test_submit_serve_status_results_end_to_end(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["serve", *svc, "--workers", "1", "--once"]) == 0
     assert ", 0 simulated" in capsys.readouterr().out
+
+
+def test_serve_replaces_workers_that_die(tmp_path, capsys):
+    """Both first workers die on their first cell; their replacements
+    drain the requeued cells, so ``--once`` still finishes."""
+    svc = _svc(tmp_path)
+    assert cli.main(["submit", *svc, *GRID]) == 0
+    capsys.readouterr()
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, REPRO_FAULT="cell:kill@#0", PYTHONPATH=path)
+    serve = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "serve", *svc,
+         "--workers", "2", "--once", "--lease", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert serve.returncode == 0, serve.stdout + serve.stderr
+    assert "4 simulated, 0 cached, 0 failed" in serve.stdout
+    assert "exited with status 137; slot " in serve.stdout
+
+
+def test_serve_once_exits_with_the_failed_cell_count(
+    tmp_path, capsys, monkeypatch
+):
+    svc = _svc(tmp_path)
+    assert cli.main(["submit", *svc, *GRID]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("REPRO_FAULT", "cell:fail@mcf")  # 2 of the 4 cells
+    assert cli.main(["serve", *svc, "--workers", "1", "--once"]) == 2
+    assert ", 2 failed" in capsys.readouterr().out
+
+
+def test_status_validates_each_cell_once(tmp_path, capsys, monkeypatch):
+    svc = _svc(tmp_path)
+    assert cli.main(["submit", *svc, *GRID]) == 0
+    capsys.readouterr()
+    queue = ServiceQueue(tmp_path / "svc")
+    store = ResultStore(tmp_path / "svc" / "store")
+    Scheduler(queue, store).poll_once()
+    claim = queue.claim("w1")  # one shard claimed, one not
+    (job,) = queue.iter_jobs()
+    landed = job.cells[claim["indices"][0]]
+    store.put(landed.store_key(), compute_cell(landed.key))
+    calls = []
+    validated = store.validated
+    monkeypatch.setattr(
+        store, "validated", lambda key: calls.append(key) or validated(key)
+    )
+    status = job_status(queue, store, job)
+    assert len(calls) == len(job.cells) == 4
+    assert status["stored"] == 1
+    assert [(shard["claimed"], shard["done"]) for shard in status["shards"]] == [
+        (False, 0), (True, 1)
+    ]
 
 
 def test_submit_accepts_scenario_files(tmp_path, capsys):
