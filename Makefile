@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint bench bench-smoke bench-baseline experiments reproduce sweep-smoke workload-smoke chaos-smoke simpoint-smoke contention-smoke perf-smoke serve-smoke
+.PHONY: test lint bench bench-smoke bench-baseline experiments reproduce import-check sweep-smoke workload-smoke chaos-smoke simpoint-smoke contention-smoke perf-smoke serve-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -182,3 +182,30 @@ experiments:
 # first run simulates (~half a minute) and re-runs render in under 5s.
 reproduce:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --scale quick --store .repro-store --out REPRODUCTION.md
+
+# A warm rebuild simulates nothing, so it imports no simulator: the full
+# quick report, in-process on the warm .repro-store (run `make
+# reproduce` first), must leave no module of repro.pipeline, repro.core
+# or repro.baselines, nor repro.sim.runner or repro.resilience.executor,
+# loaded.  table1 builds cache hierarchies to validate Table 1, so
+# repro.memory.hierarchy may load.  The check reads sys.modules, not
+# `-X importtime`, which prints no line for a module loaded through a
+# package __getattr__.  The same check gates in CI.
+define IMPORT_CHECK
+import sys
+from repro.experiments.cli import main
+assert main(["report", "--scale", "quick", "--store", ".repro-store",
+             "--out", ".import-check.md"]) == 0
+loaded = sorted(
+    name for name in sys.modules
+    if ".".join(name.split(".")[:2]) in ("repro.pipeline", "repro.core", "repro.baselines")
+    or name in ("repro.sim.runner", "repro.resilience.executor")
+)
+if loaded:
+    sys.exit("the warm report loaded simulator modules: " + ", ".join(loaded))
+print("import-check: the warm report loaded no simulator module")
+endef
+export IMPORT_CHECK
+
+import-check:
+	PYTHONPATH=src $(PYTHON) -c "$$IMPORT_CHECK"

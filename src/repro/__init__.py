@@ -18,42 +18,34 @@ See ``ARCHITECTURE.md`` for the module map and ``REPRODUCTION.md``
 record with verdicts against the paper.
 """
 
-from repro.sim import (
-    DKIP_2048,
-    KILO_1024,
-    R10_64,
-    R10_256,
-    CoreConfig,
-    DkipConfig,
-    KiloConfig,
-    SchedulerPolicy,
-    SimStats,
-    run_core,
-    simulate,
-)
-from repro.memory import DEFAULT_MEMORY, MemoryConfig, TABLE1_CONFIGS
-from repro.workloads import SPECFP_NAMES, SPECINT_NAMES, get_workload, suite
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DKIP_2048",
-    "KILO_1024",
-    "R10_64",
-    "R10_256",
-    "CoreConfig",
-    "DkipConfig",
-    "KiloConfig",
-    "SchedulerPolicy",
-    "SimStats",
-    "run_core",
-    "simulate",
-    "DEFAULT_MEMORY",
-    "MemoryConfig",
-    "TABLE1_CONFIGS",
-    "SPECINT_NAMES",
-    "SPECFP_NAMES",
-    "get_workload",
-    "suite",
-    "__version__",
-]
+#: Where each re-exported name lives.  Names load on first access, so
+#: importing one layer — ``repro.store`` or ``repro.machines``, say —
+#: loads only that layer, never the simulator.
+_EXPORTS = {
+    "DKIP_2048": "repro.sim.config",
+    "KILO_1024": "repro.sim.config",
+    "R10_64": "repro.sim.config",
+    "R10_256": "repro.sim.config",
+    "CoreConfig": "repro.sim.config",
+    "DkipConfig": "repro.sim.config",
+    "KiloConfig": "repro.sim.config",
+    "SchedulerPolicy": "repro.sim.config",
+    "SimStats": "repro.sim.stats",
+    "run_core": "repro.sim.runner",
+    "simulate": "repro.sim.runner",
+    "DEFAULT_MEMORY": "repro.memory.configs",
+    "MemoryConfig": "repro.memory.configs",
+    "TABLE1_CONFIGS": "repro.memory.configs",
+    "SPECINT_NAMES": "repro.workloads",
+    "SPECFP_NAMES": "repro.workloads",
+    "get_workload": "repro.workloads",
+    "suite": "repro.workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,51 +20,17 @@ achieved while interfering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from repro.baselines.ooo import R10Core
 from repro.branch import make_predictor
-from repro.branch.spec import PREDICTOR_GRAMMAR, canonical_predictor
-from repro.fingerprint import Fingerprintable
-from repro.machines.params import (
-    SpecError,
-    parse_count,
-    parse_nonneg,
-    reject_unknown,
-)
-from repro.machines.presets import MachinePreset, register_preset
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.shared import L2Arbiter, SharedL2View
 from repro.pipeline.core import CycleCore
-from repro.sim.config import CoreConfig, SchedulerPolicy
+from repro.sim.config import DualConfig
 from repro.sim.stats import SimStats
 from repro.workloads.spec import parse_workload
-
-
-@dataclass(frozen=True)
-class DualConfig(Fingerprintable):
-    """Two R10-style cores sharing an L2.
-
-    ``core`` parameterizes both cores identically (the co-runner differs
-    only in the workload it executes); ``co`` is a workload spec for the
-    co-runner or ``"none"`` for a solo run — the solo points anchor the
-    contention sweep's slowdown baselines.
-    """
-
-    name: str = "DUAL-64"
-    core: CoreConfig = field(default_factory=lambda: CoreConfig(name="core0"))
-    #: Co-runner workload spec (``repro.workloads`` grammar), or "none".
-    co: str = "none"
-    co_seed: int = 1
-    l2_ports: int = 1
-    l2_busy: int = 1
-
-    @property
-    def predictor(self) -> str:
-        """Both cores' branch predictor (the runner reads this attr)."""
-        return self.core.predictor
 
 
 class DualCore(CycleCore):
@@ -167,111 +133,3 @@ class DualCore(CycleCore):
         self.stats.l2_arb_delay_cycles = self.arbiter.delay_cycles
         if self.co is not None:
             self.stats.co_committed = self.co.committed
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration
-# ----------------------------------------------------------------------
-
-DUAL_GRAMMAR = (
-    "dual(co=WORKLOAD|none, coseed=N, bp=PRED, rob=N, iq=N, lsq=N, width=N, "
-    "sched=ino|ooo, l2ports=N, l2busy=N, name=STR); PRED: " + PREDICTOR_GRAMMAR
-)
-_DUAL_KEYS = frozenset(
-    {
-        "co", "coseed", "bp", "rob", "iq", "lsq", "width", "sched",
-        "l2ports", "l2busy", "name",
-    }
-)
-
-
-def _parse_dual(params: dict[str, str]) -> DualConfig:
-    """Spec params -> DualConfig; bare ``dual`` is a solo DUAL-64."""
-    reject_unknown("dual", params, _DUAL_KEYS, DUAL_GRAMMAR)
-    try:
-        bp = canonical_predictor(params.get("bp", "perceptron"))
-    except SpecError as error:
-        raise SpecError(f"dual: {error}; grammar: {DUAL_GRAMMAR}") from None
-    rob = parse_count("dual", "rob", params.get("rob", "64"))
-    iq = parse_count("dual", "iq", params.get("iq", "40"))
-    core = CoreConfig(
-        name="core0", rob_size=rob, iq_int=iq, iq_fp=iq, predictor=bp
-    )
-    if "width" in params:
-        width = parse_count("dual", "width", params["width"])
-        core = replace(
-            core,
-            fetch_width=width,
-            decode_width=width,
-            issue_width=width,
-            commit_width=width,
-        )
-    if "lsq" in params:
-        core = replace(core, lsq_size=parse_count("dual", "lsq", params["lsq"]))
-    if "sched" in params:
-        sched = params["sched"].strip().lower()
-        if sched not in ("ino", "ooo"):
-            raise SpecError(
-                f"dual: sched={params['sched']!r} must be ino or ooo; "
-                f"grammar: {DUAL_GRAMMAR}"
-            )
-        core = replace(core, scheduler=SchedulerPolicy(sched))
-    coseed = parse_nonneg("dual", "coseed", params.get("coseed", "1"))
-    co = params.get("co", "none").strip()
-    if co.lower() == "none":
-        co = "none"
-    else:
-        try:
-            parse_workload(co, seed=coseed)
-        except (SpecError, ValueError) as error:
-            raise SpecError(
-                f"dual: bad co-runner co={co!r}: {error}; "
-                f"grammar: {DUAL_GRAMMAR}"
-            ) from None
-    l2_ports = parse_count("dual", "l2ports", params.get("l2ports", "1"))
-    l2_busy = parse_count("dual", "l2busy", params.get("l2busy", "1"))
-    default_name = f"DUAL-{rob}" if co == "none" else f"DUAL-{rob}+{co}"
-    return DualConfig(
-        name=params.get("name", default_name),
-        core=core,
-        co=co,
-        co_seed=coseed,
-        l2_ports=l2_ports,
-        l2_busy=l2_busy,
-    )
-
-
-register_machine(
-    MachineKind(
-        name="dual",
-        config_cls=DualConfig,
-        build=lambda config, trace, hierarchy, predictor, stats=None: DualCore(
-            trace, config, hierarchy, predictor, stats
-        ),
-        parse=_parse_dual,
-        description="two R10-style cores sharing an arbitrated L2 "
-        "(co-runner contention axis)",
-        grammar=DUAL_GRAMMAR,
-    )
-)
-
-register_preset(
-    MachinePreset(
-        name="DUAL-64",
-        config=_parse_dual({}),
-        kind="dual",
-        spec="dual()",
-        provenance="contention study — solo R10-64 core on the shared-L2 "
-        "substrate (the slowdown baseline)",
-    )
-)
-register_preset(
-    MachinePreset(
-        name="DUAL-64-contended",
-        config=_parse_dual({"co": "synth(chase=12,footprint=1M)"}),
-        kind="dual",
-        spec="dual(co=synth(chase=12,footprint=1M))",
-        provenance="contention study — pointer-chasing co-runner keeping "
-        "the shared L2 and its ports busy",
-    )
-)

@@ -28,13 +28,11 @@ from typing import Iterable
 from repro.branch.base import BranchPredictor
 from repro.isa import Instruction
 from repro.isa.registers import NUM_REGS
-from repro.machines.params import parse_count, reject_unknown
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.entry import InFlight
 from repro.pipeline.queues import IssueQueue
-from repro.sim.config import CoreConfig, KiloConfig, SchedulerPolicy
+from repro.sim.config import KiloConfig, SchedulerPolicy
 from repro.sim.stats import SimStats
 from repro.baselines.ooo import R10Core
 
@@ -294,46 +292,3 @@ class KiloCore(R10Core):
                 if self.now - entry.dispatch_cycle > 64:
                     self.stats.long_latency_branch_mispredictions += 1
             self.fetch.on_branch_resolved(entry.seq, self.now + penalty)
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration (spec grammar lives in repro.machines)
-# ----------------------------------------------------------------------
-
-KILO_GRAMMAR = (
-    "kilo(sliq=N, prob=N, timer=N, iq=N, delay=N, rwidth=N, recovery=N, name=STR)"
-)
-_KILO_KEYS = frozenset(
-    {"sliq", "prob", "timer", "iq", "delay", "rwidth", "recovery", "name"}
-)
-
-
-def _parse_kilo(params: dict[str, str]) -> KiloConfig:
-    """Spec params -> KiloConfig; bare ``kilo`` is exactly KILO-1024."""
-    reject_unknown("kilo", params, _KILO_KEYS, KILO_GRAMMAR)
-    sliq = parse_count("kilo", "sliq", params.get("sliq", "1024"))
-    iq = parse_count("kilo", "iq", params.get("iq", "72"))
-    return KiloConfig(
-        name=params.get("name", f"KILO-{sliq}"),
-        core=CoreConfig(name="kilo-fe", iq_int=iq, iq_fp=iq),
-        pseudo_rob=parse_count("kilo", "prob", params.get("prob", "64")),
-        rob_timer=parse_count("kilo", "timer", params.get("timer", "16")),
-        sliq_size=sliq,
-        recovery_penalty=parse_count("kilo", "recovery", params.get("recovery", "16")),
-        sliq_reissue_delay=parse_count("kilo", "delay", params.get("delay", "4")),
-        sliq_reissue_width=parse_count("kilo", "rwidth", params.get("rwidth", "4")),
-    )
-
-
-register_machine(
-    MachineKind(
-        name="kilo",
-        config_cls=KiloConfig,
-        build=lambda config, trace, hierarchy, predictor, stats=None: KiloCore(
-            trace, config, hierarchy, predictor, stats
-        ),
-        parse=_parse_kilo,
-        description="Traditional KILO processor: pseudo-ROB + out-of-order SLIQ",
-        grammar=KILO_GRAMMAR,
-    )
-)

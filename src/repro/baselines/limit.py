@@ -36,14 +36,6 @@ from repro.branch.base import BranchPredictor
 from repro.branch.spec import canonical_predictor
 from repro.isa import DEFAULT_LATENCIES, Instruction, LatencyTable, OpClass
 from repro.isa.registers import NUM_REGS
-from repro.machines.params import (
-    SpecError,
-    parse_count,
-    parse_count_or_inf,
-    parse_flag,
-    reject_unknown,
-)
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.config import LimitMachine
 from repro.sim.stats import Histogram, SimStats
@@ -305,45 +297,3 @@ class LimitCore:
         runs whole on the first resumption and returns the stats."""
         return self.run(num_instructions, max_cycles, fast_forward)
         yield  # unreachable: makes this a generator like CycleCore.drive
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration (spec grammar lives in repro.machines)
-# ----------------------------------------------------------------------
-
-LIMIT_GRAMMAR = (
-    "limit(rob=N|inf, predictor=NAME, width=N, redirect=N, histogram=on|off)"
-)
-_LIMIT_KEYS = frozenset({"rob", "predictor", "width", "redirect", "histogram"})
-
-
-def _parse_limit(params: dict[str, str]) -> LimitMachine:
-    """Spec params -> LimitMachine; bare ``limit`` is the unlimited ROB."""
-    reject_unknown("limit", params, _LIMIT_KEYS, LIMIT_GRAMMAR)
-    predictor = "perceptron"
-    if "predictor" in params:
-        try:
-            predictor = canonical_predictor(params["predictor"])
-        except SpecError as error:
-            raise SpecError(f"limit: {error}; grammar: {LIMIT_GRAMMAR}") from None
-    return LimitMachine(
-        rob_size=parse_count_or_inf("limit", "rob", params.get("rob", "inf")),
-        predictor=predictor,
-        width=parse_count("limit", "width", params.get("width", "4")),
-        redirect_penalty=parse_count("limit", "redirect", params.get("redirect", "5")),
-        record_histogram=parse_flag("limit", "histogram", params.get("histogram", "on")),
-    )
-
-
-register_machine(
-    MachineKind(
-        name="limit",
-        config_cls=LimitMachine,
-        build=lambda config, trace, hierarchy, predictor, stats=None: LimitCore(
-            trace, config, hierarchy, predictor, stats
-        ),
-        parse=_parse_limit,
-        description="Idealized ROB-only limit core (Figures 1-3)",
-        grammar=LIMIT_GRAMMAR,
-    )
-)

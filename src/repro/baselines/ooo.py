@@ -19,14 +19,10 @@ cycle can be consumed this cycle but structural slots free up next cycle:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Iterable
 
 from repro.branch.base import BranchPredictor
-from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
-from repro.machines.params import SpecError, parse_count, reject_unknown
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import CycleCore
 from repro.pipeline.entry import InFlight
@@ -35,7 +31,7 @@ from repro.pipeline.fu import FuKind, FuPool
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.queues import IssueQueue
 from repro.pipeline.regstate import RegisterTracker
-from repro.sim.config import CoreConfig, SchedulerPolicy
+from repro.sim.config import CoreConfig
 from repro.sim.stats import SimStats
 
 #: Resolve latencies above this count as long-latency mispredictions.
@@ -255,60 +251,3 @@ class R10Core(CycleCore):
             queue.add(entry)
             if is_mem:
                 lsq.allocate()
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration (spec grammar lives in repro.machines)
-# ----------------------------------------------------------------------
-
-R10_GRAMMAR = (
-    "r10(rob=N, iq=N, lsq=N, width=N, sched=ino|ooo, predictor=NAME, name=STR)"
-)
-_R10_KEYS = frozenset({"rob", "iq", "lsq", "width", "sched", "predictor", "name"})
-
-
-def _parse_r10(params: dict[str, str]) -> CoreConfig:
-    """Spec params -> CoreConfig; bare ``r10`` is exactly R10-64."""
-    reject_unknown("r10", params, _R10_KEYS, R10_GRAMMAR)
-    rob = parse_count("r10", "rob", params.get("rob", "64"))
-    iq = parse_count("r10", "iq", params.get("iq", "40"))
-    config = CoreConfig(
-        name=params.get("name", f"R10-{rob}"), rob_size=rob, iq_int=iq, iq_fp=iq
-    )
-    if "width" in params:
-        width = parse_count("r10", "width", params["width"])
-        config = replace(
-            config,
-            fetch_width=width,
-            decode_width=width,
-            issue_width=width,
-            commit_width=width,
-        )
-    if "lsq" in params:
-        config = replace(config, lsq_size=parse_count("r10", "lsq", params["lsq"]))
-    if "sched" in params:
-        sched = params["sched"].strip().lower()
-        if sched not in ("ino", "ooo"):
-            raise SpecError(f"r10: sched={params['sched']!r} must be ino or ooo")
-        config = replace(config, scheduler=SchedulerPolicy(sched))
-    if "predictor" in params:
-        try:
-            bp = canonical_predictor(params["predictor"])
-        except SpecError as error:
-            raise SpecError(f"r10: {error}; grammar: {R10_GRAMMAR}") from None
-        config = replace(config, predictor=bp)
-    return config
-
-
-register_machine(
-    MachineKind(
-        name="r10",
-        config_cls=CoreConfig,
-        build=lambda config, trace, hierarchy, predictor, stats=None: R10Core(
-            trace, config, hierarchy, predictor, stats
-        ),
-        parse=_parse_r10,
-        description="R10000-style out-of-order core (the Figure-9 baselines)",
-        grammar=R10_GRAMMAR,
-    )
-)

@@ -30,15 +30,11 @@ Model notes (trace-driven):
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from typing import Iterable, Iterator
 
 from repro.branch.base import BranchPredictor
-from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
-from repro.machines.params import SpecError, parse_count, reject_unknown
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.entry import InFlight
@@ -47,7 +43,7 @@ from repro.pipeline.fu import FuPool
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.queues import IssueQueue
 from repro.pipeline.regstate import RegisterTracker
-from repro.sim.config import CoreConfig, RunaheadConfig
+from repro.sim.config import CoreConfig
 from repro.sim.stats import SimStats
 from repro.baselines.ooo import R10Core
 
@@ -299,51 +295,3 @@ class RunaheadCore(R10Core):
             head.mem_level == AccessLevel.MEMORY
             and head.seq != self._last_episode_seq
         )
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration (spec grammar lives in repro.machines)
-# ----------------------------------------------------------------------
-
-RUNAHEAD_GRAMMAR = "runahead(rob=N, iq=N, exit=N, predictor=NAME, name=STR)"
-_RUNAHEAD_KEYS = frozenset({"rob", "iq", "exit", "predictor", "name"})
-
-
-def _parse_runahead(params: dict[str, str]) -> RunaheadConfig:
-    """Spec params -> RunaheadConfig; bare ``runahead`` is runahead-64."""
-    reject_unknown("runahead", params, _RUNAHEAD_KEYS, RUNAHEAD_GRAMMAR)
-    rob = parse_count("runahead", "rob", params.get("rob", "64"))
-    core = CoreConfig(name="runahead-fe", rob_size=rob)
-    if "iq" in params:
-        iq = parse_count("runahead", "iq", params["iq"])
-        core = dataclasses.replace(core, iq_int=iq, iq_fp=iq)
-    if "predictor" in params:
-        try:
-            bp = canonical_predictor(params["predictor"])
-        except SpecError as error:
-            raise SpecError(f"runahead: {error}; grammar: {RUNAHEAD_GRAMMAR}") from None
-        core = dataclasses.replace(core, predictor=bp)
-    return RunaheadConfig(
-        name=params.get("name", f"runahead-{rob}"),
-        core=core,
-        exit_penalty=parse_count("runahead", "exit", params.get("exit", "8")),
-    )
-
-
-register_machine(
-    MachineKind(
-        name="runahead",
-        config_cls=RunaheadConfig,
-        build=lambda config, trace, hierarchy, predictor, stats=None: RunaheadCore(
-            trace,
-            config.core,
-            hierarchy,
-            predictor,
-            stats,
-            exit_penalty=config.exit_penalty,
-        ),
-        parse=_parse_runahead,
-        description="Runahead-execution comparator (reference [24] ablations)",
-        grammar=RUNAHEAD_GRAMMAR,
-    )
-)

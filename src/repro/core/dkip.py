@@ -33,14 +33,10 @@ clears the LLBV and pays ``recovery_penalty`` extra cycles.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.branch.base import BranchPredictor
-from repro.branch.spec import canonical_predictor
 from repro.isa import Instruction
-from repro.machines.params import SpecError, parse_count, reject_unknown
-from repro.machines.registry import MachineKind, register_machine
 from repro.memory.cache import AccessLevel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.entry import InFlight
@@ -419,99 +415,3 @@ class DkipProcessor(R10Core):
                 if self.now - entry.dispatch_cycle > 64:
                     self.stats.long_latency_branch_mispredictions += 1
             self.fetch.on_branch_resolved(entry.seq, self.now + penalty)
-
-
-# ----------------------------------------------------------------------
-# Machine-kind registration (spec grammar lives in repro.machines)
-# ----------------------------------------------------------------------
-
-DKIP_GRAMMAR = (
-    "dkip(llib=N, cp=INO|OOO-n, mp=INO|OOO-n, rob=N, iq=N, predictor=NAME, "
-    "timer=N, banks=N, bank_size=N, checkpoints=N, interval=N, recovery=N, "
-    "name=STR)"
-)
-_DKIP_KEYS = frozenset(
-    {
-        "llib", "cp", "mp", "rob", "iq", "predictor", "timer", "banks",
-        "bank_size", "checkpoints", "interval", "recovery", "name",
-    }
-)
-
-
-def _parse_dkip(params: dict[str, str]) -> DkipConfig:
-    """Spec params -> DkipConfig; bare ``dkip`` is exactly D-KIP-2048.
-
-    Scalar parameters apply first (``llib`` also renames to
-    ``D-KIP-<llib>``; ``rob``, ``iq`` and ``predictor`` set the Cache
-    Processor's fields and rename nothing), then ``cp``/``mp`` reuse
-    :meth:`DkipConfig.with_cp` / :meth:`~DkipConfig.with_mp` — including
-    their renaming — so a spec and its method-chain twin fingerprint
-    identically; an explicit ``name=`` wins over everything.
-    """
-    reject_unknown("dkip", params, _DKIP_KEYS, DKIP_GRAMMAR)
-    config = DkipConfig()
-    if "llib" in params:
-        llib = parse_count("dkip", "llib", params["llib"])
-        config = replace(config, llib_size=llib, name=f"D-KIP-{llib}")
-    if "timer" in params:
-        config = replace(
-            config, rob_timer=parse_count("dkip", "timer", params["timer"])
-        )
-    if "banks" in params:
-        config = replace(
-            config, llrf_banks=parse_count("dkip", "banks", params["banks"])
-        )
-    if "bank_size" in params:
-        config = replace(
-            config,
-            llrf_bank_size=parse_count("dkip", "bank_size", params["bank_size"]),
-        )
-    if "checkpoints" in params:
-        config = replace(
-            config,
-            checkpoint_stack=parse_count("dkip", "checkpoints", params["checkpoints"]),
-        )
-    if "interval" in params:
-        config = replace(
-            config,
-            checkpoint_interval=parse_count("dkip", "interval", params["interval"]),
-        )
-    if "recovery" in params:
-        config = replace(
-            config, recovery_penalty=parse_count("dkip", "recovery", params["recovery"])
-        )
-    cp = config.cache_processor
-    if "rob" in params:
-        cp = replace(cp, rob_size=parse_count("dkip", "rob", params["rob"]))
-    if "iq" in params:
-        iq = parse_count("dkip", "iq", params["iq"])
-        cp = replace(cp, iq_int=iq, iq_fp=iq)
-    if "predictor" in params:
-        try:
-            bp = canonical_predictor(params["predictor"])
-        except SpecError as error:
-            raise SpecError(f"dkip: {error}; grammar: {DKIP_GRAMMAR}") from None
-        cp = replace(cp, predictor=bp)
-    if cp is not config.cache_processor:
-        config = replace(config, cache_processor=cp)
-    if "cp" in params:
-        config = config.with_cp(params["cp"].strip().upper())
-    if "mp" in params:
-        config = config.with_mp(params["mp"].strip().upper())
-    if "name" in params:
-        config = replace(config, name=params["name"])
-    return config
-
-
-register_machine(
-    MachineKind(
-        name="dkip",
-        config_cls=DkipConfig,
-        build=lambda config, trace, hierarchy, predictor, stats=None: DkipProcessor(
-            trace, config, hierarchy, predictor, stats
-        ),
-        parse=_parse_dkip,
-        description="Decoupled KILO-Instruction Processor (CP + LLIBs + MPs)",
-        grammar=DKIP_GRAMMAR,
-    )
-)

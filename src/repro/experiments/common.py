@@ -21,6 +21,11 @@ verify`` and the service workers — takes one path:
   warmed cache snapshot in per-process memos, so a group of cells
   sharing a (workload, memory) pair pays for trace generation and
   warm-up once per process, in a pool worker as in-process.
+
+Planning, keying and serving cells from the store load no simulator:
+:func:`run_cells` imports the runner, the executor and the built-in
+models only when a cell is pending, just before the executor forks, so
+pool workers inherit them and a warm run never loads them.
 """
 
 from __future__ import annotations
@@ -33,22 +38,23 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.memory import MemoryConfig
 from repro.resilience import (
     ExecutionPolicy,
     FailureReport,
-    ResilientExecutor,
     active_policy,
     active_report,
     cell_label,
 )
-from repro.sim.runner import MachineConfig, run_core
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
 from repro.viz.ascii import table
 from repro.workloads import get_workload, SPECFP_NAMES, SPECINT_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.runner import MachineConfig
 
 
 class Scale(str, enum.Enum):
@@ -148,6 +154,8 @@ def run_cell(cell, num_instructions: int, max_cycles: int | None = None) -> SimS
     An exception it raises (an unknown workload, a ``DeadlockError``)
     fails that cell alone.
     """
+    from repro.sim.runner import run_core
+
     config, name, memory, seed = cell
     return run_core(
         config, _workload(name, seed), num_instructions, memory, max_cycles=max_cycles
@@ -218,6 +226,10 @@ def run_cells(
     pending = [i for i, cached in enumerate(results) if cached is None]
     if not pending:
         return results
+    from repro.machines.builtin import load_models
+    from repro.resilience.executor import ResilientExecutor
+
+    load_models()
     if policy is None:
         policy = active_policy()
     if report is None:

@@ -48,7 +48,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
 from repro.report.spec import Check, FigureSpec, cell, cell_ratio
-from repro.resilience import ResilientExecutor
 from repro.trace.io import save_trace
 from repro.viz.ascii import bar_chart
 from repro.workloads import get_workload
@@ -138,6 +137,8 @@ def _capture_missing(
         if not os.path.exists(path)
     ]
     if tasks:
+        from repro.resilience.executor import ResilientExecutor
+
         ResilientExecutor(_capture, resolve_jobs(None, len(tasks))).run(tasks)
 
 

@@ -8,7 +8,7 @@ latencies, which is what Figures 1 and 2 sweep over.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult, Scale, Stopwatch, scale_of
-from repro.memory import MemoryHierarchy, TABLE1_CONFIGS
+from repro.memory import TABLE1_CONFIGS
 from repro.report.spec import Check, FigureSpec, row_count
 
 
@@ -18,6 +18,8 @@ def run(
     # No simulation cells here — the store arguments exist so every
     # registry entry shares one call signature.
     del store, force
+    from repro.memory.hierarchy import MemoryHierarchy
+
     scale = scale_of(scale)
     result = ExperimentResult(
         name="table1",

@@ -14,8 +14,8 @@ This module owns the *syntax* (:func:`split_specs`,
 that the kind-specific ``parse`` hooks share.  It deliberately imports
 nothing from the rest of the package so any layer — machines,
 workloads, memory, trace — can use it without import cycles.
-:mod:`repro.machines.params` and :mod:`repro.machines.spec` re-export
-everything here for backwards compatibility.
+:mod:`repro.machines.spec` re-exports the syntax helpers for
+backwards compatibility.
 """
 
 from __future__ import annotations

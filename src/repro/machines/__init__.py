@@ -10,13 +10,15 @@ a command line (``"dkip(llib=4096,cp=OOO-60)"``), the preset table
 (:mod:`repro.machines.presets`) names the paper's exact configurations,
 and TOML/JSON scenario files describe whole sweeps.
 
-The config dataclasses themselves still live in :mod:`repro.sim.config`;
+The config dataclasses themselves live in :mod:`repro.sim.config`;
 their fingerprints — and therefore every result-store key — are
-untouched by this layer.  Kinds self-register from the modules that own
-their constructors (``repro.baselines.*``, ``repro.core.dkip``).
+untouched by this layer.  The built-in kinds' grammars, parsers and
+presets live in one module, :mod:`repro.machines.builtin`, apart from
+their models: a kind's ``build`` imports its model on first use, so
+parsing a spec and keying a cell load no simulator.
 """
 
-from repro.machines.params import SpecError
+from repro.grammar import SpecError
 from repro.machines.presets import PRESETS, MachinePreset, get_preset, register_preset
 from repro.machines.registry import (
     MachineDescription,

@@ -1,7 +1,8 @@
 """The machine-kind registry: every simulatable machine in one table.
 
-A *kind* is one family of machines (``r10``, ``kilo``, ``dkip``,
-``runahead``, ``limit``) described by a :class:`MachineKind` record:
+A *kind* is one family of machines (``r10``, ``ooo-bp``, ``kilo``,
+``runahead``, ``limit``, ``dual``, ``dkip``) described by a
+:class:`MachineKind` record:
 
 * ``parse(params) -> config`` builds the kind's frozen config dataclass
   from the key/value parameters of a spec string
@@ -13,9 +14,11 @@ A *kind* is one family of machines (``r10``, ``kilo``, ``dkip``,
 * the config's existing :meth:`~repro.fingerprint.Fingerprintable.
   fingerprint` keys the result store, unchanged.
 
-Kinds register themselves from the module that owns their constructor
-(``repro.baselines.ooo``, ``repro.core.dkip``, ...) at import time;
-:func:`ensure_builtin_kinds` imports those modules lazily so this module
+The built-in kinds register from :mod:`repro.machines.builtin`, which
+holds their grammars and parsers but not their models: a kind's
+``build`` imports its model when first called, so parsing, keying and
+serving a cell from the store load no simulator.
+:func:`ensure_builtin_kinds` imports that module lazily so this module
 stays import-cycle-free and external code can register additional kinds
 before or after.
 """
@@ -60,16 +63,8 @@ class MachineKind:
 _KINDS: dict[str, MachineKind] = {}
 _BY_CONFIG: dict[type, MachineKind] = {}
 
-#: Modules that self-register the built-in kinds when imported.
-_BUILTIN_MODULES = (
-    "repro.baselines.ooo",
-    "repro.baselines.ooobp",
-    "repro.baselines.kilo",
-    "repro.baselines.runahead",
-    "repro.baselines.limit",
-    "repro.baselines.dual",
-    "repro.core.dkip",
-)
+#: Modules that register the built-in kinds when imported.
+_BUILTIN_MODULES = ("repro.machines.builtin",)
 
 
 def register_machine(kind: MachineKind) -> MachineKind:
@@ -80,7 +75,7 @@ def register_machine(kind: MachineKind) -> MachineKind:
 
 
 def ensure_builtin_kinds() -> None:
-    """Import the constructor modules so the built-in kinds exist."""
+    """Import the registering modules so the built-in kinds exist."""
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
 

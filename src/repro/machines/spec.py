@@ -9,11 +9,11 @@ One compact grammar describes every simulatable machine::
 ``parse`` hook into a :class:`~repro.sim.config.DkipConfig`;
 ``"R10-256"`` resolves through the preset table; bare ``"kilo"`` is the
 kind with all defaults.  Parameter grammars are owned by the kinds
-themselves (see each constructor module); the surrounding syntax
-(:func:`split_specs` / :func:`parse_spec_string`) lives in
-:mod:`repro.grammar`, shared with the workload layer, and is re-exported
-here.  This module owns the preset lookup, the memory-system grammar,
-and TOML/JSON scenario-file loading.
+themselves (:mod:`repro.machines.builtin` for the built-in ones); the
+surrounding syntax (:func:`split_specs` / :func:`parse_spec_string`)
+lives in :mod:`repro.grammar`, shared with the workload layer, and is
+re-exported here.  This module owns the preset lookup, the
+memory-system grammar, and TOML/JSON scenario-file loading.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def parse_machine(spec: str):
     into its config dataclass."""
     text = spec.strip()
     if "(" not in text:
-        # Kind modules register their presets at import time, so the
-        # lazily-imported kinds must exist before the preset lookup.
+        # The built-in kinds register their presets at import time, so
+        # the lazily-imported kinds must exist before the preset lookup.
         ensure_builtin_kinds()
         preset = get_preset(text)
         if preset is not None:

@@ -14,9 +14,12 @@ resubmitting a finished job — collapses into the same recovery:
 A covered cell is not probed: its claim is still computing it.  It is
 validated on the first pass after that claim finishes or is reaped, so
 a pass costs one store read per cell that left flight, not one per
-unstored cell, and a job record is rewritten about once per closed
-ticket.  A job whose cells another job's ticket covers therefore
-completes when that ticket closes.
+unstored cell (a job planned in this pass, which has just read every
+cell, is not read again), and a job record is rewritten about once per
+closed ticket.  A job whose cells another job's ticket covers therefore
+completes when that ticket closes; when a cell failed for good or was
+lost there, the job takes over that failure or lost mark, so its
+summary and ``serve --once``'s exit status count the cell.
 
 Skip decisions go through validated store reads
 (:meth:`repro.store.ResultStore.validated`, i.e. ``get()`` semantics),
@@ -73,14 +76,14 @@ class Scheduler:
         self.queue.ensure()
         events: list[str] = []
         jobs = {job.job_id: job for job in self.queue.iter_jobs()}
-        for job in jobs.values():
-            if job.state == QUEUED:
-                self._plan(job, events)
+        queued = [job for job in jobs.values() if job.state == QUEUED]
+        for job in queued:
+            self._plan(job, events)
         for job in jobs.values():
             if job.state == RUNNING:
                 self._absorb_reports(job)
         self._reap_stale(jobs, events)
-        self._dispatch(jobs, events)
+        self._dispatch(jobs, events, {job.job_id for job in queued})
         for job in jobs.values():
             if job.state == RUNNING:
                 self._complete(job, events)
@@ -214,37 +217,50 @@ class Scheduler:
             job.stored = sorted(stored)
         return grew
 
-    def _dispatch(self, jobs: dict[str, Job], events: list[str]) -> None:
+    def _dispatch(
+        self, jobs: dict[str, Job], events: list[str], planned: set[str]
+    ) -> None:
         """Issue tickets for every unresolved, uncovered cell.
 
         One code path serves the initial sharding, post-crash recovery,
         and warm resubmits alike: subtract the cells already in flight
         (in *any* job — that is the cross-job dedup), compare the rest
-        against the store, subtract permanently failed/lost digests,
-        and shard whatever remains.
+        against the store (except in the jobs *planned* this pass,
+        which just did), take over the permanent failures and lost
+        marks of other jobs, subtract the failed and lost digests, and
+        shard whatever remains.
         """
         covered = self._covered_digests(jobs)
-        resolved_elsewhere: set[str] = set()
+        failed: dict[str, dict] = {}
+        lost: set[str] = set()
         for job in jobs.values():
-            resolved_elsewhere |= set(job.failed_digests())
-            resolved_elsewhere |= set(job.lost)
+            failed_here = job.failed_digests()
+            for failure in job.failures:
+                if failure.get("digest") in failed_here:
+                    failed.setdefault(failure["digest"], failure)
+            lost |= set(job.lost)
         for job in jobs.values():
             if job.state != RUNNING:
                 continue
-            grew = self._refresh_stored(job, covered)
-            stored = set(job.stored)
-            pending = [
-                index
-                for index, cell in enumerate(job.cells)
-                if cell.digest not in stored
-                and cell.digest not in resolved_elsewhere
-            ]
-            uncovered = [
-                index for index in pending
-                if job.cells[index].digest not in covered
-            ]
+            changed = job.job_id not in planned and self._refresh_stored(
+                job, covered
+            )
+            resolved = set(job.stored) | set(job.failed_digests()) | set(job.lost)
+            uncovered = []
+            for index, cell in enumerate(job.cells):
+                if cell.digest in resolved or cell.digest in covered:
+                    continue
+                if cell.digest in failed:
+                    job.failures.append(dict(failed[cell.digest], index=index))
+                elif cell.digest in lost:
+                    job.lost.append(cell.digest)
+                else:
+                    uncovered.append(index)
+                    continue
+                resolved.add(cell.digest)
+                changed = True
             if not uncovered:
-                if grew:
+                if changed:
                     self.queue.save_job(job)
                 continue
             if job.requeues > self.requeue_budget:

@@ -1,6 +1,10 @@
 """Machine configurations: Tables 2 and 3 of the paper, plus the named
 processor models compared in Figure 9 (R10-64, R10-256, KILO-1024,
 D-KIP-2048).
+
+Every built-in machine kind's config lives here, apart from its model,
+so planning and keying a cell never imports a simulator
+(:mod:`repro.machines.builtin` parses specs into these).
 """
 
 from __future__ import annotations
@@ -61,6 +65,42 @@ class CoreConfig(Fingerprintable):
         return replace(
             self, name=label, iq_int=size, iq_fp=size, scheduler=scheduler
         )
+
+
+@dataclass(frozen=True)
+class OooBpConfig(CoreConfig):
+    """R10-style core whose ``predictor`` field is the swept axis.
+
+    Structurally identical to :class:`CoreConfig`; a distinct type so the
+    machine registry can attach the ``ooo-bp`` grammar and so the result
+    store keys predictor-sweep cells apart from the ``r10`` baselines.
+    """
+
+    name: str = "OOO-BP-64"
+
+
+@dataclass(frozen=True)
+class DualConfig(Fingerprintable):
+    """Two R10-style cores sharing an L2 (the ``dual`` kind).
+
+    ``core`` parameterizes both cores identically (the co-runner differs
+    only in the workload it executes); ``co`` is a workload spec for the
+    co-runner or ``"none"`` for a solo run — the solo points anchor the
+    contention sweep's slowdown baselines.
+    """
+
+    name: str = "DUAL-64"
+    core: CoreConfig = field(default_factory=lambda: CoreConfig(name="core0"))
+    #: Co-runner workload spec (``repro.workloads`` grammar), or "none".
+    co: str = "none"
+    co_seed: int = 1
+    l2_ports: int = 1
+    l2_busy: int = 1
+
+    @property
+    def predictor(self) -> str:
+        """Both cores' branch predictor (the runner reads this attr)."""
+        return self.core.predictor
 
 
 @dataclass(frozen=True)

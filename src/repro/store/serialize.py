@@ -21,24 +21,30 @@ from repro.memory.configs import MemoryConfig
 from repro.sim.config import (
     CoreConfig,
     DkipConfig,
+    DualConfig,
     FuConfig,
     KiloConfig,
     LimitMachine,
     MemoryProcessorConfig,
+    OooBpConfig,
     RunaheadConfig,
 )
 
-#: Dataclass kinds the store can reconstruct, keyed by class name.
+#: Dataclass kinds the store can reconstruct, keyed by class name: the
+#: configs of every built-in machine kind, so decoding a stored key
+#: never loads the machine registry.
 KINDS: dict[str, type] = {
     cls.__name__: cls
     for cls in (
         FuConfig,
         CoreConfig,
+        OooBpConfig,
         KiloConfig,
         MemoryProcessorConfig,
         DkipConfig,
         RunaheadConfig,
         LimitMachine,
+        DualConfig,
         MemoryConfig,
     )
 }

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.fingerprint import CANON_VERSION, canonical, digest, digest_canonical
-from repro.resilience.faults import plan_from_env
 from repro.sim.stats import STATS_SCHEMA_VERSION, SimStats
 
 #: On-disk entry envelope version (distinct from the stats schema).
@@ -221,6 +220,8 @@ class ResultStore:
         ``finally`` unlinks it when a raised write/fsync aborts before
         the rename, so failures never orphan ``.tmp.*`` litter.
         """
+        from repro.resilience.faults import plan_from_env
+
         path = self.path_for(key)
         stats_dict = stats.to_dict()
         entry = {

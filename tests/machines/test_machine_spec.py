@@ -10,8 +10,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.baselines.dual import DualConfig
-from repro.baselines.ooobp import OooBpConfig
 from repro.machines import (
     apply_params,
     get_preset,
@@ -26,7 +24,9 @@ from repro.sim.config import (
     KILO_1024,
     R10_256,
     R10_64,
+    DualConfig,
     LimitMachine,
+    OooBpConfig,
     RunaheadConfig,
     SchedulerPolicy,
 )

@@ -193,3 +193,59 @@ def test_a_finished_claims_cells_are_validated_once_on_the_next_pass(
     probed.clear()
     scheduler.poll_once()
     assert probed == []  # a stored cell is never read again
+
+
+def test_a_new_jobs_first_pass_reads_each_cell_once(
+    queue, store, mapping, monkeypatch
+):
+    job = _submit(queue, mapping, shards=2)
+    scheduler = Scheduler(queue, store)
+    probed = _probes(monkeypatch, store)
+    events = scheduler.poll_once()
+    cells = queue.load_job(job.job_id).cells
+    assert sorted(probed) == sorted(cell.digest for cell in cells)  # 4, not 8
+    assert queue.load_job(job.job_id).cached == 0
+    assert any("planned: 4 cells, 0 cached" in event for event in events)
+
+
+def test_a_cell_failed_in_another_jobs_ticket_completes_the_overlapping_job(
+    queue, store, mapping, monkeypatch, drain_service
+):
+    """Two overlapping jobs: whichever job's ticket ran the failing cell,
+    the other takes over its failure record and completes too."""
+    monkeypatch.setenv("REPRO_FAULT", "cell:fail@mcf")
+    full = _submit(queue, mapping, shards=1)
+    half = dict(mapping, name="svc-half", machines=[mapping["machines"][0]])
+    half_job, _ = queue.submit(build_job(half, "quick", shards=1, retries=0))
+    scheduler = Scheduler(queue, store)
+    events = drain_service(scheduler, [ServiceWorker(queue, store, name="w1")])
+    done_full = queue.load_job(full.job_id)
+    done_half = queue.load_job(half_job.job_id)
+    assert done_full.state == DONE and done_half.state == DONE
+    # mcf fails on both machines of the full grid, on one of the half.
+    assert done_full.summary()["failed"] == 2
+    assert done_half.summary()["failed"] == 1
+    assert done_half.summary()["stored"] == 1
+    (failure,) = done_half.failures
+    assert done_half.cells[failure["index"]].digest == failure["digest"]
+    assert "mcf" in done_half.cells[failure["index"]].label
+    assert any(done_half.summary_line() == event for event in events)
+    assert "1 failed" in done_half.summary_line()
+
+
+def test_a_cell_lost_in_another_job_completes_the_overlapping_job(
+    queue, store, mapping, clock
+):
+    full = _submit(queue, mapping, shards=1)
+    scheduler = Scheduler(queue, store, lease=30.0, requeue_budget=0)
+    scheduler.poll_once()
+    assert queue.claim("doomed") is not None  # dies holding all four cells
+    clock.advance(31.0)
+    scheduler.poll_once()
+    assert len(queue.load_job(full.job_id).lost) == 4
+    half = _submit(queue, dict(mapping, name="svc-half", machines=["r10(rob=32)"]))
+    scheduler.poll_once()
+    done_half = queue.load_job(half.job_id)
+    assert done_half.state == DONE
+    assert done_half.summary()["lost"] == 2
+    assert scheduler.drained()
