@@ -122,15 +122,20 @@ chaos-smoke:
 # cells settle in the driver while the freed workers already run their
 # next ones; the same for the sampling experiment, each run into
 # its own fresh store, so captures and SimPoint selections made on pool
-# workers are checked against the in-process path; then one profiled
-# cell, leaving profile.pstats for CI to upload.  The limit cells cover
-# the limit core's branch-verdict memo, hits and misses, across pool
-# workers.  The same check gates in CI.
+# workers are checked against the in-process path; then the Figure-1
+# sweep into a fresh store, whose cells reach each worker grouped by
+# trace and memory so the limit core's memos hit, re-simulated by
+# `cache verify` in digest order, so they mostly miss: every cell must
+# match; then one profiled cell, leaving profile.pstats for CI to
+# upload.  The limit cells cover the limit core's branch-verdict and
+# access-plan memos, hits and misses, across pool workers.  The same
+# check gates in CI.
 PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24),limit(rob=32),limit(rob=256),limit(rob=64,predictor=gshare-10)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
 perf-smoke:
-	rm -rf .perf-serial .perf-pool .perf-serial-store .perf-pool-store
+	rm -rf .perf-serial .perf-pool .perf-serial-store .perf-pool-store \
+	  .perf-fig1-store
 	REPRO_JOBS=1 \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
 	  --csv .perf-serial
@@ -152,6 +157,13 @@ perf-smoke:
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sampling --scale quick \
 	  --store .perf-pool-store --csv .perf-pool
 	cmp .perf-serial/sampling.csv .perf-pool/sampling.csv
+	REPRO_JOBS=2 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments fig1 --scale quick \
+	  --store .perf-fig1-store
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cache verify \
+	  --store .perf-fig1-store > .perf-fig1-store/verify.log \
+	  || { cat .perf-fig1-store/verify.log; exit 1; }
+	grep ", 0 stale/errored" .perf-fig1-store/verify.log
 	PYTHONPATH=src $(PYTHON) -m repro.experiments profile dkip mcf \
 	  --instructions 4000 --profile-out profile.pstats
 

@@ -10,12 +10,22 @@
 * :mod:`repro.baselines.limit` — the idealized ROB-only processor used for
   the Section-2 characterization (Figures 1-3): stalls can only come from
   ROB shortage, branch mispredictions and data dependences.
+
+Every name loads its model on first access (PEP 562), so building one
+kind imports that kind's model and the ones it is built from, no other.
 """
 
-from repro.baselines.ooo import R10Core
-from repro.baselines.kilo import KiloCore
-from repro.baselines.limit import LimitResult, issue_distance_histogram, simulate_limit
-from repro.baselines.runahead import RunaheadCore
+from repro.lazy import lazy_exports
+
+#: Names re-exported from modules that load on first access.
+_LAZY = {
+    "R10Core": "repro.baselines.ooo",
+    "KiloCore": "repro.baselines.kilo",
+    "LimitResult": "repro.baselines.limit",
+    "issue_distance_histogram": "repro.baselines.limit",
+    "simulate_limit": "repro.baselines.limit",
+    "RunaheadCore": "repro.baselines.runahead",
+}
 
 __all__ = [
     "R10Core",
@@ -25,3 +35,5 @@ __all__ = [
     "simulate_limit",
     "RunaheadCore",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -22,7 +22,11 @@ The predictor is trained strictly in trace order, so its verdicts depend
 only on the predictor spec and the trace's conditional-branch stream, not
 on the window or the memory system.  :func:`branch_verdicts` keeps the
 last stream's verdicts in a one-entry per-process memo, so a window sweep
-trains one predictor per trace instead of one per cell.
+trains one predictor per trace instead of one per cell.  The cache
+hierarchy is called in trace order too, so which level serves each access
+depends only on the hierarchy's starting contents and the trace's line
+stream: :func:`access_plan` classifies that stream once per (trace,
+memory) pair, and each window's pass replays only the timing.
 """
 
 from __future__ import annotations
@@ -34,9 +38,15 @@ from typing import Iterable
 from repro.branch import make_predictor
 from repro.branch.base import BranchPredictor
 from repro.branch.spec import canonical_predictor
-from repro.isa import DEFAULT_LATENCIES, Instruction, LatencyTable, OpClass
+from repro.isa import DEFAULT_LATENCIES, Instruction, LatencyTable
 from repro.isa.registers import NUM_REGS
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import (
+    L1_PENDING,
+    L2_PENDING,
+    RECORD,
+    AccessPlan,
+    MemoryHierarchy,
+)
 from repro.sim.config import LimitMachine
 from repro.sim.stats import Histogram, SimStats
 
@@ -83,6 +93,35 @@ def branch_verdicts(spec: str, stream: list[int]) -> bytes:
     return memo[2]
 
 
+#: The last ``(line stream, access plan)`` this process classified.
+#: Like :data:`_VERDICTS`, one entry serves the windows of one (trace,
+#: memory) pair, which reach a process in a row.
+_PLAN: tuple[list[int], AccessPlan] | None = None
+
+
+def access_plan(hierarchy: MemoryHierarchy, lines: list[int]) -> AccessPlan:
+    """*hierarchy*'s classification of the line stream *lines*
+    (:meth:`~repro.memory.hierarchy.MemoryHierarchy.classify`), which
+    leaves the hierarchy as the classification does.
+
+    The pass calls the hierarchy in trace order, so which level serves
+    each access is the same for every window; only the fill arithmetic
+    depends on timing.  The one-entry memo hits when *lines* equals the
+    entry's stream element for element and the hierarchy
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.replays` the entry's
+    plan (same geometry, same LRU contents); a hit then applies the
+    plan, installing the contents and counters the stream leaves.
+    """
+    global _PLAN
+    memo = _PLAN
+    if memo is not None and memo[0] == lines and hierarchy.replays(memo[1]):
+        hierarchy.apply(memo[1])
+        return memo[1]
+    plan = hierarchy.classify(lines)
+    _PLAN = (lines, plan)
+    return plan
+
+
 def simulate_limit(
     trace: Iterable[Instruction],
     hierarchy: MemoryHierarchy,
@@ -96,6 +135,15 @@ def simulate_limit(
     stats: SimStats | None = None,
 ) -> LimitResult:
     """Run the idealized core over *trace*.
+
+    The memory work splits in two: :func:`access_plan` decides, with no
+    timing, which level serves each load and store, and the pass below
+    replays only the timing of that plan, with
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.access`'s fill rule
+    inlined: a hit on a line whose fill is still in flight pays the
+    remaining fill time on top of the level's latency, and a miss
+    records its fill in both levels through ``record_fill``.  The
+    hierarchy ends as a pass of ``access`` calls would leave it.
 
     Args:
         rob_size: ROB capacity; ``None`` means unlimited (the configuration
@@ -114,15 +162,25 @@ def simulate_limit(
     """
     if stats is None:
         stats = SimStats(config=f"limit-{rob_size or 'inf'}")
-    trace = list(trace)  # the branch stream is read ahead of the pass
+    trace = list(trace)  # the branch and line streams are read ahead of the pass
     verdicts = branch_verdicts(
         canonical_predictor(predictor),
         [instr.pc << 1 | bool(instr.taken) for instr in trace if instr.is_cond_branch],
     )
     next_verdict = iter(verdicts).__next__
+    line_bits = hierarchy.line_size.bit_length() - 1
+    plan = access_plan(
+        hierarchy, [instr.addr >> line_bits for instr in trace if instr.is_mem]
+    )
+    next_access = iter(plan.codes).__next__
+    l1_ready = hierarchy.l1.fills.get
+    if hierarchy.l2 is not None:  # else no access is L2_PENDING or RECORD
+        l2_ready = hierarchy.l2.fills.get
+        l1_record = hierarchy.l1.record_fill
+        l2_record = hierarchy.l2.record_fill
     histogram = Histogram(bin_width=histogram_bin, max_value=4000)
     histogram_add = histogram.add if record_histogram else None
-    hierarchy_access = hierarchy.access
+    by_op = latencies.by_op
 
     reg_time = [0] * NUM_REGS
     # Commit times of the ROB-resident window (for the capacity constraint)
@@ -133,8 +191,7 @@ def simulate_limit(
     fetch_cycle = 0
     slots_left = width          # fetch slots remaining in the current cycle
     resume_cycle = 0            # earliest fetch cycle after a misprediction
-    committed = 0
-    agen = latencies.agen
+    branches = mispredictions = 0
 
     for instr in trace:
         # ---- fetch -----------------------------------------------------
@@ -145,7 +202,6 @@ def simulate_limit(
             fetch_cycle = resume_cycle
             slots_left = width
         slots_left -= 1
-        stats.fetched += 1
 
         # ---- dispatch (ROB capacity) ------------------------------------
         dispatch = fetch_cycle
@@ -168,25 +224,33 @@ def simulate_limit(
             histogram_add(issue - (dispatch + 1))
 
         # ---- execute ---------------------------------------------------
-        op = instr.op
-        if instr.is_load:
-            mem_latency, _level = hierarchy_access(instr.addr, write=False, now=issue)
-            latency = agen + mem_latency
-        elif instr.is_store:
-            hierarchy_access(instr.addr, write=True, now=issue)
-            latency = agen
-        else:
-            latency = latencies.latency_of(op)
+        latency = by_op[instr.op]
+        if instr.is_mem:
+            fills, mem_latency = next_access()
+            if fills == L1_PENDING:
+                t = l1_ready(instr.addr >> line_bits)
+                if t is not None and t > issue:
+                    mem_latency += t - issue
+            elif fills == L2_PENDING:
+                t = l2_ready(instr.addr >> line_bits)
+                if t is not None and t > issue:
+                    mem_latency += t - issue
+            elif fills == RECORD:
+                line = instr.addr >> line_bits
+                l2_record(line, issue + mem_latency, issue)
+                l1_record(line, issue + mem_latency, issue)
+            if instr.is_load:
+                latency += mem_latency
         complete = issue + latency
         dest = instr.dest
         if dest is not None:
             reg_time[dest] = complete
 
         # ---- control flow ----------------------------------------------
-        if op == OpClass.BRANCH:
-            stats.branch_predictions += 1
+        if instr.is_cond_branch:
+            branches += 1
             if not next_verdict():
-                stats.branch_mispredictions += 1
+                mispredictions += 1
                 resume_cycle = complete + redirect_penalty
                 slots_left = 0
         elif instr.taken:
@@ -203,9 +267,12 @@ def simulate_limit(
         recent_commits.append(commit)
         if rob_size is not None:
             rob_commits.append(commit)
-        committed += 1
 
+    committed = len(trace)
     cycles = last_commit if committed else 0
+    stats.fetched += committed
+    stats.branch_predictions += branches
+    stats.branch_mispredictions += mispredictions
     stats.committed = committed
     stats.cycles = cycles
     stats.issue_distance = histogram

@@ -196,6 +196,44 @@ class Cache:
     def outstanding_fills(self) -> int:
         return len(self._fills)
 
+    @property
+    def fills(self) -> dict[int, int]:
+        """The live outstanding-fill table, line -> ready cycle.
+
+        For a caller that inlines :meth:`pending_fill`'s arithmetic
+        (the limit core's timing pass); record fills only through
+        :meth:`record_fill`.
+        """
+        return self._fills
+
+    # ------------------------------------------------------------------
+    # Untimed contents (see MemoryHierarchy.classify)
+    # ------------------------------------------------------------------
+
+    def contents(self, lines: frozenset[int]) -> tuple | set[int]:
+        """What a lookup/fill stream over *lines* reads of this cache,
+        as a comparable copy: every set's lines in LRU order, or which of
+        *lines* an infinite cache holds."""
+        if self.size is None:
+            return self._infinite_lines.intersection(lines)
+        return tuple(map(tuple, self._sets))
+
+    def contents_after(self, lines: frozenset[int]) -> list | frozenset[int]:
+        """What :meth:`install` needs to repeat a stream over *lines* that
+        ended here: a copy of every set, or which of *lines* an infinite
+        cache holds, which covers every line the stream added to it."""
+        if self.size is None:
+            return frozenset(self._infinite_lines.intersection(lines))
+        return [s.copy() for s in self._sets]
+
+    def install(self, after: list | frozenset[int]) -> None:
+        """Leave this cache as the stream :meth:`contents_after` captured
+        left it, given it now holds that stream's starting contents."""
+        if self.size is None:
+            self._infinite_lines.update(after)
+        else:
+            self._sets = list(map(dict.copy, after))
+
     # ------------------------------------------------------------------
     # Bulk warm-up (see repro.memory.warmup)
     # ------------------------------------------------------------------

@@ -12,8 +12,34 @@ method, :meth:`MemoryHierarchy.access`, resolves an address to the
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.memory.cache import AccessLevel, Cache, MainMemory
 from repro.memory.configs import MemoryConfig
+
+#: How a classified access meets the outstanding-fill tables
+#: (:meth:`MemoryHierarchy.classify`): it pays its base latency as is
+#: (``FIXED``), plus what remains of an in-flight fill of its line in the
+#: L1's or the L2's table (``L1_PENDING``, ``L2_PENDING``), or it misses
+#: to memory and records a fill of its line in both (``RECORD``).
+FIXED, L1_PENDING, L2_PENDING, RECORD = range(4)
+
+
+class AccessPlan(NamedTuple):
+    """The untimed outcome of one line stream through a hierarchy."""
+
+    #: ``(fill kind, base latency)`` per access, in stream order.
+    codes: list[tuple[int, int]]
+    #: The hierarchy's class, line size, and each level's size,
+    #: associativity and latency.
+    geometry: tuple
+    #: The stream's distinct lines.
+    lines: frozenset[int]
+    #: Per cache level, the contents the stream read, and what it left.
+    before: tuple
+    after: tuple
+    #: How far the stream moved each hit, miss and memory counter.
+    counts: tuple[int, ...]
 
 
 class MemoryHierarchy:
@@ -88,6 +114,102 @@ class MemoryHierarchy:
         self.l2.record_fill(line, ready, now)
         self.l1.record_fill(line, ready, now)
         return latency, AccessLevel.MEMORY
+
+    def classify(self, lines: list[int]) -> AccessPlan:
+        """The untimed half of :meth:`access`, over a stream of lines.
+
+        Takes the lookups and fills :meth:`access` takes for each line of
+        *lines*, in order, and moves the same counters, but reads and
+        writes no fill table: which level serves an access, and what it
+        evicts, never depends on when the access happens.  Each code
+        tells what :meth:`access` at cycle ``now`` returns as the
+        latency: the base latency, plus, for ``L1_PENDING`` and
+        ``L2_PENDING``, whatever remains at ``now`` of an in-flight fill
+        of the line in that level's table; a ``RECORD`` access records a
+        fill of the line, ready at ``now`` plus its base latency, in both
+        tables.  The plan keeps the contents the stream read and left, so
+        :meth:`apply` can repeat it on a hierarchy that :meth:`replays` it.
+        """
+        levels = self._levels()
+        distinct = frozenset(lines)
+        before = tuple(level.contents(distinct) for level in levels)
+        start = self._counts()
+        l1, l2, memory = self.l1, self.l2, self.memory
+        l1_hit = (L1_PENDING, l1.latency)
+        first_touch = (FIXED, l1.latency)
+        if l2 is not None:
+            l2_hit = (L2_PENDING, l2.latency)
+            l2_fill = (FIXED, l2.latency)
+        if memory is not None:
+            miss = (RECORD, memory.latency)
+        codes = []
+        append = codes.append
+        for line in lines:
+            if l1.lookup(line):
+                append(l1_hit)
+            elif l2 is None:
+                l1.fill(line)
+                append(first_touch)
+            elif l2.lookup(line):
+                l1.fill(line)
+                append(l2_hit)
+            elif memory is None:
+                l2.fill(line)
+                l1.fill(line)
+                append(l2_fill)
+            else:
+                memory.access()
+                l2.fill(line)
+                l1.fill(line)
+                append(miss)
+        after = tuple(level.contents_after(distinct) for level in levels)
+        counts = tuple(end - begin for begin, end in zip(start, self._counts()))
+        return AccessPlan(codes, self._geometry(), distinct, before, after, counts)
+
+    def replays(self, plan: AccessPlan) -> bool:
+        """True when *plan*'s stream, classified from this hierarchy's
+        current state, would come out as *plan*: the same geometry and
+        the same contents of every set the stream reads.  Counters and
+        fill tables do not count; classification reads neither."""
+        return plan.geometry == self._geometry() and plan.before == tuple(
+            level.contents(plan.lines) for level in self._levels()
+        )
+
+    def apply(self, plan: AccessPlan) -> None:
+        """Leave this hierarchy, which :meth:`replays` *plan*, as
+        classifying the plan's stream would: the contents the stream
+        left, and every counter moved as far as the stream moved it."""
+        for level, after in zip(self._levels(), plan.after):
+            level.install(after)
+        l1_hits, l1_misses, l2_hits, l2_misses, memory_accesses = plan.counts
+        self.l1.hits += l1_hits
+        self.l1.misses += l1_misses
+        if self.l2 is not None:
+            self.l2.hits += l2_hits
+            self.l2.misses += l2_misses
+        if self.memory is not None:
+            self.memory.accesses += memory_accesses
+
+    def _levels(self) -> list[Cache]:
+        return [self.l1] if self.l2 is None else [self.l1, self.l2]
+
+    def _counts(self) -> tuple[int, ...]:
+        l1, l2 = self.l1, self.l2
+        return (
+            l1.hits,
+            l1.misses,
+            0 if l2 is None else l2.hits,
+            0 if l2 is None else l2.misses,
+            0 if self.memory is None else self.memory.accesses,
+        )
+
+    def _geometry(self) -> tuple:
+        return (
+            type(self),
+            self._line_bits,
+            *((level.size, level.assoc, level.latency) for level in self._levels()),
+            None if self.memory is None else self.memory.latency,
+        )
 
     # ------------------------------------------------------------------
 

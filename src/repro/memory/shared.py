@@ -144,6 +144,11 @@ class SharedL2View(MemoryHierarchy):
         self.l1.record_fill(line, ready, at_l2)
         return wait + latency, AccessLevel.MEMORY
 
+    def classify(self, lines: list[int]):
+        """Not available: an L2 access waits for the arbiter, which
+        depends on when it happens, so no untimed pass can classify it."""
+        raise TypeError("a shared-L2 view's accesses depend on their timing")
+
     def touch(self, addr: int, write: bool = False) -> None:
         line = addr >> self._line_bits
         if self.l1.probe(line):

@@ -107,14 +107,21 @@ def _failure_info(error: BaseException) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
+def _worker_main(conn, fn: Callable[[Any], Any], driver_ends: Sequence) -> None:
     """Worker loop: receive one cell, run it, send back its outcome, repeat.
 
     The outcome is ``(True, result)`` or ``(False, failure info)``.  The
     fault plan (``$REPRO_FAULT``) injects here, at the cell's completion
     point, keyed to the cell's label and its dispatch attempt — so
     ``kill`` clauses take down this process, never the driver.
+
+    *driver_ends* are the driver's ends of the pool's pipes, this
+    worker's own included, which the fork copied; closing them first
+    leaves the driver the only holder, so a worker whose driver dies
+    reads EOF and exits.
     """
+    for end in driver_ends:
+        end.close()
     plan = plan_from_env()
     while True:
         try:
@@ -449,8 +456,9 @@ class ResilientExecutor:
         import multiprocessing
 
         parent_conn, child_conn = multiprocessing.Pipe()
+        driver_ends = [worker.conn for worker in self._workers] + [parent_conn]
         process = multiprocessing.Process(
-            target=_worker_main, args=(child_conn, self.fn), daemon=True
+            target=_worker_main, args=(child_conn, self.fn, driver_ends), daemon=True
         )
         process.start()
         child_conn.close()

@@ -1,15 +1,22 @@
-"""The limit core's branch-verdict memo is exact.
+"""The limit core's two memos are exact.
 
 ``simulate_limit`` trains a fresh predictor over the trace's
-conditional-branch stream and keeps the verdicts in a one-entry
-per-process memo keyed on the predictor spec and the whole stream.  Every
-cell below runs three ways — on an empty memo, as a memo hit right after
-a different window on the same trace, and through a reference pass that
-trains the runner's predictor inline, as the pass meets each branch — and
-the three must agree field for field, the branch counters on the stats
-and on the runner's predictor included.  The miss cases check that a
-changed trace, a prefix of the trace, and another predictor of the same
-class each retrain.
+conditional-branch stream, and classifies the trace's line stream
+through the hierarchy with no timing; one-entry per-process memos keep
+the last verdicts (keyed on the predictor spec and the branch stream)
+and the last access plan (keyed on the line stream and the hierarchy's
+geometry and LRU contents).  Every cell of the grid, on every Table-1
+memory, runs three ways: on empty memos, as memo hits right after a
+different window on the same trace, and through a reference pass that
+calls ``MemoryHierarchy.access`` and trains the runner's predictor
+inline, as the pass meets each access and branch.  The three must agree
+field for field, the branch counters on the stats and on the runner's
+predictor included, and must leave their hierarchies in the same state:
+LRU contents, counters and fill tables.  The miss cases check that a
+changed trace, a prefix of the trace, another predictor, another
+memory, other warm-up regions or a hierarchy touched after warm-up each
+recompute, and that a hierarchy passed to two passes in a row gives the
+reference pass's results both times.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import pytest
 from repro.baselines import limit
 from repro.isa import DEFAULT_LATENCIES, InstructionBuilder, OpClass
 from repro.isa.registers import NUM_REGS
-from repro.memory import TABLE1_CONFIGS
+from repro.memory import TABLE1_CONFIGS, MemoryHierarchy, cache, warm_caches
 from repro.sim.config import LimitMachine
 from repro.sim.runner import prepare
 from repro.sim.stats import Histogram
@@ -38,6 +45,7 @@ WORKLOADS = ("gcc", "swim")
 @pytest.fixture(autouse=True)
 def empty_memo(monkeypatch):
     monkeypatch.setattr(limit, "_VERDICTS", None)
+    monkeypatch.setattr(limit, "_PLAN", None)
 
 
 @functools.cache
@@ -46,17 +54,24 @@ def workload(name: str):
     return built.trace(N), tuple(built.regions)
 
 
-def run(config: LimitMachine, trace, regions):
+def warmed(memory, regions) -> MemoryHierarchy:
+    hierarchy = MemoryHierarchy(memory)
+    warm_caches(hierarchy, regions)
+    return hierarchy
+
+
+def run(config: LimitMachine, trace, regions, memory=MEMORY, hierarchy=None):
     """One cell through the runner's construction path, before
-    ``finalize``: the stats and the runner's predictor."""
-    core, predictor = prepare(config, trace, MEMORY, regions)
-    return core.run(len(trace)), predictor
+    ``finalize``: the stats, the runner's predictor and the hierarchy."""
+    core, predictor = prepare(config, trace, memory, regions, hierarchy=hierarchy)
+    return core.run(len(trace)), predictor, core.hierarchy
 
 
-def live(config: LimitMachine, trace, regions):
-    """The reference pass: the limit core's timing with the runner's
-    predictor trained inline, in trace order."""
-    core, predictor = prepare(config, trace, MEMORY, regions)
+def live(config: LimitMachine, trace, regions, memory=MEMORY, hierarchy=None):
+    """The reference pass: the limit core's timing with every access
+    through ``MemoryHierarchy.access`` and the runner's predictor trained
+    inline, in trace order."""
+    core, predictor = prepare(config, trace, memory, regions, hierarchy=hierarchy)
     hierarchy, stats, width = core.hierarchy, core.stats, config.width
     histogram = Histogram(bin_width=25, max_value=4000)
     reg_time = [0] * NUM_REGS
@@ -106,33 +121,55 @@ def live(config: LimitMachine, trace, regions):
     stats.cycles = last_commit
     stats.issue_distance = histogram
     stats.l1_hits, stats.l1_misses = hierarchy.l1.hits, hierarchy.l1.misses
-    stats.l2_hits, stats.l2_misses = hierarchy.l2.hits, hierarchy.l2.misses
-    stats.memory_accesses = hierarchy.memory.accesses
-    return stats, predictor
+    if hierarchy.l2 is not None:
+        stats.l2_hits, stats.l2_misses = hierarchy.l2.hits, hierarchy.l2.misses
+    if hierarchy.memory is not None:
+        stats.memory_accesses = hierarchy.memory.accesses
+    return stats, predictor, hierarchy
+
+
+def state(hierarchy: MemoryHierarchy):
+    """LRU contents in order, counters and fill tables."""
+    levels = [hierarchy.l1] if hierarchy.l2 is None else [hierarchy.l1, hierarchy.l2]
+    return [
+        (
+            [list(s) for s in level._sets],
+            sorted(level._infinite_lines),
+            level.hits,
+            level.misses,
+            dict(level.fills),
+        )
+        for level in levels
+    ], None if hierarchy.memory is None else hierarchy.memory.accesses
 
 
 def assert_agree(outcomes, reference):
-    for stats, predictor in outcomes:
-        assert stats.to_dict() == reference.to_dict()
-        assert predictor.predictions == stats.branch_predictions
-        assert predictor.mispredictions == stats.branch_mispredictions
+    stats, _, hierarchy = reference
+    for outcome_stats, predictor, outcome_hierarchy in outcomes:
+        assert outcome_stats.to_dict() == stats.to_dict()
+        assert predictor.predictions == outcome_stats.branch_predictions
+        assert predictor.mispredictions == outcome_stats.branch_mispredictions
+        assert state(outcome_hierarchy) == state(hierarchy)
 
 
+@pytest.mark.parametrize("memory", TABLE1_CONFIGS)
 @pytest.mark.parametrize("name", WORKLOADS)
 @pytest.mark.parametrize("spec", PREDICTORS)
-def test_memo_agrees_with_live_predictor(spec, name, monkeypatch):
+def test_memo_agrees_with_live_predictor(spec, name, memory, monkeypatch):
     trace, regions = workload(name)
+    memory = TABLE1_CONFIGS[memory]
     for histogram in (True, False):
         for rob in (32, None):
             config = LimitMachine(rob_size=rob, predictor=spec, record_histogram=histogram)
             monkeypatch.setattr(limit, "_VERDICTS", None)
-            fresh = run(config, trace, regions)
-            run(dataclasses.replace(config, rob_size=64), trace, regions)
-            entry = limit._VERDICTS
-            hit = run(config, trace, regions)
-            assert limit._VERDICTS is entry
-            reference = live(config, trace, regions)
-            assert_agree([fresh, hit, reference], reference[0])
+            monkeypatch.setattr(limit, "_PLAN", None)
+            fresh = run(config, trace, regions, memory)
+            run(dataclasses.replace(config, rob_size=64), trace, regions, memory)
+            entries = limit._VERDICTS, limit._PLAN
+            hit = run(config, trace, regions, memory)
+            assert limit._VERDICTS is entries[0] and limit._PLAN is entries[1]
+            reference = live(config, trace, regions, memory)
+            assert_agree([fresh, hit], reference)
 
 
 def test_flipped_branch_retrains():
@@ -142,26 +179,34 @@ def test_flipped_branch_retrains():
     flipped = [*trace[:k], flip, *trace[k + 1:]]
     config = LimitMachine(rob_size=32)
     run(config, trace, regions)
-    before = limit._VERDICTS
+    before, plan = limit._VERDICTS, limit._PLAN
     outcome = run(config, flipped, regions)
     assert limit._VERDICTS is not before
     # The flipped branch's verdict flips, so a stale hit would show.
     assert limit._VERDICTS[2] != before[2]
-    assert_agree([outcome], live(config, flipped, regions)[0])
+    # The line stream is the same, so the plan is.
+    assert limit._PLAN is plan
+    assert_agree([outcome], live(config, flipped, regions))
 
 
 def test_prefix_of_the_trace_retrains():
     trace, regions = workload("gcc")
+    other, other_regions = workload("swim")
     prefix = trace[: len(trace) // 2]
     config = LimitMachine(rob_size=32)
-    for first, second in ((trace, prefix), (prefix, trace)):
-        run(config, first, regions)
-        before = limit._VERDICTS
-        outcome = run(config, second, regions)
-        assert limit._VERDICTS is not before
+    for (first, first_regions), (second, second_regions) in (
+        ((trace, regions), (prefix, regions)),
+        ((prefix, regions), (trace, regions)),
+        ((trace, regions), (other, other_regions)),
+    ):
+        run(config, first, first_regions)
+        before, plan = limit._VERDICTS, limit._PLAN
+        outcome = run(config, second, second_regions)
+        assert limit._VERDICTS is not before and limit._PLAN is not plan
         branches = sum(instr.op == OpClass.BRANCH for instr in second)
         assert len(limit._VERDICTS[2]) == branches
-        assert_agree([outcome], live(config, second, regions)[0])
+        assert len(limit._PLAN[1].codes) == sum(instr.is_mem for instr in second)
+        assert_agree([outcome], live(config, second, second_regions))
 
 
 def test_same_class_other_spec_retrains():
@@ -173,7 +218,160 @@ def test_same_class_other_spec_retrains():
     assert limit._VERDICTS is not ten
     # The two gshares disagree on this trace, so a stale hit would show.
     assert limit._VERDICTS[2] != ten[2]
-    assert_agree([outcome], live(config, trace, regions)[0])
+    assert_agree([outcome], live(config, trace, regions))
+
+
+def test_another_memory_or_other_regions_reclassify():
+    trace, regions = workload("gcc")
+    config = LimitMachine(rob_size=32)
+    for memory, second_regions in (
+        (TABLE1_CONFIGS["MEM-100"], regions),
+        (MEMORY, regions[:1]),
+        (MEMORY, None),
+    ):
+        run(config, trace, regions)
+        plan = limit._PLAN
+        outcome = run(config, trace, second_regions, memory)
+        assert limit._PLAN is not plan
+        assert_agree([outcome], live(config, trace, second_regions, memory))
+
+
+def test_a_touched_hierarchy_reclassifies():
+    """An access after warm-up moves LRU contents and leaves a fill in
+    flight: the plan recomputes, and the in-flight fill times the pass."""
+    trace, regions = workload("swim")
+    config = LimitMachine(rob_size=64)
+    line_addr = next(instr.addr for instr in trace if instr.is_load)
+    run(config, trace, regions)
+    plan = limit._PLAN
+    touched = []
+    for _ in range(2):
+        hierarchy = warmed(MEMORY, regions)
+        hierarchy.access(line_addr + (1 << 20), now=0)
+        hierarchy.access(line_addr, now=5)
+        touched.append(hierarchy)
+    outcome = run(config, trace, regions, hierarchy=touched[0])
+    assert limit._PLAN is not plan
+    assert_agree([outcome], live(config, trace, regions, hierarchy=touched[1]))
+
+
+def test_each_level_times_from_its_own_fill_table():
+    """Line Y is in both levels with a fill in flight only in the L2's
+    table; line Z is only in the L2, with a fill only in the L1's.  The
+    L1 hits on Y and the one L2 hit on Z must each read their own
+    level's table, so none pays the foreign fill."""
+    y, z = 0x10_0000, 0x20_0000
+    b = InstructionBuilder()
+    trace = [b.load(1 + k, 30, addr=addr) for k, addr in enumerate((y, z, y, y))]
+    config = LimitMachine(rob_size=32)
+    outcomes = []
+    for _ in range(2):
+        hierarchy = MemoryHierarchy(MEMORY)
+        hierarchy.touch(y)
+        hierarchy.l2.fill(z >> 6)
+        hierarchy.l2.record_fill(y >> 6, 10_000)
+        hierarchy.l1.record_fill(z >> 6, 10_000)
+        outcomes.append(hierarchy)
+    outcome = run(config, trace, None, hierarchy=outcomes[0])
+    assert outcome[0].cycles < 100
+    assert_agree([outcome], live(config, trace, None, hierarchy=outcomes[1]))
+
+
+def test_moved_counters_still_hit():
+    """Counters are not part of the plan's key: a hit moves them as far
+    as the stream does, from wherever they start."""
+    trace, regions = workload("gcc")
+    config = LimitMachine(rob_size=32)
+    run(config, trace, regions)
+    plan = limit._PLAN
+    moved = []
+    for _ in range(2):
+        hierarchy = warmed(MEMORY, regions)
+        hierarchy.l1.hits += 7
+        hierarchy.l2.misses += 3
+        hierarchy.memory.accesses += 11
+        moved.append(hierarchy)
+    outcome = run(config, trace, regions, hierarchy=moved[0])
+    assert limit._PLAN is plan
+    assert_agree([outcome], live(config, trace, regions, hierarchy=moved[1]))
+
+
+def test_a_hit_hands_out_no_state_of_the_memo():
+    """A hierarchy that took a hit and then ran on does not change what
+    the next hit installs."""
+    trace, regions = workload("gcc")
+    config = LimitMachine(rob_size=32)
+    run(config, trace, regions)
+    plan = limit._PLAN
+    first = run(config, trace, regions)[2]
+    for instr in trace:
+        if instr.is_mem:
+            first.touch(instr.addr + (1 << 22))
+    outcome = run(config, trace, regions)
+    assert limit._PLAN is plan
+    assert_agree([outcome], live(config, trace, regions))
+
+
+@pytest.mark.parametrize("memory", ("L1-2", "L2-11", "MEM-400"))
+def test_one_hierarchy_through_two_passes(memory):
+    """The first pass on the hierarchy is a plan hit; the second starts
+    from where the first left it, as the reference's second pass does."""
+    trace, regions = workload("swim")
+    memory = TABLE1_CONFIGS[memory]
+    config = LimitMachine(rob_size=128)
+    run(dataclasses.replace(config, rob_size=32), trace, regions, memory)
+    plan = limit._PLAN
+    reused, reference = warmed(memory, regions), warmed(memory, regions)
+    first = run(config, trace, regions, hierarchy=reused)
+    assert limit._PLAN is plan
+    assert_agree([first], live(config, trace, regions, hierarchy=reference))
+    second = run(config, trace, regions, hierarchy=reused)
+    assert_agree([second], live(config, trace, regions, hierarchy=reference))
+
+
+def sweep_sensitive_trace():
+    """A trace whose timing the sweep moves: a late miss sweeps out the
+    fill of line A, and a younger load of A that issues early then pays
+    no remaining fill time, which starts a chain of misses earlier."""
+    b = InstructionBuilder()
+    trace = [
+        b.load(1, 30, addr=0x10_0000),  # A misses at cycle 1
+        b.load(2, 30, addr=0x20_0000),
+        b.load(3, 30, addr=0x30_0000),
+        b.load(4, 1, addr=0x40_0000),  # misses once A arrives: sweeps
+        b.load(5, 30, addr=0x10_0008),  # A again, issuing at cycle 2
+    ]
+    for k in range(5):
+        trace.append(b.load(6 + k, 5 + k, addr=0x50_0000 + k * 0x1040))
+    return trace
+
+
+def test_fill_sweep_matches_live(monkeypatch):
+    """With a small sweep threshold, a miss-heavy trace sweeps its fill
+    tables often; on the hand-built trace the sweep moves the timing."""
+    memory = TABLE1_CONFIGS["MEM-1000"]
+    config = LimitMachine(rob_size=4096, record_histogram=False)
+    swim, regions = workload("swim")
+    cases = ((swim, regions), (sweep_sensitive_trace(), None))
+    unswept = [run(config, trace, regions, memory)[0].cycles for trace, regions in cases]
+    monkeypatch.setattr(cache, "FILL_SWEEP_THRESHOLD", 2)
+    sweeps = []
+    sweep = cache.Cache.sweep_fills
+    monkeypatch.setattr(
+        cache.Cache, "sweep_fills", lambda c, now: sweeps.append(now) or sweep(c, now)
+    )
+    cycles = []
+    for trace, regions in cases:
+        sweeps.clear()
+        fresh = run(config, trace, regions, memory)
+        assert sweeps
+        plan = limit._PLAN
+        hit = run(config, trace, regions, memory)
+        assert limit._PLAN is plan
+        reference = live(config, trace, regions, memory)
+        assert_agree([fresh, hit], reference)
+        cycles.append(reference[0].cycles)
+    assert cycles[1] < unswept[1]
 
 
 def test_jumps_take_no_verdict():
@@ -188,4 +386,4 @@ def test_jumps_take_no_verdict():
     config = LimitMachine(rob_size=32, predictor="bimodal")
     outcome = run(config, trace, None)
     assert 0 < outcome[0].branch_mispredictions < 300
-    assert_agree([outcome], live(config, trace, None)[0])
+    assert_agree([outcome], live(config, trace, None))

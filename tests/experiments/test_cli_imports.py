@@ -11,6 +11,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repro.experiments.cli import main
 
 #: Standard-library modules the CLI import must not load: the pool
@@ -113,3 +115,35 @@ def test_the_readme_quickstart_imports_resolve_lazily():
     assert json.loads(lines[0]) == []  # dir(repro) covers __all__
     # run_core is the runner itself, loaded on first access.
     assert "repro.sim.runner" in json.loads(lines[-1])
+
+
+@pytest.mark.parametrize(
+    "machine, loaded",
+    [("dkip(llib=512)", ["ooo"]), ("limit(rob=64)", ["limit"])],
+)
+def test_one_cell_loads_only_its_own_baselines(machine, loaded):
+    """Running one cell in-process imports the models its kind is built
+    from, and no other baseline: the D-KIP's Cache Processor is the R10
+    core, and the limit core stands alone."""
+    lines = _run(
+        "from repro.experiments.common import run_cell\n"
+        "from repro.machines import parse_machine\n"
+        "from repro.memory import DEFAULT_MEMORY\n"
+        f"run_cell((parse_machine({machine!r}), 'mcf', DEFAULT_MEMORY, 0), 400)\n"
+    )
+    names = [name.rsplit(".", 1)[1] for name in json.loads(lines[-1])
+             if name.startswith("repro.baselines.")]
+    assert names == loaded
+
+
+def test_the_baselines_package_still_resolves_every_name():
+    lines = _run(
+        "import repro.baselines as baselines\n"
+        "from repro.baselines import limit\n"
+        "print(json.dumps(sorted(set(baselines.__all__) - set(dir(baselines)))))\n"
+        "assert baselines.simulate_limit is limit.simulate_limit\n"
+        "from repro.baselines import KiloCore, R10Core, RunaheadCore\n"
+    )
+    assert json.loads(lines[0]) == []
+    loaded = {name for name in json.loads(lines[-1]) if name.startswith("repro.baselines.")}
+    assert loaded == {f"repro.baselines.{name}" for name in ("kilo", "limit", "ooo", "runahead")}

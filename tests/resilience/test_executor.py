@@ -5,6 +5,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import select
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -384,6 +388,72 @@ def test_a_freed_worker_gets_its_next_cell_before_on_result_runs(tmp_path):
     results = executor.run(_tasks([(str(tmp_path), 0), (str(tmp_path), 1)]), on_result)
     assert results == {0: 0, 1: 1}
     assert started == {1: True}
+
+
+#: A driver whose two pool workers each write their pid to
+#: ``<dir>/pid-<cell>``, then hold their cell until ``<dir>/release``
+#: exists (at most a minute).
+_BLOCKING_DRIVER = """
+import os, sys, time
+from repro.resilience import ResilientExecutor
+
+def hold(payload):
+    directory, index = payload
+    path = os.path.join(directory, f"pid-{index}")
+    with open(path + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    deadline = time.monotonic() + 60
+    while not os.path.exists(os.path.join(directory, "release")):
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.02)
+    return index
+
+ResilientExecutor(hold, jobs=2).run([(i, f"cell {i}", (sys.argv[1], i)) for i in range(2)])
+"""
+
+
+def _reads_eof_within(stream, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while (left := deadline - time.monotonic()) > 0:
+        ready, _, _ = select.select([stream], [], [], left)
+        if ready and not os.read(stream.fileno(), 4096):
+            return True
+    return False
+
+
+def test_pool_workers_exit_when_their_driver_is_killed(tmp_path):
+    """A killed driver runs no clean-up, but each worker holds no copy of
+    the driver's pipe ends, so its next send or receive fails and it
+    exits.  The workers share the driver's stdout, which reads EOF once
+    every one of them has exited."""
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _BLOCKING_DRIVER, str(tmp_path)],
+        stdout=subprocess.PIPE,
+    )
+    pids: list[int] = []
+    try:
+        pid_files = [tmp_path / f"pid-{index}" for index in range(2)]
+        deadline = time.monotonic() + 60
+        while not all(path.exists() for path in pid_files):
+            assert driver.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        pids = [int(path.read_text()) for path in pid_files]
+        driver.kill()
+        driver.wait()
+        (tmp_path / "release").touch()
+        assert _reads_eof_within(driver.stdout, 10)
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+            driver.wait()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        driver.stdout.close()
 
 
 # ----------------------------------------------------------------------
