@@ -25,21 +25,28 @@ last stream's verdicts in a one-entry per-process memo, so a window sweep
 trains one predictor per trace instead of one per cell.  The cache
 hierarchy is called in trace order too, so which level serves each access
 depends only on the hierarchy's starting contents and the trace's line
-stream: :func:`access_plan` classifies that stream once per (trace,
-memory) pair, and each window's pass replays only the timing.
+stream.  A one-entry per-process memo keyed by the trace itself holds a
+(trace, memory) pair's verdicts and access plan
+(:meth:`~repro.memory.hierarchy.MemoryHierarchy.classify`), so each
+window's pass replays only the timing, and builds neither stream.  The
+same entry keeps the smallest window whose pass never delayed a
+dispatch: that pass is the pass of every larger window of the pair, so
+those windows take its outcome without running (see
+:func:`simulate_limit`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.branch import make_predictor
 from repro.branch.base import BranchPredictor
 from repro.branch.spec import canonical_predictor
 from repro.isa import DEFAULT_LATENCIES, Instruction, LatencyTable
 from repro.isa.registers import NUM_REGS
+from repro.memory import cache
 from repro.memory.hierarchy import (
     L1_PENDING,
     L2_PENDING,
@@ -93,33 +100,90 @@ def branch_verdicts(spec: str, stream: list[int]) -> bytes:
     return memo[2]
 
 
-#: The last ``(line stream, access plan)`` this process classified.
-#: Like :data:`_VERDICTS`, one entry serves the windows of one (trace,
-#: memory) pair, which reach a process in a row.
-_PLAN: tuple[list[int], AccessPlan] | None = None
+class _Free(NamedTuple):
+    """The outcome of a pass that never delayed a dispatch."""
+
+    #: The pass's ROB size; ``None`` for an unlimited window.
+    window: int | None
+    #: What else the outcome depends on: the fill tables the pass started
+    #: from, ``width``, ``redirect_penalty``, ``histogram_bin``,
+    #: ``record_histogram`` and the fill-sweep threshold.
+    conditions: tuple
+    last_commit: int
+    branches: int
+    mispredictions: int
+    histogram: Histogram
+    #: Per cache level, the fill table the pass left.
+    fills: tuple[dict[int, int], ...]
+
+    def serves(self, rob_size: int | None, conditions: tuple) -> bool:
+        """True when a pass at *rob_size* under *conditions* is this one.
+
+        An unlimited pass serves only unlimited ones; a finite one
+        serves every larger window and the unlimited one.
+        """
+        if conditions != self.conditions:
+            return False
+        if rob_size is None:
+            return True
+        return self.window is not None and rob_size >= self.window
 
 
-def access_plan(hierarchy: MemoryHierarchy, lines: list[int]) -> AccessPlan:
-    """*hierarchy*'s classification of the line stream *lines*
-    (:meth:`~repro.memory.hierarchy.MemoryHierarchy.classify`), which
-    leaves the hierarchy as the classification does.
+@dataclass(slots=True)
+class _Pair:
+    """What a (trace, memory) pair computes once, whatever the window."""
 
-    The pass calls the hierarchy in trace order, so which level serves
-    each access is the same for every window; only the fill arithmetic
-    depends on timing.  The one-entry memo hits when *lines* equals the
-    entry's stream element for element and the hierarchy
-    :meth:`~repro.memory.hierarchy.MemoryHierarchy.replays` the entry's
-    plan (same geometry, same LRU contents); a hit then applies the
-    plan, installing the contents and counters the stream leaves.
+    #: The trace, compared element for element, the canonical predictor
+    #: spec and the latency table.
+    key: tuple
+    verdicts: bytes
+    plan: AccessPlan
+    #: The smallest window whose pass delayed no dispatch, if one ran.
+    free: _Free | None = None
+
+
+#: The last (trace, memory) pair this process ran.  Cells reach every
+#: process grouped by (workload, memory), windows ascending, so one entry
+#: serves a pair's whole window sweep.
+_PAIR: _Pair | None = None
+
+
+def _pair(
+    trace: list[Instruction], spec: str, latencies: LatencyTable, hierarchy: MemoryHierarchy
+) -> _Pair:
+    """The memo entry for *trace* on *hierarchy*, which the call leaves
+    as classifying the trace's line stream would.
+
+    The entry hits when *trace*, *spec* and *latencies* equal its key,
+    the trace element for element (a cell's trace is a fresh slice of
+    its workload's memoized list, so this compares pointers), and the
+    hierarchy :meth:`~repro.memory.hierarchy.MemoryHierarchy.replays`
+    its plan (same geometry, same LRU contents); a hit then applies the
+    plan, installing the contents and counters the stream leaves.  The
+    key is the trace, not its branch and line streams: the timing also
+    reads every instruction's sources, destination, op and unconditional
+    ``taken``.  A miss drops the old entry first, so the memo never
+    keeps a previous trace alive beside the new one, and builds the two
+    streams for :func:`branch_verdicts` and ``classify``.
     """
-    global _PLAN
-    memo = _PLAN
-    if memo is not None and memo[0] == lines and hierarchy.replays(memo[1]):
-        hierarchy.apply(memo[1])
-        return memo[1]
-    plan = hierarchy.classify(lines)
-    _PLAN = (lines, plan)
-    return plan
+    global _PAIR
+    key = (trace, spec, latencies)
+    pair = _PAIR
+    if pair is not None and pair.key == key and hierarchy.replays(pair.plan):
+        hierarchy.apply(pair.plan)
+        return pair
+    _PAIR = None
+    verdicts = branch_verdicts(
+        spec, [instr.pc << 1 | bool(instr.taken) for instr in trace if instr.is_cond_branch]
+    )
+    line_bits = hierarchy.line_size.bit_length() - 1
+    plan = hierarchy.classify([instr.addr >> line_bits for instr in trace if instr.is_mem])
+    pair = _PAIR = _Pair(key, verdicts, plan)
+    return pair
+
+
+def _copy(histogram: Histogram) -> Histogram:
+    return Histogram.from_dict(histogram.to_dict())
 
 
 def simulate_limit(
@@ -136,14 +200,29 @@ def simulate_limit(
 ) -> LimitResult:
     """Run the idealized core over *trace*.
 
-    The memory work splits in two: :func:`access_plan` decides, with no
-    timing, which level serves each load and store, and the pass below
+    The memory work splits in two: the pair memo (:func:`_pair`) decides,
+    with no timing, which level serves each load and store, and the pass
     replays only the timing of that plan, with
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access`'s fill rule
     inlined: a hit on a line whose fill is still in flight pays the
     remaining fill time on top of the level's latency, and a miss
     records its fill in both levels through ``record_fill``.  The
     hierarchy ends as a pass of ``access`` calls would leave it.
+
+    The window enters the pass in one place: instruction *i* dispatches
+    no earlier than one cycle after instruction *i - rob_size* commits.
+    Commit times never decrease, so a larger window's bound is never
+    later.  A pass whose bound never delayed a dispatch is therefore,
+    by induction over the trace, the pass of every larger window and of
+    the unlimited one: the same dispatches, issues, fills (the sweep
+    included) and commits.  The pair memo keeps the smallest such window
+    with its cycles, branch counts, histogram and the fill tables it
+    left; a later pass of the pair at a window at least that large, from
+    the same fill tables and with the same ``width``,
+    ``redirect_penalty``, ``histogram_bin`` and ``record_histogram``,
+    installs copies of those tables and takes the outcome without
+    running.  A change to the timing model must keep commit times
+    nondecreasing, or drop this shortcut.
 
     Args:
         rob_size: ROB capacity; ``None`` means unlimited (the configuration
@@ -162,24 +241,92 @@ def simulate_limit(
     """
     if stats is None:
         stats = SimStats(config=f"limit-{rob_size or 'inf'}")
-    trace = list(trace)  # the branch and line streams are read ahead of the pass
-    verdicts = branch_verdicts(
-        canonical_predictor(predictor),
-        [instr.pc << 1 | bool(instr.taken) for instr in trace if instr.is_cond_branch],
+    trace = list(trace)  # the memo's key; a miss also reads its two streams
+    pair = _pair(trace, canonical_predictor(predictor), latencies, hierarchy)
+    levels = [hierarchy.l1] if hierarchy.l2 is None else [hierarchy.l1, hierarchy.l2]
+    conditions = (
+        tuple(dict(level.fills) for level in levels),
+        width,
+        redirect_penalty,
+        histogram_bin,
+        record_histogram,
+        cache.FILL_SWEEP_THRESHOLD,
     )
-    next_verdict = iter(verdicts).__next__
+    free = pair.free
+    if free is not None and free.serves(rob_size, conditions):
+        for level, fills in zip(levels, free.fills):
+            table = level.fills
+            table.clear()
+            table.update(fills)
+        last_commit, branches, mispredictions = (
+            free.last_commit, free.branches, free.mispredictions
+        )
+        histogram = _copy(free.histogram)
+    else:
+        histogram = Histogram(bin_width=histogram_bin, max_value=4000)
+        last_commit, branches, mispredictions, delayed = _time(
+            trace,
+            pair,
+            hierarchy,
+            rob_size,
+            width,
+            redirect_penalty,
+            latencies,
+            histogram.add if record_histogram else None,
+        )
+        if not delayed:
+            pair.free = _Free(
+                rob_size,
+                conditions,
+                last_commit,
+                branches,
+                mispredictions,
+                _copy(histogram),
+                tuple(dict(level.fills) for level in levels),
+            )
+
+    committed = len(trace)
+    cycles = last_commit if committed else 0
+    stats.fetched += committed
+    stats.branch_predictions += branches
+    stats.branch_mispredictions += mispredictions
+    stats.committed = committed
+    stats.cycles = cycles
+    stats.issue_distance = histogram
+    stats.l1_hits = hierarchy.l1.hits
+    stats.l1_misses = hierarchy.l1.misses
+    if hierarchy.l2 is not None:
+        stats.l2_hits = hierarchy.l2.hits
+        stats.l2_misses = hierarchy.l2.misses
+    if hierarchy.memory is not None:
+        stats.memory_accesses = hierarchy.memory.accesses
+    return LimitResult(
+        committed=committed, cycles=cycles, stats=stats, issue_distance=histogram
+    )
+
+
+def _time(
+    trace: list[Instruction],
+    pair: _Pair,
+    hierarchy: MemoryHierarchy,
+    rob_size: int | None,
+    width: int,
+    redirect_penalty: int,
+    latencies: LatencyTable,
+    histogram_add,
+) -> tuple[int, int, int, bool]:
+    """One timing pass of :func:`simulate_limit` over *pair*'s verdicts
+    and plan.  Returns the last commit cycle, the branch and
+    misprediction counts, and whether the ROB ever delayed a dispatch.
+    """
+    next_verdict = iter(pair.verdicts).__next__
     line_bits = hierarchy.line_size.bit_length() - 1
-    plan = access_plan(
-        hierarchy, [instr.addr >> line_bits for instr in trace if instr.is_mem]
-    )
-    next_access = iter(plan.codes).__next__
+    next_access = iter(pair.plan.codes).__next__
     l1_ready = hierarchy.l1.fills.get
     if hierarchy.l2 is not None:  # else no access is L2_PENDING or RECORD
         l2_ready = hierarchy.l2.fills.get
         l1_record = hierarchy.l1.record_fill
         l2_record = hierarchy.l2.record_fill
-    histogram = Histogram(bin_width=histogram_bin, max_value=4000)
-    histogram_add = histogram.add if record_histogram else None
     by_op = latencies.by_op
 
     reg_time = [0] * NUM_REGS
@@ -192,6 +339,7 @@ def simulate_limit(
     slots_left = width          # fetch slots remaining in the current cycle
     resume_cycle = 0            # earliest fetch cycle after a misprediction
     branches = mispredictions = 0
+    delayed = False
 
     for instr in trace:
         # ---- fetch -----------------------------------------------------
@@ -212,6 +360,7 @@ def simulate_limit(
                 # The back-pressure propagates to the front end.
                 fetch_cycle = dispatch
                 slots_left = width - 1
+                delayed = True
 
         # ---- issue -----------------------------------------------------
         ready = dispatch + 1
@@ -268,24 +417,7 @@ def simulate_limit(
         if rob_size is not None:
             rob_commits.append(commit)
 
-    committed = len(trace)
-    cycles = last_commit if committed else 0
-    stats.fetched += committed
-    stats.branch_predictions += branches
-    stats.branch_mispredictions += mispredictions
-    stats.committed = committed
-    stats.cycles = cycles
-    stats.issue_distance = histogram
-    stats.l1_hits = hierarchy.l1.hits
-    stats.l1_misses = hierarchy.l1.misses
-    if hierarchy.l2 is not None:
-        stats.l2_hits = hierarchy.l2.hits
-        stats.l2_misses = hierarchy.l2.misses
-    if hierarchy.memory is not None:
-        stats.memory_accesses = hierarchy.memory.accesses
-    return LimitResult(
-        committed=committed, cycles=cycles, stats=stats, issue_distance=histogram
-    )
+    return last_commit, branches, mispredictions, delayed
 
 
 def issue_distance_histogram(

@@ -202,7 +202,8 @@ class Cache:
 
         For a caller that inlines :meth:`pending_fill`'s arithmetic
         (the limit core's timing pass); record fills only through
-        :meth:`record_fill`.
+        :meth:`record_fill`, or replace the whole table with one an
+        identical pass left (the limit core's window shortcut).
         """
         return self._fills
 

@@ -55,6 +55,7 @@ loads this module.
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback as traceback_module
 from collections import deque
@@ -118,10 +119,13 @@ def _worker_main(conn, fn: Callable[[Any], Any], driver_ends: Sequence) -> None:
     *driver_ends* are the driver's ends of the pool's pipes, this
     worker's own included, which the fork copied; closing them first
     leaves the driver the only holder, so a worker whose driver dies
-    reads EOF and exits.
+    reads EOF and exits.  Then the worker freezes the heap it inherited
+    (the driver's modules and data), so its collections traverse only
+    what it builds itself.
     """
     for end in driver_ends:
         end.close()
+    gc.freeze()
     plan = plan_from_env()
     while True:
         try:

@@ -171,6 +171,46 @@ def test_pair_order_groups_workloads_then_memories():
     assert order[:2] == [0, 4]  # stable within a pair
 
 
+@pytest.mark.parametrize("scale", list(Scale))
+@pytest.mark.parametrize("suite", ["int", "fp"])
+def test_window_grids_reach_a_process_in_window_order(scale, suite, monkeypatch):
+    """The limit core serves a pair's larger windows from a smaller one
+    that ran before them, so Figures 1 and 2 must hand every process
+    each (workload, memory) pair's windows ascending: ``SweepGrid.cells``
+    is machine-major, :func:`pair_order` sorts stably and the pool takes
+    each key's cells first in, first out.  Another order would keep the
+    results and silently lose the shortcut."""
+    from repro.experiments.fig01_02_window import sweep_for
+    from repro.experiments.sweep import plan_grid
+    from repro.resilience import executor
+
+    grid = plan_grid(sweep_for(scale, suite), scale)
+    tasks = []
+    monkeypatch.setattr(
+        executor.ResilientExecutor, "run", lambda self, given, on_result: tasks.extend(given)
+    )
+    run_cells(grid.cells(), grid.instructions, WorkloadPool(), jobs=2)
+    assert len(tasks) == len(grid.cells())
+
+    def ascending(cells) -> bool:
+        windows: dict = {}
+        for key, payload in cells:
+            windows.setdefault(key, []).append(payload[0].rob_size)
+        return all(sizes == sorted(sizes) for sizes in windows.values())
+
+    assert ascending((key, payload) for _, _, payload, key in tasks)
+    # Two workers taking cells from the pool's queue, as the pool does.
+    pending = executor._Pending([executor._Cell(*task) for task in tasks])
+    last = [None, None]
+    taken = []
+    while pending:
+        worker = len(taken) % 2
+        cell = pending.take(last[worker], busy=[last[1 - worker]])
+        last[worker] = cell.key
+        taken.append((cell.key, cell.payload))
+    assert ascending(taken) and len(taken) == len(tasks)
+
+
 # ----------------------------------------------------------------------
 # run_cells: serial == pool, the store, per-cell failure isolation
 # ----------------------------------------------------------------------

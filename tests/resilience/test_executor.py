@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import random
@@ -562,3 +563,15 @@ def test_pool_workers_keep_their_workload():
     for sequence in ran.values():
         switches = sum(a != b for a, b in zip(sequence, sequence[1:]))
         assert switches <= 1
+
+
+def _freeze_count(payload):
+    return gc.get_freeze_count()
+
+
+def test_pool_workers_freeze_the_heap_they_inherit():
+    """A worker's collections skip the driver's modules and data."""
+    counts = {}
+    executor = ResilientExecutor(_freeze_count, jobs=2)
+    executor.run([(i, f"cell-{i}", i) for i in range(4)], counts.__setitem__)
+    assert len(counts) == 4 and all(counts.values())
