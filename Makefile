@@ -123,14 +123,16 @@ chaos-smoke:
 # next ones; the same for the sampling experiment, each run into
 # its own fresh store, so captures and SimPoint selections made on pool
 # workers are checked against the in-process path; then the Figure-1
-# and Figure-2 sweeps into one fresh store, whose cells reach each
-# worker grouped by trace and memory, windows ascending, so the limit
-# core's memos and its window shortcut hit, re-simulated by `cache
-# verify` in digest order, so they mostly miss: every cell must match;
-# then one profiled cell, leaving profile.pstats for CI to upload.  The
-# limit cells cover the limit core's branch-verdict and pair memos,
-# hits and misses, across pool workers; the SpecFP traces add pairs
-# where no window frees the ROB.  The same check gates in CI.
+# and Figure-2 sweeps and the contention grid into one fresh store,
+# whose cells reach each worker grouped by trace and memory, windows
+# ascending, so the limit core's memos, its window shortcut and the
+# warm-up memo hit, re-simulated by `cache verify` in digest order, so
+# they mostly miss: every cell must match; then one profiled cell,
+# leaving profile.pstats for CI to upload.  The limit cells cover the
+# limit core's branch-verdict and pair memos, hits and misses, across
+# pool workers; the SpecFP traces add pairs where no window frees the
+# ROB; the contention grid's dual cells add the shared-L2 arbiter.  The
+# same check gates in CI.
 PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24),limit(rob=32),limit(rob=256),limit(rob=64,predictor=gshare-10)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
@@ -164,6 +166,8 @@ perf-smoke:
 	REPRO_JOBS=2 \
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments fig2 --scale quick \
 	  --store .perf-fig1-store
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep contention \
+	  --scale quick --store .perf-fig1-store
 	PYTHONPATH=src $(PYTHON) -m repro.experiments cache verify \
 	  --store .perf-fig1-store > .perf-fig1-store/verify.log \
 	  || { cat .perf-fig1-store/verify.log; exit 1; }

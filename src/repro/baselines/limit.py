@@ -293,13 +293,7 @@ def simulate_limit(
     stats.committed = committed
     stats.cycles = cycles
     stats.issue_distance = histogram
-    stats.l1_hits = hierarchy.l1.hits
-    stats.l1_misses = hierarchy.l1.misses
-    if hierarchy.l2 is not None:
-        stats.l2_hits = hierarchy.l2.hits
-        stats.l2_misses = hierarchy.l2.misses
-    if hierarchy.memory is not None:
-        stats.memory_accesses = hierarchy.memory.accesses
+    hierarchy.stamp_counters(stats)
     return LimitResult(
         committed=committed, cycles=cycles, stats=stats, issue_distance=histogram
     )

@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        default=None,
-        help="serve: worker processes to run (default: 2)",
+        default=2,
+        help="serve: worker processes to run (default: %(default)s)",
     )
     service.add_argument(
         "--once",
@@ -337,24 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll",
         type=float,
         metavar="SECONDS",
-        default=None,
-        help="serve/submit --wait: poll interval (default: 0.2)",
+        default=0.2,
+        help="serve/submit --wait: poll interval (default: %(default)s)",
     )
     service.add_argument(
         "--lease",
         type=float,
         metavar="SECONDS",
-        default=None,
+        default=30.0,
         help="serve: heartbeat staleness after which a worker's shard "
-        "is requeued (default: 30)",
+        "is requeued (default: %(default)s)",
     )
     service.add_argument(
         "--shards",
         type=int,
         metavar="N",
-        default=None,
+        default=4,
         help="submit: work units the grid is split into per dispatch "
-        "(default: 4)",
+        "(default: %(default)s)",
     )
     service.add_argument(
         "--wait",
@@ -1053,10 +1053,7 @@ def run_serve_command(args) -> int:
         return 2
     queue, store = resolved
     queue.clear_stop()
-    workers = args.workers if args.workers is not None else 2
-    poll = args.poll if args.poll is not None else 0.2
-    lease = args.lease if args.lease is not None else 30.0
-    scheduler = Scheduler(queue, store, lease=lease)
+    scheduler = Scheduler(queue, store, lease=args.lease)
 
     def spawn(slot: int, restart: int) -> multiprocessing.Process:
         suffix = f".{restart}" if restart else ""
@@ -1064,14 +1061,14 @@ def run_serve_command(args) -> int:
         process = multiprocessing.Process(
             target=worker_main,
             args=(str(queue.root),),
-            kwargs={"store_root": str(store.root), "poll": poll, "name": name},
+            kwargs={"store_root": str(store.root), "poll": args.poll, "name": name},
             name=name,
             daemon=True,
         )
         process.start()
         return process
 
-    processes = [spawn(slot, 0) for slot in range(max(0, workers))]
+    processes = [spawn(slot, 0) for slot in range(max(0, args.workers))]
     restarts = [0] * len(processes)
     print(
         f"serving {queue.root} with {len(processes)} worker(s); "
@@ -1095,7 +1092,7 @@ def run_serve_command(args) -> int:
                     f"slot {slot} restarted as {processes[slot].name}",
                     flush=True,
                 )
-            time.sleep(poll)
+            time.sleep(args.poll)
     except KeyboardInterrupt:
         pass
     finally:
@@ -1140,13 +1137,12 @@ def run_submit_command(args) -> int:
         return 2
     if not mappings:
         return 2
-    shards = args.shards if args.shards is not None else 4
     retries = args.retries if args.retries is not None else 2
     jobs = []
     for mapping in mappings:
         try:
             job, outcome = submit_job(
-                queue, mapping, args.scale, shards=shards, retries=retries
+                queue, mapping, args.scale, shards=args.shards, retries=retries
             )
         except (SpecError, ValueError) as error:
             print(error, file=sys.stderr)
@@ -1156,7 +1152,6 @@ def run_submit_command(args) -> int:
     if not args.wait:
         return 0
     status = 0
-    poll = args.poll if args.poll is not None else 0.5
     for job in jobs:
         last = None
 
@@ -1172,7 +1167,7 @@ def run_submit_command(args) -> int:
                     flush=True,
                 )
 
-        final = wait_for_job(queue, job.job_id, poll=poll, on_progress=progress)
+        final = wait_for_job(queue, job.job_id, poll=args.poll, on_progress=progress)
         if final is None:  # pragma: no cover - no timeout configured
             continue
         print(final.summary_line())
@@ -1361,14 +1356,7 @@ def _dispatch(args, names: list[str]) -> int:
             continue
         print(result.render())
         print()
-        if args.csv:
-            path = result.write_csv(args.csv)
-            print(f"[csv written to {path}]")
-            print()
-        if args.json:
-            path = result.write_json(args.json)
-            print(f"[json written to {path}]")
-            print()
+        _write_result_files(result, args)
         if not result.rows:
             failed.append(name)
     if failed:

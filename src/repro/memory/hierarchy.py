@@ -67,6 +67,9 @@ class MemoryHierarchy:
         )
         if self.l2 is None and self.memory is not None:
             raise ValueError("a hierarchy with main memory requires an L2 cache")
+        #: The L2 port arbiter (:class:`repro.memory.shared.L2Arbiter`);
+        #: a private L2 has none.
+        self.arbiter = None
 
     # ------------------------------------------------------------------
 
@@ -77,6 +80,13 @@ class MemoryHierarchy:
         reported identically, and it is up to the pipeline model to decide
         whether store latency is visible (stores retire from the LSQ without
         stalling commit in all our cores).
+
+        An L1 miss waits for :attr:`arbiter` to grant an L2 port, if there
+        is an arbiter, before its L2 lookup: a hit under contention costs
+        ``wait + l2.latency``, and a miss's fill timestamps are based at
+        ``now + wait``, so a line fetched under contention also *arrives*
+        later and overlap stays consistent with when the request actually
+        reached the L2.
         """
         line = addr >> self._line_bits
         if self.l1.lookup(line):
@@ -94,26 +104,29 @@ class MemoryHierarchy:
             self.l1.fill(line)
             return self.l1.latency, AccessLevel.L1
 
+        wait = 0 if self.arbiter is None else self.arbiter.acquire(now)
+        at_l2 = now + wait
+
         if self.l2.lookup(line):
             self.l1.fill(line)
-            pending = self.l2.pending_fill(line, now)
+            pending = self.l2.pending_fill(line, at_l2)
             if pending is None:
-                return self.l2.latency, AccessLevel.L2
-            return self.l2.latency + pending, AccessLevel.MEMORY
+                return wait + self.l2.latency, AccessLevel.L2
+            return wait + self.l2.latency + pending, AccessLevel.MEMORY
 
         if self.memory is None:
             # Infinite L2 configuration (L2-11 / L2-21 in Table 1).
             self.l2.fill(line)
             self.l1.fill(line)
-            return self.l2.latency, AccessLevel.L2
+            return wait + self.l2.latency, AccessLevel.L2
 
         latency = self.memory.access()
         self.l2.fill(line)
         self.l1.fill(line)
-        ready = now + latency
-        self.l2.record_fill(line, ready, now)
-        self.l1.record_fill(line, ready, now)
-        return latency, AccessLevel.MEMORY
+        ready = at_l2 + latency
+        self.l2.record_fill(line, ready, at_l2)
+        self.l1.record_fill(line, ready, at_l2)
+        return wait + latency, AccessLevel.MEMORY
 
     def classify(self, lines: list[int]) -> AccessPlan:
         """The untimed half of :meth:`access`, over a stream of lines.
@@ -246,6 +259,17 @@ class MemoryHierarchy:
             self.l2.restore(state["l2"])
         if self.memory is not None:
             self.memory.accesses = state.get("memory_accesses", 0)
+
+    def stamp_counters(self, stats) -> None:
+        """Copy the hit, miss and memory-access counters onto *stats*
+        (a :class:`~repro.sim.stats.SimStats`) at the end of a run."""
+        stats.l1_hits = self.l1.hits
+        stats.l1_misses = self.l1.misses
+        if self.l2 is not None:
+            stats.l2_hits = self.l2.hits
+            stats.l2_misses = self.l2.misses
+        if self.memory is not None:
+            stats.memory_accesses = self.memory.accesses
 
     def is_long_latency(self, level: AccessLevel) -> bool:
         """The D-KIP classification: off-chip accesses are long latency."""

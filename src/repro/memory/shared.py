@@ -6,8 +6,9 @@ arbitration point — a bank of ports, each busy for a fixed occupancy
 after serving a request, granting in arrival order (which, because both
 cores are stepped deterministically within one :class:`DualCore` cycle,
 is itself deterministic).  :class:`SharedL2View` gives each core its own
-private-L1 view of a common hierarchy, routing L1 misses through the
-arbiter and adding the queueing delay to the returned latency.
+private-L1 view of a common hierarchy whose L1 misses go through the
+arbiter; :meth:`MemoryHierarchy.access` adds the queueing delay to the
+returned latency.
 
 The contention this models is the co-runner axis of the ``dual`` kind:
 a cache-hostile co-runner keeps the arbiter busy and dirties the shared
@@ -17,7 +18,7 @@ knob the paper turns explicitly via Table 1's MEM-100/400/1000 configs.
 
 from __future__ import annotations
 
-from repro.memory.cache import AccessLevel, Cache
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -79,10 +80,10 @@ class SharedL2View(MemoryHierarchy):
     Wraps a base :class:`MemoryHierarchy` (which owns the L2 and main
     memory) with an optional private L1 — each core of a dual-core
     machine gets its own view over the same base, so L2 contents and
-    outstanding fills are genuinely shared while L1s stay private.  All
-    L1 misses pass through the :class:`L2Arbiter`; the queueing delay is
-    added to the reported latency and the fill timestamps, so a line
-    fetched under contention also *arrives* later.
+    outstanding fills are genuinely shared while L1s stay private.  The
+    view's :attr:`arbiter` is the one its L1 misses wait for in
+    :meth:`MemoryHierarchy.access`, so the view adds no access rule of
+    its own; its snapshot carries the arbiter's state too.
     """
 
     def __init__(
@@ -102,81 +103,16 @@ class SharedL2View(MemoryHierarchy):
         self.l2 = base.l2
         self.memory = base.memory
 
-    def access(self, addr: int, write: bool = False, now: int = 0) -> tuple[int, AccessLevel]:
-        """Mirror :meth:`MemoryHierarchy.access`, arbitrating L1 misses.
-
-        The arbiter wait is paid before the L2 lookup: a hit under
-        contention costs ``wait + l2.latency``, and a miss's fill
-        timestamps are based at ``now + wait`` so overlap behaviour stays
-        consistent with when the request actually reached the L2.
-        """
-        line = addr >> self._line_bits
-        if self.l1.lookup(line):
-            pending = self.l1.pending_fill(line, now)
-            if pending is None:
-                return self.l1.latency, AccessLevel.L1
-            return self.l1.latency + pending, AccessLevel.MEMORY
-
-        if self.l2 is None:
-            self.l1.fill(line)
-            return self.l1.latency, AccessLevel.L1
-
-        wait = self.arbiter.acquire(now)
-        at_l2 = now + wait
-
-        if self.l2.lookup(line):
-            self.l1.fill(line)
-            pending = self.l2.pending_fill(line, at_l2)
-            if pending is None:
-                return wait + self.l2.latency, AccessLevel.L2
-            return wait + self.l2.latency + pending, AccessLevel.MEMORY
-
-        if self.memory is None:
-            self.l2.fill(line)
-            self.l1.fill(line)
-            return wait + self.l2.latency, AccessLevel.L2
-
-        latency = self.memory.access()
-        self.l2.fill(line)
-        self.l1.fill(line)
-        ready = at_l2 + latency
-        self.l2.record_fill(line, ready, at_l2)
-        self.l1.record_fill(line, ready, at_l2)
-        return wait + latency, AccessLevel.MEMORY
-
     def classify(self, lines: list[int]):
         """Not available: an L2 access waits for the arbiter, which
         depends on when it happens, so no untimed pass can classify it."""
         raise TypeError("a shared-L2 view's accesses depend on their timing")
 
-    def touch(self, addr: int, write: bool = False) -> None:
-        line = addr >> self._line_bits
-        if self.l1.probe(line):
-            self.l1.fill(line)
-            return
-        if self.l2 is not None:
-            self.l2.fill(line)
-        self.l1.fill(line)
-
     def snapshot(self) -> dict:
-        state = {"l1": self.l1.snapshot(), "arbiter": self.arbiter.snapshot()}
-        if self.l2 is not None:
-            state["l2"] = self.l2.snapshot()
-        if self.memory is not None:
-            state["memory_accesses"] = self.memory.accesses
+        state = super().snapshot()
+        state["arbiter"] = self.arbiter.snapshot()
         return state
 
     def restore(self, state: dict) -> None:
-        self.l1.restore(state["l1"])
+        super().restore(state)
         self.arbiter.restore(state["arbiter"])
-        if self.l2 is not None:
-            self.l2.restore(state["l2"])
-        if self.memory is not None:
-            self.memory.accesses = state.get("memory_accesses", 0)
-
-    def reset_stats(self) -> None:
-        self.l1.reset_stats()
-        if self.l2 is not None:
-            self.l2.reset_stats()
-        if self.memory is not None:
-            self.memory.accesses = 0

@@ -274,11 +274,4 @@ class CycleCore:
         return f"{len(self._events)} event cycle(s) pending"
 
     def _copy_memory_stats(self) -> None:
-        h = self.hierarchy
-        self.stats.l1_hits = h.l1.hits
-        self.stats.l1_misses = h.l1.misses
-        if h.l2 is not None:
-            self.stats.l2_hits = h.l2.hits
-            self.stats.l2_misses = h.l2.misses
-        if h.memory is not None:
-            self.stats.memory_accesses = h.memory.accesses
+        self.hierarchy.stamp_counters(self.stats)

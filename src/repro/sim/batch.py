@@ -81,7 +81,6 @@ class BatchRunner:
         trace: Sequence[Instruction],
         memory: MemoryConfig = DEFAULT_MEMORY,
         regions: Sequence[tuple[int, int]] | None = None,
-        warmup_passes: int = 1,
         max_cycles: int | None = None,
         hierarchy: MemoryHierarchy | None = None,
         fast_forward: bool | None = None,
@@ -94,7 +93,7 @@ class BatchRunner:
         materialized, hierarchy warmed or restored), so a construction-time
         error raises to the caller rather than surfacing mid-stream.
         """
-        core, predictor = prepare(config, trace, memory, regions, warmup_passes, hierarchy)
+        core, predictor = prepare(config, trace, memory, regions, hierarchy)
         driver = core.drive(
             len(trace),
             max_cycles=max_cycles,

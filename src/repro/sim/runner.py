@@ -39,7 +39,6 @@ def prepare(
     trace: Sequence[Instruction],
     memory: MemoryConfig = DEFAULT_MEMORY,
     regions: Sequence[tuple[int, int]] | None = None,
-    warmup_passes: int = 1,
     hierarchy: MemoryHierarchy | None = None,
 ):
     """Build one simulation; returns ``(core, predictor)``.
@@ -53,7 +52,7 @@ def prepare(
     if hierarchy is None:
         hierarchy = MemoryHierarchy(memory)
         if regions:
-            warm_caches(hierarchy, regions, passes=warmup_passes)
+            warm_caches(hierarchy, regions)
     predictor = make_predictor(config.predictor)
     stats = SimStats(config=getattr(config, "name", str(config)))
     return build_core(config, iter(trace), hierarchy, predictor, stats), predictor
@@ -73,7 +72,6 @@ def simulate(
     trace: Sequence[Instruction],
     memory: MemoryConfig = DEFAULT_MEMORY,
     regions: Sequence[tuple[int, int]] | None = None,
-    warmup_passes: int = 1,
     max_cycles: int | None = None,
     hierarchy: MemoryHierarchy | None = None,
     fast_forward: bool | None = None,
@@ -84,12 +82,12 @@ def simulate(
         regions: Workload data regions for functional cache warm-up
             (skipped when None or when the hierarchy has no finite cache).
         hierarchy: Pre-built (typically pre-warmed) memory hierarchy; when
-            given, *memory*/*regions*/*warmup_passes* are ignored and the
+            given, *memory* and *regions* are ignored and the
             hierarchy is consumed by this run.
         fast_forward: Override the engine's cycle-skipping default
             (``False`` forces the tick-every-cycle reference mode).
     """
-    core, predictor = prepare(config, trace, memory, regions, warmup_passes, hierarchy)
+    core, predictor = prepare(config, trace, memory, regions, hierarchy)
     stats = core.run(len(trace), max_cycles=max_cycles, fast_forward=fast_forward)
     return finalize(stats, predictor)
 

@@ -64,8 +64,6 @@ def cell_key(
     workload: Any,
     num_instructions: int,
     memory: Any,
-    *,
-    warmup_passes: int = 1,
 ) -> CellKey:
     """Build the key of one (machine, workload, scale) cell.
 
@@ -73,8 +71,10 @@ def cell_key(
     the cell can be re-run from the stored key); *workload* is a
     :class:`repro.workloads.Workload` instance.  The stats-schema version
     is folded in so a schema bump invalidates every cached cell at once.
-    The branch predictor is part of the machine config; the payload's
-    ``predictor`` field is always null, kept so no existing digest moves.
+    The branch predictor is part of the machine config, and warm-up
+    always takes one pass; the payload's ``predictor`` field is always
+    null and its ``warmup_passes`` field always 1, both kept so no
+    existing digest moves.
     """
     payload = {
         "canon": CANON_VERSION,
@@ -88,7 +88,7 @@ def cell_key(
         },
         "instructions": num_instructions,
         "predictor": None,
-        "warmup_passes": warmup_passes,
+        "warmup_passes": 1,
     }
     return CellKey(payload=payload, digest=digest_canonical(payload))
 

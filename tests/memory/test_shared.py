@@ -6,6 +6,8 @@ The contention model of the ``dual`` machine kind rests on two pieces:
 pin their semantics directly, below the machine level.
 """
 
+import random
+
 import pytest
 
 from repro.machines import parse_machine
@@ -146,6 +148,63 @@ def test_solo_view_matches_plain_hierarchy_latency():
         expected = plain.access(addr, now=now * 1000)
         got = view.access(addr, now=now * 1000)
         assert got == expected, hex(addr)
+
+
+#: ``(ports, busy_cycles)``: one port that stays busy long enough for
+#: requests to queue, and four ports that never make one wait.
+ARBITERS = {"contended": (1, 3), "uncontended": (4, 1)}
+
+
+def _crowded_addresses(config, rng: random.Random, n: int = 400) -> list[int]:
+    """Six lines per L1 set over three sets, plus random lines: the L1
+    evicts lines whose fills are still in flight."""
+    num_sets = 1 if config.l1_size is None else config.l1_size // (
+        config.l1_assoc * config.line_size
+    )
+    crowded = [s + k * num_sets for s in (0, 1, 7) for k in range(6)]
+    addresses = []
+    for _ in range(n):
+        line = rng.choice(crowded) if rng.random() < 0.8 else rng.randrange(1 << 16)
+        addresses.append(line * config.line_size + rng.randrange(config.line_size))
+    return addresses
+
+
+@pytest.mark.parametrize("arbiter", list(ARBITERS), ids=list(ARBITERS))
+@pytest.mark.parametrize("memory", list(TABLE1_CONFIGS))
+def test_view_is_the_plain_rule_at_the_granted_cycle(memory, arbiter):
+    """A shared view is a plain hierarchy of the same config whose L1
+    misses reach the L2 when the arbiter grants them: an L1 hit (or an
+    L1 with no L2 behind it) returns what the plain hierarchy returns at
+    ``now``; an L1 miss returns the arbiter's wait plus what the plain
+    hierarchy returns at ``now + wait``, and its fills are timed from
+    there.  Counters and both fill tables agree after every access."""
+    config = TABLE1_CONFIGS[memory]
+    ports, busy = ARBITERS[arbiter]
+    rng = random.Random(f"{memory}/{arbiter}")
+    view = SharedL2View(MemoryHierarchy(config), L2Arbiter(ports, busy))
+    plain = MemoryHierarchy(config)
+    twin = L2Arbiter(ports, busy)
+    levels = [("l1", view.l1, plain.l1)]
+    if plain.l2 is not None:
+        levels.append(("l2", view.l2, plain.l2))
+    now = 1_000
+    for addr in _crowded_addresses(config, rng):
+        now = max(0, now + rng.randint(-20, 60))
+        line = addr >> plain._line_bits
+        if plain.l1.probe(line) or plain.l2 is None:
+            expected = plain.access(addr, now=now)
+        else:
+            wait = twin.acquire(now)
+            latency, level = plain.access(addr, now=now + wait)
+            expected = (wait + latency, level)
+        assert view.access(addr, now=now) == expected, (hex(addr), now)
+        for name, mine, theirs in levels:
+            assert (mine.hits, mine.misses, mine.fills) == (
+                theirs.hits, theirs.misses, theirs.fills,
+            ), (name, hex(addr), now)
+        if plain.memory is not None:
+            assert view.memory.accesses == plain.memory.accesses
+    assert view.arbiter.snapshot() == twin.snapshot()
 
 
 def test_view_snapshot_restore_round_trip():

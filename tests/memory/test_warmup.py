@@ -35,12 +35,6 @@ def test_warmup_respects_capacity():
     assert tail_level in (AccessLevel.L1, AccessLevel.L2)
 
 
-def test_multiple_passes():
-    h = MemoryHierarchy(DEFAULT_MEMORY)
-    touched = warm_caches(h, [(0, 4096), (1 << 20, 4096)], passes=2)
-    assert touched == 128
-
-
 def test_empty_regions():
     h = MemoryHierarchy(DEFAULT_MEMORY)
     assert warm_caches(h, []) == 0
@@ -55,36 +49,25 @@ CONFIGS = ("L1-2", "L2-11", "MEM-400")
 REGION_SETS = {
     "distinct": [(0, 8192), (1 << 20, 4096)],
     # Overlapping regions produce duplicate lines in the touch plan,
-    # forcing the exact-replay fallback instead of the tail install.
+    # forcing the reference loop instead of the tail install.
     "overlapping": [(0, 8192), (4096, 8192)],
     "larger-than-l2": [(0, 2 * 1024 * 1024)],
 }
 
 
-def _snapshots(config_name, regions, passes):
-    clear_warmup_memo()
-    fast = MemoryHierarchy(TABLE1_CONFIGS[config_name])
-    touched_fast = warm_caches(fast, regions, passes=passes)
-    reference = MemoryHierarchy(TABLE1_CONFIGS[config_name])
-    touched_ref = warm_caches_reference(reference, regions, passes=passes)
-    return (touched_fast, fast.snapshot()), (touched_ref, reference.snapshot())
-
-
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("regions", list(REGION_SETS), ids=list(REGION_SETS))
 def test_fast_warmup_matches_reference(config_name, regions):
-    fast, reference = _snapshots(config_name, REGION_SETS[regions], passes=1)
-    assert fast == reference
-
-
-@pytest.mark.parametrize("regions", list(REGION_SETS), ids=list(REGION_SETS))
-def test_fast_warmup_matches_reference_two_passes(regions):
-    fast, reference = _snapshots("L2-11", REGION_SETS[regions], passes=2)
-    assert fast == reference
+    clear_warmup_memo()
+    fast = MemoryHierarchy(TABLE1_CONFIGS[config_name])
+    touched_fast = warm_caches(fast, REGION_SETS[regions])
+    reference = MemoryHierarchy(TABLE1_CONFIGS[config_name])
+    touched_ref = warm_caches_reference(reference, REGION_SETS[regions])
+    assert (touched_fast, fast.snapshot()) == (touched_ref, reference.snapshot())
 
 
 def test_memo_hit_restores_identical_state():
-    """The second warm-up of the same (geometry, regions, passes) comes
+    """The second warm-up of the same (geometry, regions) comes
     from the snapshot memo and must equal both the first fast warm-up
     and the reference."""
     regions = REGION_SETS["distinct"]
@@ -100,7 +83,7 @@ def test_memo_hit_restores_identical_state():
 
 def test_non_pristine_hierarchy_falls_back_to_replay():
     """A hierarchy that has already seen traffic must not take the
-    tail-install shortcut; the exact replay keeps it reference-equal."""
+    tail-install shortcut; the reference loop keeps it reference-equal."""
     clear_warmup_memo()
     regions = REGION_SETS["distinct"]
     fast = MemoryHierarchy(TABLE1_CONFIGS["L2-11"])

@@ -146,6 +146,21 @@ def test_submit_accepts_scenario_files(tmp_path, capsys):
     assert cli.main(["submit", missing, *_svc(tmp_path)]) == 2
 
 
+def test_submit_wait_polls_at_the_documented_default(tmp_path, capsys, monkeypatch):
+    """``--help`` gives ``--poll`` one default for serve and for
+    ``submit --wait``; the wait must use it."""
+    polls = []
+
+    def fake_wait(queue, job_id, poll, on_progress=None):
+        polls.append(poll)
+
+    monkeypatch.setattr(repro.service, "wait_for_job", fake_wait)
+    assert cli.main(["submit", *_svc(tmp_path), *GRID, "--wait"]) == 0
+    assert polls == [0.2]
+    help_text = " ".join(cli.build_parser().format_help().split())
+    assert "poll interval (default: 0.2)" in help_text
+
+
 def test_submit_rejects_malformed_specs(tmp_path, capsys):
     bad = ["--machines", "r10(rob=32)", "--axes", "broken-chunk"]
     assert cli.main(["submit", *_svc(tmp_path), *bad]) == 2
