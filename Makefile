@@ -28,30 +28,41 @@ bench-smoke:
 bench-baseline:
 	$(PYTHON) benchmarks/compare.py --update
 
-# The scenario engine end to end: a tiny ad-hoc machine grid, cold then
-# warm against .sweep-store (the warm run simulates zero cells).  The
-# same check gates in CI.
+# The scenario engine end to end: a tiny ad-hoc machine grid cold into
+# a fresh .sweep-store (every cell simulates, and the chart renders to
+# sweep.svg), then warm (every cell comes from the store).  Each run
+# gates on its own exit status, then a grep checks its log.  CI runs
+# this target.
+SWEEP_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096)" \
+  --workloads "mcf,swim" --scale quick --store .sweep-store
 sweep-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
-	  --machines "r10(rob=32),dkip(llib=4096)" --workloads "mcf,swim" \
-	  --scale quick --store .sweep-store
-	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
-	  --machines "r10(rob=32),dkip(llib=4096)" --workloads "mcf,swim" \
-	  --scale quick --store .sweep-store | grep ", 0 simulated"
+	rm -rf .sweep-store sweep.svg
+	mkdir .sweep-store
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(SWEEP_SMOKE_GRID) \
+	  --svg sweep.svg > .sweep-store/cold.log \
+	  || { cat .sweep-store/cold.log; exit 1; }
+	grep ": 0 cells cached, 4 simulated" .sweep-store/cold.log
+	test -s sweep.svg
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(SWEEP_SMOKE_GRID) \
+	  > .sweep-store/warm.log || { cat .sweep-store/warm.log; exit 1; }
+	grep ": 4 cells cached, 0 simulated" .sweep-store/warm.log
 
-# The workload layer end to end: a 2-point synth sweep, cold then warm
-# against .workload-store (the warm run simulates zero cells).  The
-# same check gates in CI.
+# The workload layer end to end: a 2-point synth sweep cold into a
+# fresh .workload-store, then warm (spec-built workloads hit their own
+# cached cells).  Each run gates on its exit status and its log.  CI
+# runs this target.
+WORKLOAD_SMOKE_GRID = --machines "dkip(llib=1024)" \
+  --workloads "synth(chase=4),synth(chase=16)" \
+  --scale quick --instructions 2000 --store .workload-store
 workload-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
-	  --machines "dkip(llib=1024)" \
-	  --workloads "synth(chase=4),synth(chase=16)" \
-	  --scale quick --instructions 2000 --store .workload-store
-	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
-	  --machines "dkip(llib=1024)" \
-	  --workloads "synth(chase=4),synth(chase=16)" \
-	  --scale quick --instructions 2000 --store .workload-store \
-	  | grep ", 0 simulated"
+	rm -rf .workload-store
+	mkdir .workload-store
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(WORKLOAD_SMOKE_GRID) \
+	  > .workload-store/cold.log || { cat .workload-store/cold.log; exit 1; }
+	grep ": 0 cells cached, 2 simulated" .workload-store/cold.log
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(WORKLOAD_SMOKE_GRID) \
+	  > .workload-store/warm.log || { cat .workload-store/warm.log; exit 1; }
+	grep ": 2 cells cached, 0 simulated" .workload-store/warm.log
 
 # The SimPoint pipeline end to end: capture a small trace, select
 # weighted phases (writing the .toml phase spec), then run the phase
@@ -74,14 +85,21 @@ simpoint-smoke:
 	  | grep ", 0 simulated"
 
 # The dual-core machine kind end to end: the curated co-runner x
-# predictor contention grid, cold then warm against .contention-store
-# (the warm run simulates zero cells — dual/ooo-bp configs round-trip
-# the store like every other kind).  The same check gates in CI.
+# predictor contention grid cold into a fresh .contention-store, then
+# warm (dual/ooo-bp configs round-trip the store like every other
+# kind).  Each run gates on its exit status and its log.  CI runs this
+# target.
 contention-smoke:
+	rm -rf .contention-store
+	mkdir .contention-store
 	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep contention \
-	  --scale quick --store .contention-store
+	  --scale quick --store .contention-store > .contention-store/cold.log \
+	  || { cat .contention-store/cold.log; exit 1; }
+	grep ": 0 cells cached, 8 simulated" .contention-store/cold.log
 	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep contention \
-	  --scale quick --store .contention-store | grep ", 0 simulated"
+	  --scale quick --store .contention-store > .contention-store/warm.log \
+	  || { cat .contention-store/warm.log; exit 1; }
+	grep ": 8 cells cached, 0 simulated" .contention-store/warm.log
 
 # The fault-tolerant executor under deterministic chaos: the battery in
 # tests/resilience/ plus one CLI run where 40% of cell attempts are

@@ -3,7 +3,7 @@
 Paper shape: ~70% of SpecFP instructions issue within 300 cycles of
 decode; a distinct peak sits at ~1x the memory latency; a small residual
 at ~2x (chains of two misses).  We assert the trimodal structure; the 2x
-peak is smaller than the paper's 4% (documented in EXPERIMENTS.md).
+peak is smaller than the paper's 4% (documented in REPRODUCTION.md).
 """
 
 from benchmarks.conftest import regenerate

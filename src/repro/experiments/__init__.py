@@ -12,7 +12,8 @@ by the pytest-benchmark harness), ``default`` (a few minutes in total) and
 paper — the substrate is a synthetic-workload simulator, not the authors'
 SimpleScalar/Alpha setup — but each harness reports the paper's numbers
 next to the measured ones so the *shape* can be compared directly;
-EXPERIMENTS.md records one full set of results.
+REPRODUCTION.md (``make reproduce``) records one full set of results at
+``quick`` scale, graded against the paper.
 """
 
 from repro.experiments.common import ExperimentResult, Scale

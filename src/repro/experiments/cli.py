@@ -91,6 +91,10 @@ from repro.resilience import (
 from repro.store import ResultStore
 
 
+class UsageError(ValueError):
+    """A bad invocation: its message goes to stderr and the exit status is 2."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dkip-experiments",
@@ -451,23 +455,18 @@ def resolve_store(args) -> ResultStore | None:
     return ResultStore(directory) if directory else None
 
 
-def run_cache_command(args) -> int:
+def run_cache_command(args, words) -> int:
     """Dispatch ``dkip-experiments cache <stats|prune|verify>``."""
-    words = args.experiments[1:]
     command = words[0] if words else "stats"
     if command not in ("stats", "prune", "verify"):
-        print(
-            f"unknown cache command {command!r}; expected stats, prune or verify",
-            file=sys.stderr,
+        raise UsageError(
+            f"unknown cache command {command!r}; expected stats, prune or verify"
         )
-        return 2
     store = resolve_store(args)
     if store is None:
-        print(
-            "no result store configured; pass --store DIR or set $REPRO_STORE",
-            file=sys.stderr,
+        raise UsageError(
+            "no result store configured; pass --store DIR or set $REPRO_STORE"
         )
-        return 2
 
     if command == "stats":
         summary = store.summary()
@@ -556,9 +555,7 @@ def _write_sweep_svg(path: str, result, spec) -> bool:
 def _adhoc_sweep_mapping(args) -> dict:
     """The sweep mapping the ad-hoc ``--machines/...`` flags describe.
 
-    Shared by ``sweep`` (runs it here) and ``submit`` (serializes it
-    into a service job), so both spell grids identically.  Raises
-    :class:`~repro.machines.SpecError` on malformed axis flags.
+    Raises :class:`~repro.machines.SpecError` on malformed axis flags.
     """
     from repro.machines import SpecError, split_specs
 
@@ -594,67 +591,65 @@ def _adhoc_sweep_mapping(args) -> dict:
     }
 
 
-def run_sweep_command(args) -> int:
+def _named_sweeps(args, words, command: str) -> list[tuple[object, object]]:
+    """The grids a ``sweep`` or ``submit`` invocation names, as
+    ``(SweepSpec, runner or None)`` pairs.
+
+    A word is a scenario file (``.toml``/``.json``, or any path) or a
+    sweep preset at ``--scale``, which brings its figure-grade runner
+    when it has one; with no words the ad-hoc ``--machines/...`` flags
+    describe one grid.  Every word is read before any grid runs.
+    """
+    from repro.experiments.sweep import SweepSpec, get_sweep_preset
+
+    if not words:
+        if not args.machines:
+            raise UsageError(
+                f"{command} needs --machines SPECS, a preset name, or a "
+                "scenario file; see 'dkip-experiments machines' for the "
+                "grammar"
+            )
+        return [(SweepSpec.from_mapping(_adhoc_sweep_mapping(args)), None)]
+    sweeps = []
+    for word in words:
+        if word.endswith((".toml", ".json")) or os.path.sep in word:
+            sweeps.append((SweepSpec.from_file(word), None))
+        else:
+            preset = get_sweep_preset(word)
+            sweeps.append((preset.sweep_for(Scale(args.scale)), preset.runner))
+    return sweeps
+
+
+def run_sweep_command(args, words) -> int:
     """Dispatch ``dkip-experiments sweep [preset|file ...]`` and ad-hoc
     ``--machines/--memory/--workloads/--axes`` grids."""
-    from repro.experiments.sweep import (
-        SweepSpec,
-        figure_spec_for,
-        get_sweep_preset,
-        run_preset,
-        run_sweep,
-    )
-    from repro.machines import SpecError
+    from repro.experiments.sweep import figure_spec_for, run_sweep
 
-    words = args.experiments[1:]
     scale = Scale(args.scale)
     store = resolve_store(args)
-    runs: list[tuple[object, object]] = []  # (result, figure spec or None)
-    try:
-        if words:
-            adhoc_flags = (
-                args.machines, args.memory, args.workloads, args.axes,
-                args.workload_axes, args.name, args.title,
-                args.instructions, args.max_cycles,
-            )
-            if any(flag is not None for flag in adhoc_flags):
-                print(
-                    "note: --machines/--memory/--workloads/--axes/"
-                    "--workload-axes/--name/--title/--instructions/"
-                    "--max-cycles are ignored when presets or scenario "
-                    "files are named",
-                    file=sys.stderr,
-                )
-            for word in words:
-                if word.endswith((".toml", ".json")) or os.path.sep in word:
-                    spec = SweepSpec.from_file(word)
-                    result = run_sweep(spec, scale, store=store, force=args.force)
-                    runs.append((result, figure_spec_for(spec)))
-                    continue
-                preset = get_sweep_preset(word)
-                result = run_preset(word, scale, store=store, force=args.force)
-                registered = REGISTRY.get(result.name)
-                figure = (
-                    registered.spec
-                    if registered
-                    else figure_spec_for(preset.sweep_for(scale))
-                )
-                runs.append((result, figure))
-        else:
-            if not args.machines:
-                print(
-                    "sweep needs --machines SPECS, a preset name, or a "
-                    "scenario file; see 'dkip-experiments machines' for "
-                    "the grammar",
-                    file=sys.stderr,
-                )
-                return 2
-            spec = SweepSpec.from_mapping(_adhoc_sweep_mapping(args))
+    adhoc_flags = (
+        args.machines, args.memory, args.workloads, args.axes,
+        args.workload_axes, args.name, args.title,
+        args.instructions, args.max_cycles,
+    )
+    if words and any(flag is not None for flag in adhoc_flags):
+        print(
+            "note: --machines/--memory/--workloads/--axes/--workload-axes/"
+            "--name/--title/--instructions/--max-cycles are ignored when "
+            "presets or scenario files are named",
+            file=sys.stderr,
+        )
+    runs: list[tuple[object, object]] = []  # (result, figure spec)
+    for spec, runner in _named_sweeps(args, words, "sweep"):
+        if runner is None:
             result = run_sweep(spec, scale, store=store, force=args.force)
-            runs.append((result, figure_spec_for(spec)))
-    except (SpecError, ValueError, OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
+        else:
+            result = runner(scale, store=store, force=args.force)
+        # A figure-grade runner's result renders as its registered figure.
+        registered = REGISTRY.get(result.name) if runner else None
+        runs.append(
+            (result, registered.spec if registered else figure_spec_for(spec))
+        )
     status = 0
     for result, figure in runs:
         print(result.render())
@@ -706,43 +701,35 @@ def _write_phase_spec(path: str, phase_set, machines: list[str]) -> None:
         handle.write("\n".join(lines))
 
 
-def run_simpoint_command(args) -> int:
+def run_simpoint_command(args, words) -> int:
     """Dispatch ``dkip-experiments simpoint TRACE``: phase analysis.
 
     Optionally captures the trace first (``--capture``), then slices,
     clusters and prints the weighted phase table; ``--spec-out`` also
     writes a ready-to-sweep scenario file.
     """
-    from repro.machines import SpecError, split_specs
-    from repro.simpoint.phases import PhaseAnalysisError, analyze_trace
-    from repro.trace.io import TraceFormatError, save_trace
+    from repro.machines import split_specs
+    from repro.simpoint.phases import analyze_trace
+    from repro.trace.io import save_trace
     from repro.viz.ascii import table
     from repro.workloads import get_workload
     from repro.workloads.phases import DEFAULT_INTERVAL, DEFAULT_K
 
-    words = args.experiments[1:]
     if len(words) != 1:
-        print(
+        raise UsageError(
             "usage: dkip-experiments simpoint TRACE[.gz] [--capture "
             "WORKLOAD] [--instructions N] [--interval N] [--k K] "
-            "[--phase-seed S] [--spec-out FILE] [--machines SPECS]",
-            file=sys.stderr,
+            "[--phase-seed S] [--spec-out FILE] [--machines SPECS]"
         )
-        return 2
     path = words[0]
     interval = args.interval if args.interval is not None else DEFAULT_INTERVAL
     k = args.k if args.k is not None else DEFAULT_K
     seed = args.phase_seed if args.phase_seed is not None else 0
-    try:
-        if args.capture:
-            length = args.instructions if args.instructions is not None else 50_000
-            written = save_trace(get_workload(args.capture), path, length)
-            print(f"captured {written} instructions of {args.capture!r} to {path}")
-        phase_set = analyze_trace(path, interval=interval, k=k, seed=seed)
-    except (PhaseAnalysisError, TraceFormatError, SpecError, ValueError,
-            OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    if args.capture:
+        length = args.instructions if args.instructions is not None else 50_000
+        written = save_trace(get_workload(args.capture), path, length)
+        print(f"captured {written} instructions of {args.capture!r} to {path}")
+    phase_set = analyze_trace(path, interval=interval, k=k, seed=seed)
     print(
         table(
             ["phase", "interval", "instructions", "weight", "workload spec"],
@@ -770,14 +757,13 @@ def run_simpoint_command(args) -> int:
         try:
             _write_phase_spec(args.spec_out, phase_set, machines)
         except OSError as error:
-            print(f"cannot write {args.spec_out}: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot write {args.spec_out}: {error}") from error
         print(f"[phase spec written to {args.spec_out}]")
         print(f"run it: dkip-experiments sweep {args.spec_out} --store DIR")
     return 0
 
 
-def run_machines_command(args) -> int:
+def run_machines_command(args, words) -> int:
     """Dispatch ``dkip-experiments machines``: kinds, grammar, presets."""
     from repro.experiments.sweep import SWEEP_PRESETS
     from repro.machines import MEMORY_GRAMMAR, PRESETS, machine_kinds
@@ -800,7 +786,7 @@ def run_machines_command(args) -> int:
     return 0
 
 
-def run_workloads_command(args) -> int:
+def run_workloads_command(args, words) -> int:
     """Dispatch ``dkip-experiments workloads``: kinds, grammar, benchmarks."""
     from repro.workloads import SPECFP_NAMES, SPECINT_NAMES, workload_kinds
 
@@ -864,7 +850,7 @@ def _profile_stage(filename: str) -> str:
     )
 
 
-def run_profile_command(args) -> int:
+def run_profile_command(args, words) -> int:
     """Dispatch ``dkip-experiments profile MACHINE WORKLOAD [MEMORY]``.
 
     Runs one cell under :mod:`cProfile` and prints (a) a run summary
@@ -878,26 +864,19 @@ def run_profile_command(args) -> int:
     import pstats
     import time
 
-    from repro.machines import SpecError, parse_machine, parse_memory
+    from repro.machines import parse_machine, parse_memory
     from repro.sim.runner import simulate
     from repro.viz.ascii import table
     from repro.workloads import get_workload
 
-    words = args.experiments[1:]
     if not 1 < len(words) < 4:
-        print(
+        raise UsageError(
             "usage: dkip-experiments profile MACHINE WORKLOAD [MEMORY] "
-            "[--instructions N] [--profile-out FILE] [--sort KEY]",
-            file=sys.stderr,
+            "[--instructions N] [--profile-out FILE] [--sort KEY]"
         )
-        return 2
-    try:
-        config = parse_machine(words[0])
-        workload = get_workload(words[1])
-        memory = parse_memory(words[2] if len(words) == 3 else "default")
-    except (SpecError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    config = parse_machine(words[0])
+    workload = get_workload(words[1])
+    memory = parse_memory(words[2] if len(words) == 3 else "default")
     instructions = args.instructions if args.instructions is not None else 20_000
     trace = workload.trace(instructions)
 
@@ -968,8 +947,7 @@ def run_profile_command(args) -> int:
         try:
             profiler.dump_stats(args.profile_out)
         except OSError as error:
-            print(f"cannot write {args.profile_out}: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot write {args.profile_out}: {error}") from error
         print(f"\n[raw profile written to {args.profile_out}]")
     return 0
 
@@ -977,10 +955,10 @@ def run_profile_command(args) -> int:
 def _resolve_service(args):
     """The service spool (``--service``/``$REPRO_SERVICE``) and its store.
 
-    Returns ``(queue, store)`` or ``None`` after a stderr message when
-    no spool directory is configured.  Without an explicit ``--store``
-    the shared store lives inside the spool (``<service>/store``), so
-    every worker and client agrees on one ledger by construction.
+    Returns ``(queue, store)``; raises :class:`UsageError` when no spool
+    directory is configured.  Without an explicit ``--store`` the shared
+    store lives inside the spool (``<service>/store``), so every worker
+    and client agrees on one ledger by construction.
     """
     from repro.service import ServiceQueue
 
@@ -988,49 +966,25 @@ def _resolve_service(args):
         args.service or os.environ.get("REPRO_SERVICE", "").strip() or None
     )
     if directory is None:
-        print(
+        raise UsageError(
             "no service directory configured; pass --service DIR or set "
-            "$REPRO_SERVICE",
-            file=sys.stderr,
+            "$REPRO_SERVICE"
         )
-        return None
     queue = ServiceQueue(directory)
     queue.ensure()
     store = resolve_store(args) or ResultStore(queue.root / "store")
     return queue, store
 
 
-def _submission_mappings(args, words) -> list[dict]:
-    """The sweep mappings a ``submit`` invocation names.
-
-    Words are sweep presets or scenario files (like ``sweep``); with no
-    words the ad-hoc ``--machines/...`` flags describe one grid.
-    Raises :class:`~repro.machines.SpecError`/:class:`ValueError` on bad
-    input; returns an empty list (after a stderr message) when nothing
-    was specified at all.
-    """
-    from repro.experiments.sweep import SweepSpec, get_sweep_preset
-
-    mappings: list[dict] = []
-    if words:
-        for word in words:
-            if word.endswith((".toml", ".json")) or os.path.sep in word:
-                mappings.append(SweepSpec.from_file(word).to_mapping())
-            else:
-                preset = get_sweep_preset(word)
-                mappings.append(preset.sweep_for(Scale(args.scale)).to_mapping())
-        return mappings
-    if not args.machines:
-        print(
-            "submit needs --machines SPECS, a preset name, or a scenario "
-            "file; see 'dkip-experiments machines' for the grammar",
-            file=sys.stderr,
-        )
-        return []
-    return [SweepSpec.from_mapping(_adhoc_sweep_mapping(args)).to_mapping()]
+def _match_job(queue, word: str):
+    """The one job of *queue* whose id starts with *word*."""
+    job = queue.match_job(word)
+    if job is None:
+        raise UsageError(f"no unique job matches {word!r}")
+    return job
 
 
-def run_serve_command(args) -> int:
+def run_serve_command(args, words) -> int:
     """Dispatch ``dkip-experiments serve``: scheduler + N local workers.
 
     The scheduler loop runs in this process; each ``--workers`` slot is
@@ -1048,10 +1002,7 @@ def run_serve_command(args) -> int:
 
     from repro.service import FAILED, Scheduler, worker_main
 
-    resolved = _resolve_service(args)
-    if resolved is None:
-        return 2
-    queue, store = resolved
+    queue, store = _resolve_service(args)
     queue.clear_stop()
     scheduler = Scheduler(queue, store, lease=args.lease)
 
@@ -1114,39 +1065,32 @@ def run_serve_command(args) -> int:
     return min(failures, 125)
 
 
-def run_submit_command(args) -> int:
+def run_submit_command(args, words) -> int:
     """Dispatch ``dkip-experiments submit``: enqueue sweep jobs.
 
+    Every named grid is planned against the spool's store first, through
+    the same :func:`~repro.experiments.sweep.plan_grid` that ``sweep``
+    runs, so a grid ``sweep`` would reject never reaches the queue, and
+    a phase-set token's selection is stored for the scheduler to read.
     Job ids are content-addressed over the canonical sweep mapping and
     scale, so resubmitting the same grid attaches to the in-flight job
     (or, once done, re-enqueues it to complete instantly off the warm
     store).  ``--wait`` then follows the job to completion.
     """
-    from repro.machines import SpecError
+    from repro.experiments.sweep import plan_grid
     from repro.service import FAILED, job_status, submit_job, wait_for_job
 
-    resolved = _resolve_service(args)
-    if resolved is None:
-        return 2
-    queue, store = resolved
-    words = args.experiments[1:]
-    try:
-        mappings = _submission_mappings(args, words)
-    except (SpecError, ValueError, OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    if not mappings:
-        return 2
+    queue, store = _resolve_service(args)
+    specs = [spec for spec, _runner in _named_sweeps(args, words, "submit")]
+    for spec in specs:
+        plan_grid(spec, args.scale, store)
     retries = args.retries if args.retries is not None else 2
     jobs = []
-    for mapping in mappings:
-        try:
-            job, outcome = submit_job(
-                queue, mapping, args.scale, shards=args.shards, retries=retries
-            )
-        except (SpecError, ValueError) as error:
-            print(error, file=sys.stderr)
-            return 2
+    for spec in specs:
+        mapping = spec.to_mapping()
+        job, outcome = submit_job(
+            queue, mapping, args.scale, shards=args.shards, retries=retries
+        )
         jobs.append(job)
         print(f"job {job.job_id[:12]} {outcome} ({mapping['name']})")
     if not args.wait:
@@ -1176,7 +1120,7 @@ def run_submit_command(args) -> int:
     return status
 
 
-def run_status_command(args) -> int:
+def run_status_command(args, words) -> int:
     """Dispatch ``dkip-experiments status [JOB...]``: live job progress.
 
     With no arguments every job in the spool is listed; job-id prefixes
@@ -1186,19 +1130,9 @@ def run_status_command(args) -> int:
     """
     from repro.service import format_status, job_status
 
-    resolved = _resolve_service(args)
-    if resolved is None:
-        return 2
-    queue, store = resolved
-    words = args.experiments[1:]
+    queue, store = _resolve_service(args)
     if words:
-        jobs = []
-        for word in words:
-            job = queue.match_job(word)
-            if job is None:
-                print(f"no unique job matches {word!r}", file=sys.stderr)
-                return 2
-            jobs.append(job)
+        jobs = [_match_job(queue, word) for word in words]
     else:
         jobs = queue.iter_jobs()
     if not jobs:
@@ -1210,7 +1144,7 @@ def run_status_command(args) -> int:
     return 0
 
 
-def run_results_command(args) -> int:
+def run_results_command(args, words) -> int:
     """Dispatch ``dkip-experiments results JOB``: the grid, read-only.
 
     Collects the job's cells from the shared store — never simulating —
@@ -1218,30 +1152,16 @@ def run_results_command(args) -> int:
     in flight (or failed) appear as ``n/a``.  Exits 1 while the grid is
     incomplete so scripts can poll for completion.
     """
-    from repro.machines import SpecError
     from repro.service import collect_results
 
-    resolved = _resolve_service(args)
-    if resolved is None:
-        return 2
-    queue, store = resolved
-    words = args.experiments[1:]
+    queue, store = _resolve_service(args)
     if len(words) != 1:
-        print(
+        raise UsageError(
             "usage: dkip-experiments results JOBID [--service DIR]; see "
-            "'dkip-experiments status' for job ids",
-            file=sys.stderr,
+            "'dkip-experiments status' for job ids"
         )
-        return 2
-    job = queue.match_job(words[0])
-    if job is None:
-        print(f"no unique job matches {words[0]!r}", file=sys.stderr)
-        return 2
-    try:
-        result, missing = collect_results(queue, store, job)
-    except (SpecError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    job = _match_job(queue, words[0])
+    result, missing = collect_results(queue, store, job)
     print(result.render())
     print()
     _write_result_files(result, args)
@@ -1255,11 +1175,11 @@ def run_results_command(args) -> int:
     return 0
 
 
-def run_report_command(args) -> int:
+def run_report_command(args, words) -> int:
     """Dispatch ``dkip-experiments report [names...]``."""
     from repro.report import build_report
 
-    names = args.experiments[1:] or None
+    names = words or None
     if names is not None and "all" in names:
         names = None  # same semantics as the plain run path
     if args.csv or args.json:
@@ -1269,13 +1189,7 @@ def run_report_command(args) -> int:
             file=sys.stderr,
         )
     store = resolve_store(args)
-    try:
-        document = build_report(
-            names, Scale(args.scale), store=store, force=args.force
-        )
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
+    document = build_report(names, Scale(args.scale), store=store, force=args.force)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
     figures = document.count("<svg")
@@ -1286,6 +1200,24 @@ def run_report_command(args) -> int:
             f"{store.writes} simulated"
         )
     return 0
+
+
+#: The first word of a subcommand -> its handler, ``handler(args, words)``
+#: with *words* the words after it.  Any other first word names an
+#: experiment, which :func:`run_experiments` runs.
+COMMANDS = {
+    "cache": run_cache_command,
+    "report": run_report_command,
+    "sweep": run_sweep_command,
+    "machines": run_machines_command,
+    "workloads": run_workloads_command,
+    "simpoint": run_simpoint_command,
+    "profile": run_profile_command,
+    "serve": run_serve_command,
+    "submit": run_submit_command,
+    "status": run_status_command,
+    "results": run_results_command,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1314,40 +1246,36 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args, names: list[str]) -> int:
-    """Route one parsed invocation to its subcommand or experiment runs."""
-    if names and names[0] == "cache":
-        return run_cache_command(args)
-    if names and names[0] == "report":
-        return run_report_command(args)
-    if names and names[0] == "sweep":
-        return run_sweep_command(args)
-    if names and names[0] == "machines":
-        return run_machines_command(args)
-    if names and names[0] == "workloads":
-        return run_workloads_command(args)
-    if names and names[0] == "simpoint":
-        return run_simpoint_command(args)
-    if names and names[0] == "profile":
-        return run_profile_command(args)
-    if names and names[0] == "serve":
-        return run_serve_command(args)
-    if names and names[0] == "submit":
-        return run_submit_command(args)
-    if names and names[0] == "status":
-        return run_status_command(args)
-    if names and names[0] == "results":
-        return run_results_command(args)
+    """Route one parsed invocation to its subcommand or experiment runs.
+
+    The one exit for a bad invocation: a usage error, a malformed spec,
+    an unknown name or an unreadable or unwritable file (every one a
+    :class:`ValueError` or :class:`OSError`) prints its message and
+    exits 2.
+    """
+    handler = COMMANDS.get(names[0])
+    try:
+        if handler is None:
+            return run_experiments(args, names)
+        return handler(args, names[1:])
+    except (ValueError, OSError) as error:
+        print(error, file=sys.stderr)
+        return 2
+
+
+def run_experiments(args, names: list[str]) -> int:
+    """Run the named experiments (``all``: every registered one) in order.
+
+    A failing experiment is named and the rest still run; the exit
+    status counts the failures.  An unknown name raises ``ValueError``.
+    """
     if "all" in names:
         names = list(EXPERIMENTS)
     scale = Scale(args.scale)
     store = resolve_store(args)
     failed: list[str] = []
     for name in names:
-        try:
-            runner = get_experiment(name)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
+        runner = get_experiment(name)
         try:
             result = runner(scale, store=store, force=args.force)
         except Exception as error:  # noqa: BLE001 - continue with the rest

@@ -61,7 +61,7 @@ class Scale(str, enum.Enum):
     """Experiment size presets."""
 
     QUICK = "quick"      # seconds; benchmark-harness and CI default
-    DEFAULT = "default"  # the EXPERIMENTS.md record
+    DEFAULT = "default"  # minutes; tightens REPRODUCTION.md's quick match
     FULL = "full"        # longer traces, complete sweeps
 
 

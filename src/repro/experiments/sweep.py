@@ -681,21 +681,6 @@ def get_sweep_preset(name: str) -> SweepPreset:
         ) from None
 
 
-def run_preset(
-    name: str,
-    scale: Scale | str = Scale.DEFAULT,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> ExperimentResult:
-    """Run a named sweep: its figure-grade runner when it has one, the
-    generic formatter otherwise."""
-    preset = get_sweep_preset(name)
-    scale = scale_of(scale)
-    if preset.runner is not None:
-        return preset.runner(scale, store=store, force=force)
-    return run_sweep(preset.sweep_for(scale), scale, store=store, force=force)
-
-
 # The workload-axis showcase: latency tolerance (the paper's machine
 # axis, Figs. 9-12) against pointer-chase depth (the workload trait the
 # paper identifies as the SpecINT behaviour large windows cannot fix).

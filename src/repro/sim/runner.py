@@ -80,7 +80,9 @@ def simulate(
 
     Args:
         regions: Workload data regions for functional cache warm-up
-            (skipped when None or when the hierarchy has no finite cache).
+            (skipped when None or empty).  A hierarchy with no finite
+            cache is warmed too: an infinite L1 then holds every region
+            line, so the run's first touches count as L1 hits.
         hierarchy: Pre-built (typically pre-warmed) memory hierarchy; when
             given, *memory* and *regions* are ignored and the
             hierarchy is consumed by this run.
@@ -97,10 +99,10 @@ def run_core(
     workload,
     num_instructions: int,
     memory: MemoryConfig = DEFAULT_MEMORY,
-    warmup: bool = True,
     max_cycles: int | None = None,
 ) -> SimStats:
-    """Convenience wrapper: materialize a workload trace and simulate it.
+    """Convenience wrapper: materialize a workload trace and simulate it
+    on caches warmed over the workload's regions.
 
     Args:
         max_cycles: Upper bound on simulated time (deadlock guard);
@@ -112,7 +114,7 @@ def run_core(
         config,
         trace,
         memory=memory,
-        regions=workload.regions if warmup else None,
+        regions=workload.regions,
         max_cycles=max_cycles,
     )
     stats.workload = workload.name

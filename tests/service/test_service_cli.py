@@ -167,6 +167,53 @@ def test_submit_rejects_malformed_specs(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("machines", "message"),
+    [
+        ("warp", "unknown machine kind 'warp'; registered kinds:"),
+        ("dkip(llib=1024,2048,4096)", "malformed parameter '2048'"),
+    ],
+)
+def test_submit_rejects_what_sweep_rejects(tmp_path, capsys, machines, message):
+    """``submit`` plans the grid as ``sweep`` does before enqueueing:
+    a grid that cannot plan exits 2 with sweep's message, and no job is
+    written."""
+    grid = ["--machines", machines, "--scale", "quick"]
+    assert cli.main(["sweep", *grid, "--no-store"]) == 2
+    rejected = capsys.readouterr().err.splitlines()[-1]
+    assert rejected.startswith(message)
+    assert cli.main(["submit", *grid, *_svc(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == rejected
+    assert list(ServiceQueue(tmp_path / "svc").iter_jobs()) == []
+
+
+def test_submit_stores_a_phase_selection_the_scheduler_reads(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.simpoint import phases as simpoint_phases
+    from repro.trace.io import save_trace
+    from repro.workloads import get_workload
+
+    capture = str(tmp_path / "mcf.trc.gz")
+    save_trace(get_workload("mcf"), capture, 1200)
+    token = f"phases(file={capture},interval=300,k=2,seed=0)"
+    grid = ["--machines", "r10(rob=32)", "--workloads", token, "--scale", "quick"]
+    assert cli.main(["submit", *grid, *_svc(tmp_path)]) == 0
+    capsys.readouterr()
+    store = ResultStore(tmp_path / "svc" / "store")
+    assert store.summary()["phase_records"] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scheduler re-analyzed a stored selection")
+
+    monkeypatch.setattr(simpoint_phases, "analyze_trace", refuse)
+    queue = ServiceQueue(tmp_path / "svc")
+    events = Scheduler(queue, store).poll_once()
+    assert not any("failed to plan" in event for event in events)
+    (job,) = queue.iter_jobs()
+    assert job.cells
+
+
 class Planned(Exception):
     """Raised in place of running the planned cells."""
 

@@ -46,8 +46,9 @@ def test_run_core_stamps_workload_name():
 
 def test_warmup_changes_results():
     workload = get_workload("gzip")
-    warm = run_core(R10_64, workload, 1_500, warmup=True)
-    cold = run_core(R10_64, workload, 1_500, warmup=False)
+    trace = workload.trace(1_500)
+    warm = simulate(R10_64, trace, regions=workload.regions)
+    cold = simulate(R10_64, trace)
     assert warm.cycles < cold.cycles  # cold misses hurt
 
 
