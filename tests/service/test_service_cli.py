@@ -12,8 +12,8 @@ import pytest
 
 import repro
 from repro.experiments import cli, sweep
-from repro.experiments.common import compute_cell
-from repro.experiments.registry import get_experiment
+from repro.experiments.common import WorkloadPool, compute_cell
+from repro.experiments.registry import REGISTRY, get_experiment
 from repro.service import Scheduler, ServiceQueue, job_status
 from repro.store import ResultStore, cell_key
 
@@ -218,30 +218,52 @@ class Planned(Exception):
     """Raised in place of running the planned cells."""
 
 
-@pytest.mark.parametrize("preset", ["fig10", "fig10int"])
+#: Every name ``submit`` accepts that names an experiment.
+SUBMITTABLE = [name for name in REGISTRY if name in sweep.SWEEP_PRESETS]
+
+
+def _submitted_digests(spool, capsys, name, scale):
+    """The store digests of the job ``submit NAME --scale SCALE`` plans."""
+    assert cli.main(["submit", name, "--scale", scale, "--service", str(spool)]) == 0
+    capsys.readouterr()
+    queue = ServiceQueue(spool)
+    Scheduler(queue, ResultStore(spool / "plan-store")).poll_once()
+    (job,) = queue.iter_jobs()
+    return sorted(cell.digest for cell in job.cells)
+
+
+def _digests(cells, num_instructions, pool):
+    return sorted(
+        cell_key(config, pool.get(bench), num_instructions, memory).digest
+        for config, bench, memory in cells
+    )
+
+
+@pytest.mark.parametrize("preset", SUBMITTABLE)
 def test_a_submitted_preset_plans_the_harness_grid_at_its_scale(
     tmp_path, capsys, monkeypatch, preset
 ):
-    """``submit fig10 --scale quick`` plans exactly the cells that
-    ``fig10 --scale quick`` runs, not the full-scale grid."""
-    assert cli.main(["submit", preset, "--scale", "quick", *_svc(tmp_path)]) == 0
-    capsys.readouterr()
-    queue = ServiceQueue(tmp_path / "svc")
-    Scheduler(queue, ResultStore(tmp_path / "store")).poll_once()
-    (job,) = queue.iter_jobs()
-    submitted = sorted(cell.digest for cell in job.cells)
+    """``submit NAME --scale S`` plans exactly the cells that ``NAME
+    --scale S`` runs, at quick and at default scale."""
+    for scale in ("quick", "default"):
+        submitted = _submitted_digests(tmp_path / scale, capsys, preset, scale)
+        planned = []
 
-    planned = []
+        def capture(cells, num_instructions, pool, **kwargs):
+            planned.extend(_digests(cells, num_instructions, pool))
+            raise Planned
 
-    def capture(cells, num_instructions, pool, **kwargs):
-        planned.extend(
-            cell_key(config, pool.get(bench), num_instructions, memory).digest
-            for config, bench, memory in cells
-        )
-        raise Planned
+        monkeypatch.setattr(sweep, "run_cells", capture)
+        with pytest.raises(Planned):
+            get_experiment(preset)(scale)
+        assert submitted == sorted(planned), scale
+        if (preset, scale) == ("fig10", "quick"):
+            assert len(submitted) == 30  # 3 CP x 2 MP configurations x 5 benchmarks
 
-    monkeypatch.setattr(sweep, "run_cells", capture)
-    with pytest.raises(Planned):
-        get_experiment(preset)("quick")
-    assert submitted == sorted(planned)
-    assert len(submitted) == 30  # 3 CP x 2 MP configurations x 5 benchmarks
+
+def test_a_submitted_scenario_plans_its_grid(tmp_path, capsys):
+    """``submit chase`` plans the cells of the chase grid at each scale."""
+    for scale in ("quick", "default"):
+        submitted = _submitted_digests(tmp_path / scale, capsys, "chase", scale)
+        grid = sweep.plan_grid(sweep.CHASE_SWEEP, scale)
+        assert submitted == _digests(grid.cells(), grid.instructions, WorkloadPool())
