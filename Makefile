@@ -196,7 +196,10 @@ perf-smoke:
 # The sweep service end to end: submit a 2x2 grid into a spool, drain
 # it with a scheduler plus two worker processes, then resubmit the
 # identical grid — the warm pass must complete the job with zero
-# simulations off the shared store.  The same check gates in CI.
+# simulations off the shared store.  Then submit Figure 3 by name,
+# drain it, and sweep fig3 on the spool's store: all 5 of its limit
+# cells must be cached, so the service stored exactly the cells the
+# figure plans.  The same check gates in CI.
 SERVE_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 --shards 2
 serve-smoke:
@@ -209,6 +212,14 @@ serve-smoke:
 	  --service .serve-svc
 	PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
 	  --service .serve-svc --workers 2 --once | grep ", 0 simulated"
+	PYTHONPATH=src $(PYTHON) -m repro.experiments submit fig3 --scale quick \
+	  --service .serve-svc
+	PYTHONPATH=src $(PYTHON) -m repro.experiments serve \
+	  --service .serve-svc --workers 2 --once
+	PYTHONPATH=src $(PYTHON) -m repro.experiments sweep fig3 --scale quick \
+	  --store .serve-svc/store > .serve-svc/fig3.log \
+	  || { cat .serve-svc/fig3.log; exit 1; }
+	grep ": 5 cells cached, 0 simulated" .serve-svc/fig3.log
 	PYTHONPATH=src $(PYTHON) -m repro.experiments status --service .serve-svc
 
 # Regenerate every paper table/figure at quick scale.

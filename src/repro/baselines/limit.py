@@ -106,8 +106,8 @@ class _Free(NamedTuple):
     #: The pass's ROB size; ``None`` for an unlimited window.
     window: int | None
     #: What else the outcome depends on: the fill tables the pass started
-    #: from, ``width``, ``redirect_penalty``, ``histogram_bin``,
-    #: ``record_histogram`` and the fill-sweep threshold.
+    #: from, ``width``, ``redirect_penalty``, ``record_histogram`` and
+    #: the fill-sweep threshold.
     conditions: tuple
     last_commit: int
     branches: int
@@ -194,7 +194,6 @@ def simulate_limit(
     width: int = 4,
     redirect_penalty: int = 5,
     latencies: LatencyTable = DEFAULT_LATENCIES,
-    histogram_bin: int = 25,
     record_histogram: bool = True,
     stats: SimStats | None = None,
 ) -> LimitResult:
@@ -219,8 +218,7 @@ def simulate_limit(
     with its cycles, branch counts, histogram and the fill tables it
     left; a later pass of the pair at a window at least that large, from
     the same fill tables and with the same ``width``,
-    ``redirect_penalty``, ``histogram_bin`` and ``record_histogram``,
-    installs copies of those tables and takes the outcome without
+    ``redirect_penalty`` and ``record_histogram``, installs copies of those tables and takes the outcome without
     running.  A change to the timing model must keep commit times
     nondecreasing, or drop this shortcut.
 
@@ -230,9 +228,9 @@ def simulate_limit(
         predictor: Branch-predictor spec (:mod:`repro.branch.spec`); a
             fresh one is trained over the trace's conditional branches,
             through :func:`branch_verdicts`.
-        histogram_bin: Bin width (cycles) for the decode→issue histogram.
-        record_histogram: Set False to skip the per-instruction histogram
-            accounting; the window sweeps of Figures 1/2 only consume IPC,
+        record_histogram: Set False to skip the per-instruction
+            decode→issue histogram (25-cycle bins, samples capped at 4000
+            cycles); the window sweeps of Figures 1/2 only consume IPC,
             and the histogram is the hottest non-essential work in the
             pass.
         stats: Record into this (pre-named) stats object instead of a
@@ -248,7 +246,6 @@ def simulate_limit(
         tuple(dict(level.fills) for level in levels),
         width,
         redirect_penalty,
-        histogram_bin,
         record_histogram,
         cache.FILL_SWEEP_THRESHOLD,
     )
@@ -263,7 +260,7 @@ def simulate_limit(
         )
         histogram = _copy(free.histogram)
     else:
-        histogram = Histogram(bin_width=histogram_bin, max_value=4000)
+        histogram = Histogram(bin_width=25, max_value=4000)
         last_commit, branches, mispredictions, delayed = _time(
             trace,
             pair,
@@ -418,16 +415,9 @@ def issue_distance_histogram(
     trace: Iterable[Instruction],
     hierarchy: MemoryHierarchy,
     predictor: str,
-    histogram_bin: int = 25,
 ) -> Histogram:
     """Figure-3 measurement: unlimited window, decode→issue distances."""
-    result = simulate_limit(
-        trace,
-        hierarchy,
-        rob_size=None,
-        predictor=predictor,
-        histogram_bin=histogram_bin,
-    )
+    result = simulate_limit(trace, hierarchy, rob_size=None, predictor=predictor)
     return result.issue_distance
 
 

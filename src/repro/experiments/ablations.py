@@ -17,14 +17,8 @@ the alternatives Section 6 cites:
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    mean_ipc,
-    scale_of,
-)
-from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.experiments.common import ExperimentResult, Scale, mean_ipc
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import (
     Check,
     FigureSpec,
@@ -85,79 +79,47 @@ def sweep_for(scale: Scale, study: str) -> SweepSpec:
     return SWEEPS[study]
 
 
-def _run(study: str, scale, store, force, headers, rows) -> ExperimentResult:
-    """Run *study*'s grid and tabulate it with ``rows(grid)``."""
-    scale = scale_of(scale)
-    spec = sweep_for(scale, study)
-    result = ExperimentResult(
-        name=spec.name, title=spec.title, headers=headers, scale=scale
-    )
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        result.rows.extend(rows(grid))
-    return result
-
-
-def run_timer(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
+def timer_table(grid: SweepGrid, result: ExperimentResult) -> None:
     """Aging-ROB timer sweep (capacity follows: timer x decode width)."""
-    result = _run(
-        "ablation-timer", scale, store, force,
-        ["timer (cycles)", "ROB entries", "mean IPC"],
-        lambda grid: [
-            [timer, timer * 4, round(grid.mean_ipc(mi, 0, "fp"), 3)]
-            for mi, timer in enumerate(TIMERS)
-        ],
+    note_failures(result, grid)
+    result.headers = ["timer (cycles)", "ROB entries", "mean IPC"]
+    result.rows.extend(
+        [timer, timer * 4, round(grid.mean_ipc(mi, 0, "fp"), 3)]
+        for mi, timer in enumerate(TIMERS)
     )
     result.notes.append(
         "The paper picks 16 cycles: enough for the L2 tag probe; much "
         "larger timers re-grow the very window the D-KIP avoids."
     )
-    return result
 
 
-def run_llib_size(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
+def llib_table(grid: SweepGrid, result: ExperimentResult) -> None:
     """LLIB capacity sweep (the FIFO is cheap, so how much is needed?)."""
-
-    def rows(grid):
-        for mi, size in enumerate(LLIB_SIZES):
-            stats = grid.suite_stats(mi, 0, "fp") + grid.suite_stats(mi, 0, "int")
-            stalls = sum(s.llib_full_stall_cycles for s in stats if s is not None)
-            yield [size, round(mean_ipc(stats), 3), stalls]
-
-    return _run(
-        "ablation-llib", scale, store, force,
-        ["LLIB entries", "mean IPC", "fill-up stall cycles"], rows,
-    )
+    note_failures(result, grid)
+    result.headers = ["LLIB entries", "mean IPC", "fill-up stall cycles"]
+    for mi, size in enumerate(LLIB_SIZES):
+        stats = grid.suite_stats(mi, 0, "fp") + grid.suite_stats(mi, 0, "int")
+        stalls = sum(s.llib_full_stall_cycles for s in stats if s is not None)
+        result.rows.append([size, round(mean_ipc(stats), 3), stalls])
 
 
-def run_predictor(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
+def predictor_table(grid: SweepGrid, result: ExperimentResult) -> None:
     """Branch predictor ablation on the D-KIP (Table 2 uses the perceptron)."""
-    return _run(
-        "ablation-predictor", scale, store, force, ["predictor", "mean IPC"],
-        lambda grid: [
-            [predictor, round(grid.mean_ipc(mi, 0, "int"), 3)]
-            for mi, predictor in enumerate(PREDICTORS)
-        ],
+    note_failures(result, grid)
+    result.headers = ["predictor", "mean IPC"]
+    result.rows.extend(
+        [predictor, round(grid.mean_ipc(mi, 0, "int"), 3)]
+        for mi, predictor in enumerate(PREDICTORS)
     )
 
 
-def run_runahead(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
+def runahead_table(grid: SweepGrid, result: ExperimentResult) -> None:
     """Runahead execution vs the window-based machines (SpecFP)."""
-    result = _run(
-        "ablation-runahead", scale, store, force, ["machine", "mean IPC"],
-        lambda grid: [
-            [machine.name, round(grid.mean_ipc(mi, 0, "fp"), 3)]
-            for mi, machine in enumerate(grid.machines)
-        ],
+    note_failures(result, grid)
+    result.headers = ["machine", "mean IPC"]
+    result.rows.extend(
+        [machine.name, round(grid.mean_ipc(mi, 0, "fp"), 3)]
+        for mi, machine in enumerate(grid.machines)
     )
     result.notes.append(
         "Expected shape: runahead lands between R10-64 and the true "
@@ -165,7 +127,6 @@ def run_runahead(
         "episode re-executes its instructions, and serial chains gain "
         "nothing."
     )
-    return result
 
 
 #: Report specs for the design studies.  These are not paper figures, so

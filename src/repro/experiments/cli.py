@@ -11,7 +11,7 @@ Usage::
     dkip-experiments cache verify --sample 3       # catch stale caches
     dkip-experiments machines                      # kinds, grammar, presets
     dkip-experiments workloads                     # workload kinds + benchmarks
-    dkip-experiments sweep fig9                    # a named sweep preset
+    dkip-experiments sweep fig9                    # an experiment's grid
     dkip-experiments sweep scenario.toml           # a declarative file
     dkip-experiments sweep --machines "dkip(llib=8192),R10-256" \
         --memory "MEM-400,mem(lat=800)" --workloads "mcf,swim" \
@@ -26,6 +26,7 @@ Usage::
         --profile-out dkip-mcf.pstats              # where does time go?
     dkip-experiments submit --machines "dkip,R10-64" --workloads int \
         --service .svc                             # enqueue a sweep job
+    dkip-experiments submit fig1 --scale full --service .svc  # a figure
     dkip-experiments serve --service .svc --workers 4 --once
     dkip-experiments status --service .svc         # per-shard progress
     dkip-experiments results JOBID --service .svc  # grid from the store
@@ -35,6 +36,13 @@ Usage::
 and prints simulation throughput, wall time attributed per pipeline
 stage, and the hottest functions — the first stop before touching any
 hot loop (see PERFORMANCE.md for the cookbook).
+
+``sweep`` and ``submit`` also take names: every grid experiment of the
+registry (``fig1`` … ``fig14``, ``fig10int``, ``contention`` and the
+four ablations), planned at ``--scale`` exactly as the experiment runs
+it, and the scenarios of :data:`repro.experiments.sweep.SCENARIOS`
+(``chase``); ``machines`` lists them.  ``sweep NAME`` renders an
+experiment's own table and figure.
 
 ``simpoint`` runs the SimPoint phase analysis over a captured trace
 (optionally capturing it first with ``--capture WORKLOAD``): it slices
@@ -591,16 +599,32 @@ def _adhoc_sweep_mapping(args) -> dict:
     }
 
 
+def _sweep_names() -> dict[str, str]:
+    """Every name ``sweep`` and ``submit`` accept, with a one-line
+    description: the grid experiments, then the :data:`SCENARIOS`."""
+    from repro.experiments.sweep import SCENARIOS
+
+    names = {
+        name: experiment.description
+        for name, experiment in REGISTRY.items()
+        if experiment.grid is not None
+    }
+    names.update((name, spec.title) for name, spec in SCENARIOS.items())
+    return names
+
+
 def _named_sweeps(args, words, command: str) -> list[tuple[object, object]]:
     """The grids a ``sweep`` or ``submit`` invocation names, as
-    ``(SweepSpec, runner or None)`` pairs.
+    ``(SweepSpec, Experiment or None)`` pairs.
 
-    A word is a scenario file (``.toml``/``.json``, or any path) or a
-    sweep preset at ``--scale``, which brings its figure-grade runner
-    when it has one; with no words the ad-hoc ``--machines/...`` flags
-    describe one grid.  Every word is read before any grid runs.
+    A word is a scenario file (``.toml``/``.json``, or any path), else a
+    grid experiment, whose grid is planned at ``--scale`` and which
+    comes with its record, else a :data:`~repro.experiments.sweep.SCENARIOS`
+    name; with no words the ad-hoc ``--machines/...`` flags describe one
+    grid, and with words those flags are ignored, with a note.  Every
+    word is read before any grid runs.
     """
-    from repro.experiments.sweep import SweepSpec, get_sweep_preset
+    from repro.experiments.sweep import SCENARIOS, SweepSpec
 
     if not words:
         if not args.machines:
@@ -610,46 +634,54 @@ def _named_sweeps(args, words, command: str) -> list[tuple[object, object]]:
                 "grammar"
             )
         return [(SweepSpec.from_mapping(_adhoc_sweep_mapping(args)), None)]
-    sweeps = []
-    for word in words:
-        if word.endswith((".toml", ".json")) or os.path.sep in word:
-            sweeps.append((SweepSpec.from_file(word), None))
-        else:
-            preset = get_sweep_preset(word)
-            sweeps.append((preset.sweep_for(Scale(args.scale)), preset.runner))
-    return sweeps
-
-
-def run_sweep_command(args, words) -> int:
-    """Dispatch ``dkip-experiments sweep [preset|file ...]`` and ad-hoc
-    ``--machines/--memory/--workloads/--axes`` grids."""
-    from repro.experiments.sweep import figure_spec_for, run_sweep
-
-    scale = Scale(args.scale)
-    store = resolve_store(args)
     adhoc_flags = (
         args.machines, args.memory, args.workloads, args.axes,
         args.workload_axes, args.name, args.title,
         args.instructions, args.max_cycles,
     )
-    if words and any(flag is not None for flag in adhoc_flags):
+    if any(flag is not None for flag in adhoc_flags):
         print(
             "note: --machines/--memory/--workloads/--axes/--workload-axes/"
             "--name/--title/--instructions/--max-cycles are ignored when "
             "presets or scenario files are named",
             file=sys.stderr,
         )
-    runs: list[tuple[object, object]] = []  # (result, figure spec)
-    for spec, runner in _named_sweeps(args, words, "sweep"):
-        if runner is None:
-            result = run_sweep(spec, scale, store=store, force=args.force)
+    sweeps = []
+    for word in words:
+        experiment = REGISTRY.get(word)
+        if word.endswith((".toml", ".json")) or os.path.sep in word:
+            sweeps.append((SweepSpec.from_file(word), None))
+        elif experiment is not None and experiment.grid is not None:
+            sweeps.append((experiment.grid(Scale(args.scale)), experiment))
+        elif word in SCENARIOS:
+            sweeps.append((SCENARIOS[word], None))
         else:
-            result = runner(scale, store=store, force=args.force)
-        # A figure-grade runner's result renders as its registered figure.
-        registered = REGISTRY.get(result.name) if runner else None
-        runs.append(
-            (result, registered.spec if registered else figure_spec_for(spec))
-        )
+            raise UsageError(
+                f"unknown sweep preset {word!r}; available: "
+                f"{', '.join(sorted(_sweep_names()))}"
+            )
+    return sweeps
+
+
+def run_sweep_command(args, words) -> int:
+    """Dispatch ``dkip-experiments sweep [name|file ...]`` and ad-hoc
+    ``--machines/--memory/--workloads/--axes`` grids.
+
+    A named experiment runs through its registered ``run`` and renders
+    as its figure; any other grid through the generic table.
+    """
+    from repro.experiments.sweep import figure_spec_for, run_sweep
+
+    scale = Scale(args.scale)
+    store = resolve_store(args)
+    runs: list[tuple[object, object]] = []  # (result, figure spec)
+    for spec, experiment in _named_sweeps(args, words, "sweep"):
+        if experiment is None:
+            result = run_sweep(spec, scale, store=store, force=args.force)
+            runs.append((result, figure_spec_for(spec)))
+        else:
+            result = experiment.run(scale, store=store, force=args.force)
+            runs.append((result, experiment.spec))
     status = 0
     for result, figure in runs:
         print(result.render())
@@ -765,7 +797,6 @@ def run_simpoint_command(args, words) -> int:
 
 def run_machines_command(args, words) -> int:
     """Dispatch ``dkip-experiments machines``: kinds, grammar, presets."""
-    from repro.experiments.sweep import SWEEP_PRESETS
     from repro.machines import MEMORY_GRAMMAR, PRESETS, machine_kinds
 
     print("machine kinds — spec grammar: KIND(key=value,...) or bare KIND")
@@ -777,9 +808,11 @@ def run_machines_command(args, words) -> int:
     for preset in PRESETS.values():
         print(f"  {preset.name:<14s}{preset.spec:<24s}{preset.provenance}")
     print()
-    print("sweep presets (dkip-experiments sweep <name>):")
-    for sweep_preset in SWEEP_PRESETS.values():
-        print(f"  {sweep_preset.name:<14s}{sweep_preset.description}")
+    print("sweep presets (dkip-experiments sweep|submit <name>):")
+    names = _sweep_names()
+    width = max(map(len, names)) + 2
+    for name, description in names.items():
+        print(f"  {name:<{width}s}{description}")
     print()
     print("memory spec grammar:")
     print(f"  {MEMORY_GRAMMAR}")
@@ -1081,7 +1114,7 @@ def run_submit_command(args, words) -> int:
     from repro.service import FAILED, job_status, submit_job, wait_for_job
 
     queue, store = _resolve_service(args)
-    specs = [spec for spec, _runner in _named_sweeps(args, words, "submit")]
+    specs = [spec for spec, _experiment in _named_sweeps(args, words, "submit")]
     for spec in specs:
         plan_grid(spec, args.scale, store)
     retries = args.retries if args.retries is not None else 2

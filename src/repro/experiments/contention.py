@@ -18,19 +18,8 @@ actually exercise the arbiter.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import (
-    SweepPreset,
-    SweepSpec,
-    note_failures,
-    register_sweep_preset,
-    sweep_grid,
-)
+from repro.experiments.common import ExperimentResult
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import Check, FigureSpec, cell, long_rows_as_groups
 
 #: The contended co-runner: a high-MLP streaming sweep over 8 MB — six
@@ -42,7 +31,7 @@ CO_RUNNER = "synth(chase=0,mlp=6,footprint=8M)"
 
 CONTENTION_SWEEP = SweepSpec(
     name="contention",
-    title="shared-L2 contention: co-runner x predictor on the dual kind",
+    title="Shared-L2 contention (dual-core) across the predictor axis",
     # l2busy=2 on the shared machine makes port occupancy visible; it
     # applies to the solo baselines too, so the comparison stays fair.
     machines=("dual(rob=64,l2busy=2)",),
@@ -58,63 +47,56 @@ def _config_label(co: str, bp: str) -> str:
     return f"{'contended' if co != 'none' else 'solo'}/{bp}"
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    result = ExperimentResult(
-        name="contention",
-        title="Shared-L2 contention (dual-core) across the predictor axis",
-        headers=[
-            "workload", "config", "co-runner", "bp", "mean IPC",
-            "slowdown vs solo", "arb conflict share", "co IPC",
-        ],
-        scale=scale,
-    )
-    with Stopwatch(result):
-        grid = sweep_grid(CONTENTION_SWEEP, scale, store=store, force=force)
-        note_failures(result, grid)
-        # Solo IPC per (bp, workload token): the slowdown baselines.
-        solo: dict[tuple[str, str], float] = {}
-        for mi, machine in enumerate(grid.machines):
-            axes = dict(machine.axes)
-            if axes.get("co") == "none":
-                for token in grid.workloads:
-                    solo[(axes["bp"], token)] = grid.mean_ipc(mi, 0, token)
-        for mi, machine in enumerate(grid.machines):
-            axes = dict(machine.axes)
-            co, bp = axes["co"], axes["bp"]
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate the contention grid: per workload and configuration,
+    mean IPC, the slowdown against solo, the L2 conflict share and the
+    co-runner's IPC."""
+    note_failures(result, grid)
+    result.headers = [
+        "workload", "config", "co-runner", "bp", "mean IPC",
+        "slowdown vs solo", "arb conflict share", "co IPC",
+    ]
+    # Solo IPC per (bp, workload token): the slowdown baselines.
+    solo: dict[tuple[str, str], float] = {}
+    for mi, machine in enumerate(grid.machines):
+        axes = dict(machine.axes)
+        if axes.get("co") == "none":
             for token in grid.workloads:
-                stats = [s for s in grid.suite_stats(mi, 0, token) if s is not None]
-                if not stats:
-                    result.rows.append(
-                        [token, _config_label(co, bp), co, bp, "n/a", "-", "-", "-"]
-                    )
-                    continue
-                ipc = grid.mean_ipc(mi, 0, token)
-                baseline = solo.get((bp, token))
-                slowdown = (
-                    f"{baseline / ipc:.3f}x" if baseline and ipc else "-"
-                )
-                accesses = sum(s.l2_arb_accesses for s in stats)
-                conflicts = sum(s.l2_arb_conflicts for s in stats)
-                share = f"{conflicts / accesses:.1%}" if accesses else "0.0%"
-                co_ipc = (
-                    sum(s.co_committed for s in stats)
-                    / sum(s.cycles for s in stats)
-                )
+                solo[(axes["bp"], token)] = grid.mean_ipc(mi, 0, token)
+    for mi, machine in enumerate(grid.machines):
+        axes = dict(machine.axes)
+        co, bp = axes["co"], axes["bp"]
+        for token in grid.workloads:
+            stats = [s for s in grid.suite_stats(mi, 0, token) if s is not None]
+            if not stats:
                 result.rows.append(
-                    [
-                        token,
-                        _config_label(co, bp),
-                        co,
-                        bp,
-                        round(ipc, 3),
-                        slowdown,
-                        share,
-                        round(co_ipc, 3),
-                    ]
+                    [token, _config_label(co, bp), co, bp, "n/a", "-", "-", "-"]
                 )
+                continue
+            ipc = grid.mean_ipc(mi, 0, token)
+            baseline = solo.get((bp, token))
+            slowdown = (
+                f"{baseline / ipc:.3f}x" if baseline and ipc else "-"
+            )
+            accesses = sum(s.l2_arb_accesses for s in stats)
+            conflicts = sum(s.l2_arb_conflicts for s in stats)
+            share = f"{conflicts / accesses:.1%}" if accesses else "0.0%"
+            co_ipc = (
+                sum(s.co_committed for s in stats)
+                / sum(s.cycles for s in stats)
+            )
+            result.rows.append(
+                [
+                    token,
+                    _config_label(co, bp),
+                    co,
+                    bp,
+                    round(ipc, 3),
+                    slowdown,
+                    share,
+                    round(co_ipc, 3),
+                ]
+            )
     result.notes.append(
         "slowdown vs solo = (solo IPC / contended IPC) at the same "
         "predictor; the solo rows are their own 1.000x baseline"
@@ -123,7 +105,6 @@ def run(
         f"co-runner: {CO_RUNNER} on the second core, private L1, shared "
         "arbitrated L2 (see repro.memory.shared)"
     )
-    return result
 
 
 #: Report spec.  The paper has no dual-core numbers; the checks pin the
@@ -162,16 +143,3 @@ SPEC = FigureSpec(
         ),
     ),
 )
-
-register_sweep_preset(
-    SweepPreset(
-        name="contention",
-        sweep_for=lambda scale: CONTENTION_SWEEP,
-        description="dual-core shared-L2 contention: co-runner x predictor axes",
-        runner=run,
-    )
-)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -13,13 +13,8 @@ miss-dependent mispredictions stay on the critical path).
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.memory import TABLE1_CONFIGS
 from repro.report.spec import Check, FigureSpec, row_span_ratio, rows_as_series
 from repro.viz.ascii import line_chart
@@ -48,30 +43,21 @@ def sweep_for(scale: Scale, suite: str) -> SweepSpec:
     )
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
-) -> ExperimentResult:
-    """Regenerate Figure 1 (suite="int") or Figure 2 (suite="fp")."""
-    scale = scale_of(scale)
-    spec = sweep_for(scale, suite)
-    windows = _windows(scale)
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        headers=["memory", *[f"rob-{w}" for w in windows]],
-        scale=scale,
-    )
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 1 (SpecINT) or Figure 2 (SpecFP): mean IPC per
+    memory system and window size."""
+    suite = grid.spec.workloads[0]
+    windows = _windows(grid.scale)
+    note_failures(result, grid)
+    result.headers = ["memory", *[f"rob-{w}" for w in windows]]
     series: dict[str, list[tuple[float, float]]] = {}
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        for gi, memory in enumerate(grid.memories):
-            row: list[object] = [memory.name]
-            for wi, window in enumerate(windows):
-                mean = grid.mean_ipc(wi, gi, suite)
-                row.append(round(mean, 3))
-                series.setdefault(memory.name, []).append((window, mean))
-            result.rows.append(row)
+    for gi, memory in enumerate(grid.memories):
+        row: list[object] = [memory.name]
+        for wi, window in enumerate(windows):
+            mean = grid.mean_ipc(wi, gi, suite)
+            row.append(round(mean, 3))
+            series.setdefault(memory.name, []).append((window, mean))
+        result.rows.append(row)
     result.charts.append(
         line_chart(
             series,
@@ -85,7 +71,6 @@ def run(
         f"MEM-400 IPC gain from {windows[0]} to {windows[-1]} entries: {gain:.2f}x "
         f"(paper: large for SpecFP, small for SpecINT)"
     )
-    return result
 
 
 #: Report specs (Figure 1 = SpecINT, Figure 2 = SpecFP).  The paper
@@ -132,9 +117,3 @@ SPECS = {
         ),
     ),
 }
-
-
-if __name__ == "__main__":
-    print(run(suite="int").render())
-    print()
-    print(run(suite="fp").render())

@@ -12,13 +12,8 @@ Paper numbers: ~70% below 300 cycles, 11-12% around 400, ~4% around 800.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import Check, FigureSpec, cell, wide_rows_as_groups
 from repro.sim.stats import Histogram
 from repro.viz.ascii import histogram_chart
@@ -36,26 +31,23 @@ def sweep_for(scale: Scale, suite: str) -> SweepSpec:
     )
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    spec = sweep_for(scale, suite)
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        headers=["range (cycles)", "fraction", "paper"],
-        scale=scale,
-    )
-    aggregate = Histogram(bin_width=25, max_value=4000)
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        for stats in grid.suite_stats(0, 0, suite):
-            if stats is None:
-                continue  # failed under a tolerant policy; named in the notes
-            for start, count in stats.issue_distance.bins():
-                aggregate.add(start, count)
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 3: the suite's decode→issue distances, summed
+    over its cells, by distance range against the paper's fractions."""
+    suite = grid.spec.workloads[0]
+    note_failures(result, grid)
+    result.headers = ["range (cycles)", "fraction", "paper"]
+    histograms = [
+        stats.issue_distance
+        for stats in grid.suite_stats(0, 0, suite)
+        if stats is not None  # failed under a tolerant policy; named in the notes
+    ]
+    # Sum in the bin width and cap the limit core recorded them with.
+    first = histograms[0] if histograms else Histogram()
+    aggregate = Histogram(first.bin_width, first.max_value)
+    for histogram in histograms:
+        for start, count in histogram.bins():
+            aggregate.add(start, count)
     below_300 = aggregate.fraction_below(300)
     single_miss = aggregate.fraction_in(300, 500)
     double_miss = aggregate.fraction_in(700, 900)
@@ -78,7 +70,6 @@ def run(
         " is smaller than the paper's 4% because the synthetic SpecFP"
         " carries fewer dependent-miss chains than the originals."
     )
-    return result
 
 
 #: Report spec: the execution-locality distribution with the paper's
@@ -123,7 +114,3 @@ SPEC = FigureSpec(
         ),
     ),
 )
-
-
-if __name__ == "__main__":
-    print(run().render())

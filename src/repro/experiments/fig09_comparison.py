@@ -5,7 +5,7 @@ default memory system (Table 2/3) and 512-entry LSQs.
 
 The grid itself is a :class:`~repro.experiments.sweep.SweepSpec` over the
 four named machine presets, executed by the generic sweep engine
-(``dkip-experiments sweep fig9`` runs the same preset); only the table
+(``dkip-experiments sweep fig9`` runs the same grid); only the table
 formatting — the paper's reference IPC column and speedups over R10-64 —
 is figure-specific.
 
@@ -21,19 +21,8 @@ higher implementation cost).
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import (
-    SweepPreset,
-    SweepSpec,
-    note_failures,
-    register_sweep_preset,
-    sweep_grid,
-)
+from repro.experiments.common import ExperimentResult
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import Check, FigureSpec, cell, cell_ratio, long_rows_as_groups
 from repro.viz.ascii import bar_chart
 
@@ -59,56 +48,35 @@ SWEEP = SweepSpec(
 )
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    result = ExperimentResult(
-        name="fig9",
-        title=SWEEP.title,
-        headers=["suite", "machine", "mean IPC", "paper IPC", "speedup vs R10-64"],
-        scale=scale,
-    )
-    with Stopwatch(result):
-        # One pool task per (machine, workload) pair: the whole grid —
-        # all four machines, both suites — is in flight at once.
-        grid = sweep_grid(SWEEP, scale, store=store, force=force)
-        note_failures(result, grid)
-        for suite in ("int", "fp"):
-            base = None
-            chart_data = {}
-            for index, machine in enumerate(grid.machines):
-                ipc = grid.mean_ipc(index, 0, suite)
-                if base is None:
-                    base = ipc
-                chart_data[machine.name] = ipc
-                result.rows.append(
-                    [
-                        f"Spec{suite.upper()}",
-                        machine.name,
-                        round(ipc, 3),
-                        PAPER_IPC[(suite, machine.name)],
-                        f"{ipc / base:.2f}x" if base else "-",
-                    ]
-                )
-            result.charts.append(
-                bar_chart(chart_data, title=f"Spec{suite.upper()} average IPC")
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 9: mean IPC per suite and machine, the paper's
+    IPC beside it, and the speedup over R10-64."""
+    note_failures(result, grid)
+    result.headers = ["suite", "machine", "mean IPC", "paper IPC", "speedup vs R10-64"]
+    for suite in grid.spec.workloads:
+        base = None
+        chart_data = {}
+        for index, machine in enumerate(grid.machines):
+            ipc = grid.mean_ipc(index, 0, suite)
+            if base is None:
+                base = ipc
+            chart_data[machine.name] = ipc
+            result.rows.append(
+                [
+                    f"Spec{suite.upper()}",
+                    machine.name,
+                    round(ipc, 3),
+                    PAPER_IPC[(suite, machine.name)],
+                    f"{ipc / base:.2f}x" if base else "-",
+                ]
             )
+        result.charts.append(
+            bar_chart(chart_data, title=f"Spec{suite.upper()} average IPC")
+        )
     result.notes.append(
         "Shape check: FP ordering D-KIP/KILO >> R10-256 > R10-64; INT "
         "ordering KILO > D-KIP ~ R10-256 > R10-64 with compressed gaps."
     )
-    return result
-
-
-register_sweep_preset(
-    SweepPreset(
-        "fig9",
-        lambda scale: SWEEP,
-        description="Figure 9 headline grid: four named machines x both suites",
-        runner=run,
-    )
-)
 
 
 def _speedup(suite: str, machine: str):
@@ -167,7 +135,3 @@ SPEC = FigureSpec(
         ),
     ),
 )
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -18,19 +18,8 @@ almost as good as OOO-40.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import (
-    SweepPreset,
-    SweepSpec,
-    note_failures,
-    register_sweep_preset,
-    sweep_grid,
-)
+from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import Check, FigureSpec, cell, cell_ratio, columns_as_series
 from repro.viz.ascii import line_chart
 
@@ -53,35 +42,27 @@ def sweep_for(scale: Scale, suite: str) -> SweepSpec:
     )
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    spec = sweep_for(scale, suite)
-    cp_configs = spec.axes[0][1]
-    mp_configs = spec.axes[1][1]
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        headers=["CP config", *[f"MP {mp}" for mp in mp_configs]],
-        scale=scale,
-    )
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 10 or its SpecINT twin: mean IPC with CP
+    configurations as rows and MP configurations as columns."""
+    suite = grid.spec.workloads[0]
+    cp_configs = grid.spec.axes[0][1]
+    mp_configs = grid.spec.axes[1][1]
+    note_failures(result, grid)
+    result.headers = ["CP config", *[f"MP {mp}" for mp in mp_configs]]
     series: dict[str, list[tuple[float, float]]] = {}
     grid_ipc: dict[tuple[str, str], float] = {}
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        # Machines expand in axes-product order: cp varies slowest.
-        for ci, cp in enumerate(cp_configs):
-            row: list[object] = [cp]
-            for mi, mp in enumerate(mp_configs):
-                index = ci * len(mp_configs) + mi
-                ipc = grid.mean_ipc(index, 0, suite)
-                grid_ipc[(cp, mp)] = ipc
-                row.append(round(ipc, 3))
-                x = 0 if cp == "INO" else int(cp.split("-")[1])
-                series.setdefault(f"MP {mp}", []).append((max(x, 1), ipc))
-            result.rows.append(row)
+    # Machines expand in axes-product order: cp varies slowest.
+    for ci, cp in enumerate(cp_configs):
+        row: list[object] = [cp]
+        for mi, mp in enumerate(mp_configs):
+            index = ci * len(mp_configs) + mi
+            ipc = grid.mean_ipc(index, 0, suite)
+            grid_ipc[(cp, mp)] = ipc
+            row.append(round(ipc, 3))
+            x = 0 if cp == "INO" else int(cp.split("-")[1])
+            series.setdefault(f"MP {mp}", []).append((max(x, 1), ipc))
+        result.rows.append(row)
     result.charts.append(
         line_chart(series, title="IPC vs CP queue size (x=1 means in-order CP)")
     )
@@ -103,33 +84,6 @@ def run(
             f"MP OOO-40 vs in-order under CP {biggest_cp}: {mp_gain * 100:+.1f}% "
             f"(paper: +6.3% with OOO-80 CP, +1% with in-order CP)"
         )
-    return result
-
-
-def _run_fp(scale: Scale | str = Scale.DEFAULT, store=None, force=False):
-    return run(scale, suite="fp", store=store, force=force)
-
-
-def _run_int(scale: Scale | str = Scale.DEFAULT, store=None, force=False):
-    return run(scale, suite="int", store=store, force=force)
-
-
-register_sweep_preset(
-    SweepPreset(
-        "fig10",
-        lambda scale: sweep_for(scale, "fp"),
-        description="Figure 10: dkip crossed over cp x mp axes on SpecFP",
-        runner=_run_fp,
-    )
-)
-register_sweep_preset(
-    SweepPreset(
-        "fig10int",
-        lambda scale: sweep_for(scale, "int"),
-        description="§4.3: the same cp x mp grid on SpecINT",
-        runner=_run_int,
-    )
-)
 
 
 def _cp_ooo_gain():
@@ -179,9 +133,3 @@ def _spec(suite: str, paper_gain: float) -> FigureSpec:
 #: Report specs: fig10 is the paper's SpecFP figure; fig10int the
 #: SpecINT summary §4.3 reports in the text.
 SPECS = {"fig10": _spec("fp", 1.32), "fig10int": _spec("int", 1.29)}
-
-
-if __name__ == "__main__":
-    print(run(suite="fp").render())
-    print()
-    print(run(suite="int").render())

@@ -14,14 +14,8 @@ L2 grows from 64 KB to 4 MB; the harness reports the same split.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    mean_ipc,
-    scale_of,
-)
-from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.experiments.common import ExperimentResult, Scale, mean_ipc
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.memory.configs import KB, MB
 from repro.report.spec import Check, FigureSpec, cell, rows_as_series
 from repro.viz.ascii import line_chart
@@ -58,43 +52,37 @@ def _label(name: str) -> str:
     return name.replace("CP-", "").replace("MP-", "")
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, suite: str = "fp", store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    spec = sweep_for(scale, suite)
-    sizes = _sizes(scale)
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        headers=["machine", *[_size_label(s) for s in sizes], "sweep gain", "CP% 64K→4M"],
-        scale=scale,
-    )
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 11 (SpecINT) or Figure 12 (SpecFP): mean IPC per
+    machine and L2 size, the gain across the sweep and the CP share."""
+    suite = grid.spec.workloads[0]
+    sizes = _sizes(grid.scale)
+    note_failures(result, grid)
+    result.headers = [
+        "machine", *[_size_label(s) for s in sizes], "sweep gain", "CP% 64K→4M",
+    ]
     series: dict[str, list[tuple[float, float]]] = {}
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        for mi, machine in enumerate(grid.machines):
-            label = _label(machine.name)
-            row: list[object] = [label]
-            first = last = None
-            cp_fractions = []
-            for gi, size in enumerate(sizes):
-                stats = [s for s in grid.suite_stats(mi, gi, suite) if s is not None]
-                ipc = mean_ipc(stats)
-                fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
-                cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)
-                if first is None:
-                    first = ipc
-                last = ipc
-                row.append(round(ipc, 3))
-                series.setdefault(label, []).append((size // KB, ipc))
-            row.append(f"{last / first:.2f}x" if first else "-")
-            if label == "R10-256":
-                row.append("-")
-            else:
-                row.append(f"{cp_fractions[0] * 100:.0f}%→{cp_fractions[-1] * 100:.0f}%")
-            result.rows.append(row)
+    for mi, machine in enumerate(grid.machines):
+        label = _label(machine.name)
+        row: list[object] = [label]
+        first = last = None
+        cp_fractions = []
+        for gi, size in enumerate(sizes):
+            stats = [s for s in grid.suite_stats(mi, gi, suite) if s is not None]
+            ipc = mean_ipc(stats)
+            fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
+            cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)
+            if first is None:
+                first = ipc
+            last = ipc
+            row.append(round(ipc, 3))
+            series.setdefault(label, []).append((size // KB, ipc))
+        row.append(f"{last / first:.2f}x" if first else "-")
+        if label == "R10-256":
+            row.append("-")
+        else:
+            row.append(f"{cp_fractions[0] * 100:.0f}%→{cp_fractions[-1] * 100:.0f}%")
+        result.rows.append(row)
     result.charts.append(
         line_chart(series, title=f"IPC vs L2 size (KB, log2) — Spec{suite.upper()}", logx=True)
     )
@@ -108,7 +96,6 @@ def run(
             "Paper: near-linear IPC growth per L2 doubling for every machine "
             "on SpecINT, D-KIP behaving like the conventional core."
         )
-    return result
 
 
 def _size_label(size: int) -> str:
@@ -185,9 +172,3 @@ SPECS = {
         ),
     ),
 }
-
-
-if __name__ == "__main__":
-    print(run(suite="int").render())
-    print()
-    print(run(suite="fp").render())

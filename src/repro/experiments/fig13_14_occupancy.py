@@ -13,13 +13,8 @@ concludes an LLRF of ~1000 entries (average well under 500) suffices.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    Stopwatch,
-    scale_of,
-)
-from repro.experiments.sweep import SweepSpec, note_failures, sweep_grid
+from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.sweep import SweepGrid, SweepSpec, note_failures
 from repro.report.spec import Check, FigureSpec, max_row_ratio, wide_rows_as_groups
 from repro.viz.ascii import bar_chart
 
@@ -40,35 +35,27 @@ def sweep_for(scale: Scale, suite: str) -> SweepSpec:
     )
 
 
-def run(
-    scale: Scale | str = Scale.DEFAULT, suite: str = "int", store=None, force=False
-) -> ExperimentResult:
-    scale = scale_of(scale)
-    spec = sweep_for(scale, suite)
-    result = ExperimentResult(
-        name=spec.name,
-        title=spec.title,
-        headers=["benchmark", "max instructions", "max registers", "LLIB filled?"],
-        scale=scale,
-    )
+def table(grid: SweepGrid, result: ExperimentResult) -> None:
+    """Tabulate Figure 13 (integer LLIB) or Figure 14 (floating-point
+    LLIB): peak instructions and registers per benchmark."""
+    suite = grid.spec.workloads[0]
+    note_failures(result, grid)
+    result.headers = ["benchmark", "max instructions", "max registers", "LLIB filled?"]
     instr_chart: dict[str, float] = {}
-    with Stopwatch(result):
-        grid = sweep_grid(spec, scale, store=store, force=force)
-        note_failures(result, grid)
-        llib_size = grid.machines[0].config.llib_size
-        for bench in grid.workloads[suite]:
-            stats = grid.stats(0, 0, bench)
-            if stats is None:
-                continue  # failed under a tolerant policy; named in the notes
-            if suite == "int":
-                max_instr = stats.llib_max_instructions_int
-                max_regs = stats.llib_max_registers_int
-            else:
-                max_instr = stats.llib_max_instructions_fp
-                max_regs = stats.llib_max_registers_fp
-            filled = "yes" if max_instr >= llib_size else "no"
-            result.rows.append([bench, max_instr, max_regs, filled])
-            instr_chart[bench] = float(max_instr)
+    llib_size = grid.machines[0].config.llib_size
+    for bench in grid.workloads[suite]:
+        stats = grid.stats(0, 0, bench)
+        if stats is None:
+            continue  # failed under a tolerant policy; named in the notes
+        if suite == "int":
+            max_instr = stats.llib_max_instructions_int
+            max_regs = stats.llib_max_registers_int
+        else:
+            max_instr = stats.llib_max_instructions_fp
+            max_regs = stats.llib_max_registers_fp
+        filled = "yes" if max_instr >= llib_size else "no"
+        result.rows.append([bench, max_instr, max_regs, filled])
+        instr_chart[bench] = float(max_instr)
     result.charts.append(
         bar_chart(instr_chart, title=f"max {_llib(suite)} LLIB instructions per benchmark")
     )
@@ -79,7 +66,6 @@ def run(
             f"register peak {max(regs)} vs instruction peak {max(instrs)} "
             "(paper: registers always below instructions; INT pressure > FP)"
         )
-    return result
 
 
 def _occupancy_spec(suite: str) -> FigureSpec:
@@ -108,9 +94,3 @@ def _occupancy_spec(suite: str) -> FigureSpec:
 
 #: Report specs (Figure 13 = integer LLIB, Figure 14 = FP LLIB).
 SPECS = {"fig13": _occupancy_spec("int"), "fig14": _occupancy_spec("fp")}
-
-
-if __name__ == "__main__":
-    print(run(suite="int").render())
-    print()
-    print(run(suite="fp").render())

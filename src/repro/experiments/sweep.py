@@ -5,17 +5,20 @@ data — machine and memory *spec strings* (:mod:`repro.machines`),
 workload suite tokens or benchmark names, and optional parameter *axes*
 crossed into every machine spec.  :func:`sweep_grid` runs the grid
 through :func:`repro.experiments.common.run_cells` and the result store;
-:func:`run_sweep` adds generic table/chart formatting and an ad-hoc
+:func:`run_sweep`, the one grid runner, times it and tabulates the
+executed grid with a table function — :func:`summarize_grid`'s generic
+rows and charts by default, shown with an ad-hoc
 :class:`~repro.report.spec.FigureSpec` so any scenario renders to ASCII
 and SVG with zero new modules.
 
-Every figure harness plans on the same engine: each declares its grid
-as a :class:`SweepSpec` (most through a ``sweep_for(scale, ...)``
-function), runs it with :func:`sweep_grid`, reads the results by grid
-coordinate and names failed cells with :func:`note_failures`.  fig9,
-fig10, fig10int and the contention study are also registered as
-:class:`SweepPreset` entries, so ``dkip-experiments sweep fig9`` (and
-``submit fig9``) plan the very grid the figure harness runs.
+Every figure harness is a grid plus a table: the experiment registry
+(:mod:`repro.experiments.registry`) records each one's grid at a scale
+(most through a ``sweep_for(scale, ...)`` function) and its table
+function, which reads the results by grid coordinate and names failed
+cells with :func:`note_failures`; its ``run`` is :func:`run_sweep` over
+the two.  ``dkip-experiments sweep NAME`` and ``submit NAME`` plan the
+very grid the experiment runs; :data:`SCENARIOS` holds the named grids
+that have no figure.
 """
 
 from __future__ import annotations
@@ -556,20 +559,20 @@ def summarize_grid(
     """Format an executed (or store-collected) grid generically.
 
     One row per (machine, memory, workload token) with mean/min/max IPC,
-    ASCII bars per (memory, token), and grid/phase/failure notes.  The
-    formatting half of :func:`run_sweep`, shared with the service
-    ``results`` client — which fills a :class:`SweepGrid` straight from
-    the store without re-running anything and renders it through here.
+    ASCII bars per (memory, token), and grid/phase/failure notes; the
+    title reads "ad-hoc …" when the spec has none.  The default table of
+    :func:`run_sweep`, shared with the service ``results`` client —
+    which fills a :class:`SweepGrid` straight from the store without
+    re-running anything and renders it through here.
     """
     if result is None:
         result = ExperimentResult(
-            name=grid.spec.name,
-            title=grid.spec.title or "ad-hoc machine/memory/workload sweep",
-            headers=[
-                "machine", "memory", "workloads", "mean IPC", "min IPC", "max IPC",
-            ],
-            scale=grid.scale,
+            name=grid.spec.name, title=grid.spec.title, headers=[], scale=grid.scale
         )
+    result.title = result.title or "ad-hoc machine/memory/workload sweep"
+    result.headers = [
+        "machine", "memory", "workloads", "mean IPC", "min IPC", "max IPC",
+    ]
     for mi, machine in enumerate(grid.machines):
         for gi, memory in enumerate(grid.memories):
             for token in grid.workloads:
@@ -619,66 +622,34 @@ def summarize_grid(
     return result
 
 
+# ----------------------------------------------------------------------
+# The one grid runner, and the named grids that have no figure
+# ----------------------------------------------------------------------
+
+
 def run_sweep(
     spec: SweepSpec,
     scale: Scale | str = Scale.DEFAULT,
     store: ResultStore | None = None,
     force: bool = False,
     jobs: int | None = None,
+    table: Callable[[SweepGrid, ExperimentResult], object] = summarize_grid,
 ) -> ExperimentResult:
-    """Run *spec* and format the grid generically: one row per (machine,
-    memory, workload token) with mean/min/max IPC, plus ASCII bars."""
+    """Run *spec*'s grid and tabulate it: the one grid runner.
+
+    The result takes the spec's name and title and the time
+    :func:`sweep_grid` took; ``table(grid, result)`` then sets its
+    headers, rows, charts and notes.  Every grid experiment runs through
+    here with its own table; the default is :func:`summarize_grid`.
+    """
     scale = scale_of(scale)
     result = ExperimentResult(
-        name=spec.name,
-        title=spec.title or "ad-hoc machine/memory/workload sweep",
-        headers=["machine", "memory", "workloads", "mean IPC", "min IPC", "max IPC"],
-        scale=scale,
+        name=spec.name, title=spec.title, headers=[], scale=scale
     )
     with Stopwatch(result):
         grid = sweep_grid(spec, scale, store=store, force=force, jobs=jobs)
-    summarize_grid(grid, result)
+    table(grid, result)
     return result
-
-
-# ----------------------------------------------------------------------
-# Named sweep presets
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepPreset:
-    """A named, reusable sweep: the declarative grid plus an optional
-    figure-grade runner (paper columns, reference values, charts)."""
-
-    name: str
-    #: ``sweep_for(scale) -> SweepSpec``: the grid at a scale, the same
-    #: one the preset's runner plans.
-    sweep_for: Callable[[Scale], SweepSpec]
-    description: str = ""
-    #: ``runner(scale, store=..., force=...) -> ExperimentResult``; when
-    #: None the generic :func:`run_sweep` formatting applies.
-    runner: Callable[..., ExperimentResult] | None = None
-
-
-SWEEP_PRESETS: dict[str, SweepPreset] = {}
-
-
-def register_sweep_preset(preset: SweepPreset) -> SweepPreset:
-    """Register (or replace) a named sweep."""
-    SWEEP_PRESETS[preset.name] = preset
-    return preset
-
-
-def get_sweep_preset(name: str) -> SweepPreset:
-    """The preset registered under *name* (raises ``ValueError``)."""
-    try:
-        return SWEEP_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sweep preset {name!r}; available: "
-            f"{', '.join(sorted(SWEEP_PRESETS)) or '(none registered)'}"
-        ) from None
 
 
 # The workload-axis showcase: latency tolerance (the paper's machine
@@ -693,10 +664,6 @@ CHASE_SWEEP = SweepSpec(
     workload_axes=(("chase", ("0", "4", "16")),),
 )
 
-register_sweep_preset(
-    SweepPreset(
-        name="chase",
-        sweep_for=lambda scale: CHASE_SWEEP,
-        description="D-KIP vs OOO as serial miss chains deepen (workload axis)",
-    )
-)
+#: Named grids with no figure, which ``sweep`` and ``submit`` accept by
+#: name beside the grid experiments; they run through the generic table.
+SCENARIOS: dict[str, SweepSpec] = {CHASE_SWEEP.name: CHASE_SWEEP}

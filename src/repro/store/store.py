@@ -178,17 +178,8 @@ class ResultStore:
         Absent, unreadable, tampered-with and schema-stale entries all
         read as misses — the caller recomputes rather than crashes.
         """
-        path = self.path_for(key)
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if entry["format"] != ENTRY_FORMAT or entry["digest"] != key.digest:
-                raise ValueError("entry/key mismatch")
-            # The key digest covers inputs only; the stats body carries
-            # its own content hash so in-place corruption that is still
-            # valid JSON reads as a miss, not a hit.
-            if entry["stats_digest"] != digest(entry["stats"]):
-                raise ValueError("stats digest mismatch")
+            entry = _read_entry(self.path_for(key), key.digest, "stats")
             stats = SimStats.from_dict(entry["stats"])
         except FileNotFoundError:
             self.misses += 1
@@ -223,15 +214,7 @@ class ResultStore:
         from repro.resilience.faults import plan_from_env
 
         path = self.path_for(key)
-        stats_dict = stats.to_dict()
-        entry = {
-            "format": ENTRY_FORMAT,
-            "digest": key.digest,
-            "key": key.payload,
-            "stats": stats_dict,
-            "stats_digest": digest(stats_dict),
-        }
-        text = json.dumps(entry, sort_keys=True)
+        text = _envelope(key, "stats", stats.to_dict())
         plan = plan_from_env()
         if plan is not None:
             text = plan.corrupt_store_text(f"{key.digest}#{self.writes}", text)
@@ -284,14 +267,7 @@ class ResultStore:
         """
         _check_selection(key.payload, selection)
         path = self.phases_path(key)
-        entry = {
-            "format": ENTRY_FORMAT,
-            "digest": key.digest,
-            "key": key.payload,
-            "selection": selection,
-            "selection_digest": digest(selection),
-        }
-        self._publish(path, json.dumps(entry, sort_keys=True))
+        self._publish(path, _envelope(key, "selection", selection))
         return path
 
     def iter_phase_records(self) -> Iterator[tuple[Path, dict | None]]:
@@ -345,16 +321,9 @@ class ResultStore:
             return
         for path in sorted(objects.glob("*/*.json")):
             try:
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                # Same envelope validation as get(): anything a lookup
-                # would reject, maintenance treats as corrupt too.
-                if entry["format"] != ENTRY_FORMAT or entry["digest"] != path.stem:
-                    raise ValueError("envelope mismatch")
-                if not isinstance(entry["key"], dict):
-                    raise ValueError("incomplete entry")
-                if entry["stats_digest"] != digest(entry["stats"]):
-                    raise ValueError("stats digest mismatch")
+                # The reader get() uses: anything a lookup would reject,
+                # maintenance treats as corrupt too.
+                entry = _read_entry(path, path.stem, "stats")
             except FileNotFoundError:
                 continue
             except (OSError, ValueError, KeyError, TypeError):
@@ -381,9 +350,9 @@ class ResultStore:
                 corrupt += 1
                 continue
             entries += 1
-            key = entry.get("key", {})
-            if key.get("schema") != STATS_SCHEMA_VERSION:
+            if _stale(entry):
                 stale += 1
+            key = entry["key"]
             kind = key.get("machine", {}).get("__kind__", "?")
             machines[kind] = machines.get(kind, 0) + 1
             name = key.get("workload", {}).get("name", "?")
@@ -417,11 +386,7 @@ class ResultStore:
         """
         removed = 0
         for path, entry in self.iter_entries():
-            stale = (
-                entry is None
-                or entry.get("key", {}).get("schema") != STATS_SCHEMA_VERSION
-            )
-            if everything or stale:
+            if everything or _stale(entry):
                 path.unlink(missing_ok=True)
                 removed += 1
         for path, selection in self.iter_phase_records():
@@ -485,11 +450,7 @@ class ResultStore:
         checked: list[tuple[Path, dict]] = []
         quarantined: list[dict] = []
         for p, e in self.iter_entries():
-            healthy = (
-                e is not None
-                and e.get("key", {}).get("schema") == STATS_SCHEMA_VERSION
-            )
-            if healthy:
+            if not _stale(e):
                 checked.append((p, e))
             elif quarantine:
                 reason = "corrupt entry" if e is None else "stale stats schema"
@@ -542,22 +503,48 @@ class ResultStore:
         return reports
 
 
+def _envelope(key: CellKey, body: str, value: dict) -> str:
+    """The JSON text of the record holding *value* as its *body*
+    (``"stats"`` or ``"selection"``) under *key*."""
+    entry = {"format": ENTRY_FORMAT, "digest": key.digest, "key": key.payload}
+    entry[body] = value
+    entry[f"{body}_digest"] = digest(value)
+    return json.dumps(entry, sort_keys=True)
+
+
+def _read_entry(path: Path, name: str, body: str) -> dict:
+    """Return the record at *path* if it names the digest *name* and its
+    *body* matches its own content digest; raise on any defect.
+
+    The key digest covers inputs only, so the body digest is what makes
+    in-place corruption that is still valid JSON read as a miss.
+    """
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
+    if entry["format"] != ENTRY_FORMAT or entry["digest"] != name:
+        raise ValueError("entry/key mismatch")
+    if not isinstance(entry["key"], dict):
+        raise ValueError("incomplete entry")
+    if entry[f"{body}_digest"] != digest(entry[body]):
+        raise ValueError(f"{body} digest mismatch")
+    return entry
+
+
+def _stale(entry: dict | None) -> bool:
+    """True for a corrupt (``None``) or schema-stale cell entry."""
+    return entry is None or entry["key"].get("schema") != STATS_SCHEMA_VERSION
+
+
 def _read_selection(path: Path, key: CellKey | None) -> dict:
     """Return the checked selection of the phase record at *path*.
 
     The record is checked against *key*, or without one against the key
     payload it carries.  Raises on any defect.
     """
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
+    entry = _read_entry(path, key.digest if key else path.stem, "selection")
     if key is None:
         key = CellKey(payload=entry["key"], digest=path.stem)
         if digest_canonical(key.payload) != key.digest:
             raise ValueError("key digest mismatch")
-    if entry["format"] != ENTRY_FORMAT or entry["digest"] != key.digest:
-        raise ValueError("entry/key mismatch")
-    selection = entry["selection"]
-    if entry["selection_digest"] != digest(selection):
-        raise ValueError("selection digest mismatch")
-    _check_selection(key.payload, selection)
-    return selection
+    _check_selection(key.payload, entry["selection"])
+    return entry["selection"]

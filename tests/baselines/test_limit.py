@@ -88,14 +88,3 @@ def test_result_reports_memory_stats():
     result = run(trace)
     assert result.stats.memory_accesses == 10
     assert result.committed == 10
-
-
-def test_histogram_bin_width_configurable():
-    result = simulate_limit(
-        iter(make_alu_chain(100)),
-        MemoryHierarchy(DEFAULT_MEMORY),
-        rob_size=None,
-        predictor="always-taken",
-        histogram_bin=50,
-    )
-    assert result.issue_distance.bin_width == 50

@@ -575,9 +575,7 @@ def test_other_starting_fill_tables_run(timed):
     assert_agree([outcome], live(config, trace, regions, hierarchy=pending[1]))
 
 
-@pytest.mark.parametrize(
-    "change", [{"width": 2}, {"redirect_penalty": 9}, {"histogram_bin": 10}]
-)
+@pytest.mark.parametrize("change", [{"width": 2}, {"redirect_penalty": 9}])
 def test_other_pass_parameters_run(change, monkeypatch, timed):
     trace, regions = workload("gcc")
 

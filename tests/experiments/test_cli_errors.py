@@ -17,8 +17,10 @@ UNKNOWN_EXPERIMENT = (
     "ablation-timer, ablation-llib, ablation-predictor, ablation-runahead"
 )
 UNKNOWN_PRESET = (
-    "unknown sweep preset 'fig99'; available: chase, contention, fig10, "
-    "fig10int, fig9"
+    "unknown sweep preset 'fig99'; available: ablation-llib, "
+    "ablation-predictor, ablation-runahead, ablation-timer, chase, "
+    "contention, fig1, fig10, fig10int, fig11, fig12, fig13, fig14, fig2, "
+    "fig3, fig9"
 )
 NO_SPOOL = (
     "no service directory configured; pass --service DIR or set $REPRO_SERVICE"

@@ -8,15 +8,15 @@ import pytest
 
 from repro.experiments import cli
 from repro.experiments.sweep import (
-    SWEEP_PRESETS,
+    SCENARIOS,
     SweepSpec,
     expand_machines,
-    get_sweep_preset,
     resolve_workloads,
     run_sweep,
     sweep_grid,
 )
 from repro.experiments.common import Scale
+from repro.experiments.registry import REGISTRY
 from repro.machines import SpecError
 from repro.sim.config import DKIP_2048
 from repro.store import ResultStore
@@ -129,10 +129,16 @@ def test_sweep_shares_the_figure_store_keyspace(tmp_path):
 
 
 def test_fig_presets_registered():
-    assert {"fig9", "fig10", "fig10int"} <= set(SWEEP_PRESETS)
-    assert get_sweep_preset("fig9").runner is not None
-    with pytest.raises(ValueError, match="unknown sweep preset"):
-        get_sweep_preset("fig99")
+    """Every experiment but table1 and sampling is a grid and a table,
+    and its grid at any scale carries the experiment's name."""
+    grids = [name for name, e in REGISTRY.items() if e.grid is not None]
+    assert len(grids) == 15
+    assert set(REGISTRY) - set(grids) == {"table1", "sampling"}
+    for name in grids:
+        assert REGISTRY[name].table is not None
+        for scale in Scale:
+            assert REGISTRY[name].grid(scale).name == name
+    assert set(SCENARIOS) == {"chase"} and not set(SCENARIOS) & set(REGISTRY)
 
 
 def test_cli_adhoc_sweep_with_svg_and_store(tmp_path, capsys):

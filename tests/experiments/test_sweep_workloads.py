@@ -16,7 +16,7 @@ import pytest
 from repro.experiments import cli
 from repro.experiments.common import Scale, WorkloadPool
 from repro.experiments.sweep import (
-    SWEEP_PRESETS,
+    SCENARIOS,
     SweepSpec,
     expand_workload_tokens,
     resolve_workloads,
@@ -170,8 +170,7 @@ def test_workload_pool_caches_spec_instances():
 
 
 def test_chase_preset_registered():
-    assert "chase" in SWEEP_PRESETS
-    spec = SWEEP_PRESETS["chase"].sweep_for(Scale.QUICK)
+    spec = SCENARIOS["chase"]
     assert spec.workload_axes
     assert expand_workload_tokens(spec) == (
         "synth(chase=0)",

@@ -12,8 +12,8 @@ import pytest
 
 import repro
 from repro.experiments import cli, sweep
-from repro.experiments.common import WorkloadPool, compute_cell
-from repro.experiments.registry import REGISTRY, get_experiment
+from repro.experiments.common import Scale, WorkloadPool, compute_cell
+from repro.experiments.registry import REGISTRY, get_experiment, get_info
 from repro.service import Scheduler, ServiceQueue, job_status
 from repro.store import ResultStore, cell_key
 
@@ -161,6 +161,20 @@ def test_submit_wait_polls_at_the_documented_default(tmp_path, capsys, monkeypat
     assert "poll interval (default: 0.2)" in help_text
 
 
+def test_submit_notes_the_ad_hoc_flags_a_name_ignores(tmp_path, capsys):
+    """``submit NAME`` ignores the ad-hoc grid flags as ``sweep NAME``
+    does, says so on stderr, and enqueues the named grid unchanged."""
+    argv = ["fig9", "--scale", "quick", "--instructions", "500", "--machines", "r10"]
+    assert cli.main(["submit", *argv, *_svc(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "note: --machines/--memory/--workloads/--axes/--workload-axes/"
+        "--name/--title/--instructions/--max-cycles are ignored when "
+        "presets or scenario files are named\n"
+    )
+    (job,) = ServiceQueue(tmp_path / "svc").iter_jobs()
+    assert job.sweep == get_info("fig9").grid(Scale.QUICK).to_mapping()
+
+
 def test_submit_rejects_malformed_specs(tmp_path, capsys):
     bad = ["--machines", "r10(rob=32)", "--axes", "broken-chunk"]
     assert cli.main(["submit", *_svc(tmp_path), *bad]) == 2
@@ -219,7 +233,7 @@ class Planned(Exception):
 
 
 #: Every name ``submit`` accepts that names an experiment.
-SUBMITTABLE = [name for name in REGISTRY if name in sweep.SWEEP_PRESETS]
+SUBMITTABLE = [name for name, e in REGISTRY.items() if e.grid is not None]
 
 
 def _submitted_digests(spool, capsys, name, scale):
