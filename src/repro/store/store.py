@@ -504,8 +504,11 @@ class ResultStore:
 
 
 def _envelope(key: CellKey, body: str, value: dict) -> str:
-    """The JSON text of the record holding *value* as its *body*
-    (``"stats"`` or ``"selection"``) under *key*."""
+    """Return the JSON text of the record of *value* under *key*.
+
+    *body* names the value's field, ``"stats"`` or ``"selection"``; the
+    value's own content digest goes under ``<body>_digest``.
+    """
     entry = {"format": ENTRY_FORMAT, "digest": key.digest, "key": key.payload}
     entry[body] = value
     entry[f"{body}_digest"] = digest(value)
@@ -513,9 +516,10 @@ def _envelope(key: CellKey, body: str, value: dict) -> str:
 
 
 def _read_entry(path: Path, name: str, body: str) -> dict:
-    """Return the record at *path* if it names the digest *name* and its
-    *body* matches its own content digest; raise on any defect.
+    """Return the record at *path*, checked; raise on any defect.
 
+    The record must name the digest *name*, carry its key payload as a
+    mapping, and hold a *body* that matches its own content digest.
     The key digest covers inputs only, so the body digest is what makes
     in-place corruption that is still valid JSON read as a miss.
     """
