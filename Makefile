@@ -102,9 +102,18 @@ contention-smoke:
 	grep ": 8 cells cached, 0 simulated" .contention-store/warm.log
 
 # The fault-tolerant executor under deterministic chaos: the battery in
-# tests/resilience/ plus one CLI run where 40% of cell attempts are
-# killed mid-flight and the sweep must still exit 0 with a full grid;
-# then the serve-smoke grid drained twice, each time by two worker
+# tests/resilience/ plus one CLI run into a fresh .chaos-store where 40%
+# of cell attempts are killed mid-flight and the sweep must still exit 0
+# with a full grid.  Under this seed the pool's two workers start on the
+# mcf and gcc cells, whose first attempts survive, and the swim cell's
+# first attempt kills its worker: so the one worker death the failure
+# report must count comes after the first result, and its replacement
+# is forked after that result's store write.  On Python 3.12 and later
+# a fork while a second thread is alive prints a DeprecationWarning
+# ("multi-threaded"); the run shows them all (`-W always`, since `-W
+# error` silences this one) and the grep requires none.  `cache verify`
+# then re-simulates every stored cell and must find 0 stale or errored.
+# Then the serve-smoke grid drained twice, each time by two worker
 # processes into a fresh spool.  In the first drain every first cell
 # attempt fails transiently, which the in-worker retries must heal; in
 # the second every generation-0 first attempt kills its worker, which
@@ -114,10 +123,21 @@ contention-smoke:
 # check gates in CI.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/resilience -x -q
+	rm -rf .chaos-store
+	mkdir .chaos-store
 	REPRO_JOBS=2 REPRO_FAULT="cell:kill:0.4,seed=11" \
-	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep \
-	  --machines "r10(rob=32)" --workloads "mcf,swim" \
-	  --scale quick --instructions 2000 --no-store --retries 8
+	  PYTHONPATH=src $(PYTHON) -W always::DeprecationWarning \
+	  -m repro.experiments sweep \
+	  --machines "r10(rob=32)" --workloads "mcf,gcc,swim" \
+	  --scale quick --instructions 2000 --store .chaos-store --retries 8 \
+	  --failures-json .chaos-store/failures.json 2> .chaos-store/sweep.err \
+	  || { cat .chaos-store/sweep.err; exit 1; }
+	grep -x '  "worker_deaths": 1' .chaos-store/failures.json
+	! grep "multi-threaded" .chaos-store/sweep.err
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cache verify \
+	  --store .chaos-store > .chaos-store/verify.log \
+	  || { cat .chaos-store/verify.log; exit 1; }
+	grep ", 0 stale/errored" .chaos-store/verify.log
 	rm -rf .chaos-svc .chaos-kill-svc
 	PYTHONPATH=src $(PYTHON) -m repro.experiments submit $(SERVE_SMOKE_GRID) \
 	  --service .chaos-svc
@@ -137,8 +157,8 @@ chaos-smoke:
 # The pool executor end to end: the same small grid in-process and on
 # a two-worker REPRO_JOBS=2 pool, asserting the result rows are
 # byte-identical; the same for the Figure-1 window sweep, whose limit
-# cells settle in the driver while the freed workers already run their
-# next ones; the same for the sampling experiment, each run into
+# cells settle on the driver's settle thread while the freed workers
+# already run their next ones; the same for the sampling experiment, each run into
 # its own fresh store, so captures and SimPoint selections made on pool
 # workers are checked against the in-process path; then the Figure-1
 # and Figure-2 sweeps and the contention grid into one fresh store,

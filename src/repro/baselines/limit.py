@@ -37,7 +37,6 @@ those windows take its outcome without running (see
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -223,8 +222,10 @@ def simulate_limit(
     nondecreasing, or drop this shortcut.
 
     Args:
-        rob_size: ROB capacity; ``None`` means unlimited (the configuration
-            of the Figure-3 analysis).
+        rob_size: ROB capacity, at least 1; ``None`` means unlimited (the
+            configuration of the Figure-3 analysis).
+        width: Fetch and commit width, at least 1.  A value out of range
+            for either raises ``ValueError``.
         predictor: Branch-predictor spec (:mod:`repro.branch.spec`); a
             fresh one is trained over the trace's conditional branches,
             through :func:`branch_verdicts`.
@@ -237,6 +238,10 @@ def simulate_limit(
             fresh one — how :class:`LimitCore` threads the runner-created
             stats through.
     """
+    if rob_size is not None and rob_size < 1:
+        raise ValueError(f"rob_size must be None or at least 1, got {rob_size!r}")
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width!r}")
     if stats is None:
         stats = SimStats(config=f"limit-{rob_size or 'inf'}")
     trace = list(trace)  # the memo's key; a miss also reads its two streams
@@ -309,6 +314,15 @@ def _time(
     """One timing pass of :func:`simulate_limit` over *pair*'s verdicts
     and plan.  Returns the last commit cycle, the branch and
     misprediction counts, and whether the ROB ever delayed a dispatch.
+
+    One list, ``commits``, holds *width* zeros and then every commit
+    cycle in trace order, so instruction *i*'s commit is
+    ``commits[i + width]``.  Both bounds read it by index: the window
+    bound the commit *rob_size* instructions back, from instruction
+    *rob_size* on, and the bandwidth bound the commit *width*
+    instructions back (a zero before the first *width*).  Each
+    instruction's live sources are read from the slot
+    :meth:`~repro.isa.Instruction.live_srcs` returns.
     """
     next_verdict = iter(pair.verdicts).__next__
     line_bits = hierarchy.line_size.bit_length() - 1
@@ -321,10 +335,13 @@ def _time(
     by_op = latencies.by_op
 
     reg_time = [0] * NUM_REGS
-    # Commit times of the ROB-resident window (for the capacity constraint)
-    rob_commits: deque[int] = deque()
-    # Commit times of the last `width` instructions (commit bandwidth)
-    recent_commits: deque[int] = deque([0] * width, maxlen=width)
+    commits = [0] * width
+    record_commit = commits.append
+    # The first instruction the window bounds (none past the trace when
+    # it is unlimited), and how far below an instruction's own index its
+    # bound sits in `commits`.
+    bounded = len(trace) if rob_size is None else rob_size
+    back = bounded - width
     last_commit = 0
     fetch_cycle = 0
     slots_left = width          # fetch slots remaining in the current cycle
@@ -332,7 +349,7 @@ def _time(
     branches = mispredictions = 0
     delayed = False
 
-    for instr in trace:
+    for i, instr in enumerate(trace):
         # ---- fetch -----------------------------------------------------
         if slots_left == 0:
             fetch_cycle += 1
@@ -344,8 +361,8 @@ def _time(
 
         # ---- dispatch (ROB capacity) ------------------------------------
         dispatch = fetch_cycle
-        if rob_size is not None and len(rob_commits) >= rob_size:
-            oldest_commit = rob_commits.popleft()
+        if i >= bounded:
+            oldest_commit = commits[i - back]
             if oldest_commit + 1 > dispatch:
                 dispatch = oldest_commit + 1
                 # The back-pressure propagates to the front end.
@@ -355,7 +372,7 @@ def _time(
 
         # ---- issue -----------------------------------------------------
         ready = dispatch + 1
-        for src in instr.live_srcs():
+        for src in instr._live_srcs:
             t = reg_time[src]
             if t > ready:
                 ready = t
@@ -401,12 +418,11 @@ def _time(
         commit = complete
         if last_commit > commit:
             commit = last_commit
-        if recent_commits[0] + 1 > commit:
-            commit = recent_commits[0] + 1
+        t = commits[i] + 1
+        if t > commit:
+            commit = t
         last_commit = commit
-        recent_commits.append(commit)
-        if rob_size is not None:
-            rob_commits.append(commit)
+        record_commit(commit)
 
     return last_commit, branches, mispredictions, delayed
 

@@ -34,10 +34,19 @@ Completed results stream to the caller's ``on_result`` callback as they
 arrive (the sweep layer persists each one to the content-addressed
 store there), so even an aborted run resumes from everything that
 finished — the store's fingerprints are the idempotency ledger, and a
-retried cell dedupes to a bit-identical entry.  On the pool the driver
-first receives every ready outcome and hands each freed worker its next
-cell, and only then settles those outcomes, so a worker computes while
-the driver writes the store.
+retried cell dedupes to a bit-identical entry.  On the pool the driver's
+loop receives outcomes, hands freed workers their next cells and does
+all the accounting, while one settle thread makes the ``on_result``
+calls, one at a time, in completion order; so the workers compute and
+the driver dispatches while the store is written.  The loop drains and
+joins the settle thread before every fork of a replacement worker and
+on every exit from :meth:`~ResilientExecutor.run`.  No second thread is
+alive when the driver forks, so no child inherits a lock a settle call
+held (the import lock, a file's buffer lock) with no thread left to
+release it; and every cell whose result arrived has been settled when
+``run`` returns or raises.  An error ``on_result`` raises is re-raised
+by the loop at its next round and at the end, and the results queued
+after it are not settled.
 
 ``multiprocessing`` is imported only where a worker is spawned or
 waited on, so a process that runs no pool never loads it.
@@ -56,6 +65,8 @@ loads this module.
 from __future__ import annotations
 
 import gc
+import queue
+import threading
 import time
 import traceback as traceback_module
 from collections import deque
@@ -188,6 +199,51 @@ class _Worker:
         self.last: Hashable = None
 
 
+class _Settler:
+    """The pool's settle thread: runs ``on_result`` off the dispatch loop.
+
+    :meth:`put` queues one completed cell's ``on_result(index, result)``;
+    one thread, started by the first :meth:`put` after a :meth:`join`,
+    makes the calls one at a time in queue order.  :meth:`join` lets it
+    finish every queued call, then stops it, so no thread of this
+    settler is alive when the driver forks.  After a call raises, the
+    thread makes no further call, and :meth:`check` raises that error.
+    """
+
+    def __init__(self, on_result: Callable[[int, Any], None] | None) -> None:
+        self.on_result = on_result
+        self.error: BaseException | None = None
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def put(self, index: int, result: Any) -> None:
+        """Queue ``on_result(index, result)``, starting the thread if none runs."""
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name="settle", daemon=True)
+            self._thread.start()
+        self._calls.put((index, result))
+
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
+            if self.error is None:
+                try:
+                    self.on_result(*call)
+                except BaseException as error:  # noqa: BLE001 - raised by check()
+                    self.error = error
+
+    def join(self) -> None:
+        """Finish every queued call, then stop the thread."""
+        if self._thread is not None:
+            self._calls.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def check(self) -> None:
+        """Raise the error an ``on_result`` call raised, if one did."""
+        if self.error is not None:
+            raise self.error
+
+
 def _workload_of(key: Hashable) -> Hashable:
     """The workload a ``(workload, memory)`` key belongs to (``None`` for
     a task without a key)."""
@@ -290,6 +346,7 @@ class ResilientExecutor:
         self.policy = policy
         self.report = report if report is not None else FailureReport()
         self._workers: list[_Worker] = []
+        self._settler: _Settler | None = None
 
     # -- the run loops --------------------------------------------------
 
@@ -306,9 +363,12 @@ class ResilientExecutor:
         mapping holds one entry per *completed* cell; cells that failed
         past their budget are absent (their
         :class:`~repro.resilience.report.CellFailure` records live in
-        ``self.report``).  ``on_result(index, result)`` fires in the
-        driver as each cell completes, in completion order; on the pool,
-        after the worker that ran the cell has been given its next one.
+        ``self.report``).  ``on_result(index, result)`` is called once
+        per completed cell, one call at a time, in completion order: in
+        the driver's loop in-process, and on the pool on the settle
+        thread, which has made every call for the results that arrived
+        by the time ``run`` returns or raises.  An error it raises
+        propagates out of ``run``.
         """
         results: dict[int, Any] = {}
         self.report.cells += len(tasks)
@@ -344,13 +404,23 @@ class ResilientExecutor:
     def _run_pool(
         self, remaining: int, pending: _Pending, delayed: list, results: dict, on_result
     ) -> None:
-        """The supervised loop over worker processes."""
+        """The supervised loop over worker processes.
+
+        The loop receives outcomes, hands freed workers their next cells
+        and does all the accounting; each completed cell's ``on_result``
+        goes to the settle thread (:class:`_Settler`), which this loop
+        drains and joins before it forks a replacement worker and on
+        every exit, and whose error it raises at its next round.
+        """
         from multiprocessing.connection import wait
 
         for _ in range(min(self.jobs, remaining)):
             self._workers.append(self._spawn())
+        self._settler = settler = _Settler(on_result)
+        settle = None if on_result is None else settler.put
         try:
             while remaining > 0:
+                settler.check()
                 now = time.monotonic()
                 self._release(pending, delayed, now)
                 self._dispatch(pending, now)
@@ -380,11 +450,11 @@ class ResilientExecutor:
                     outcomes.append((worker.cell, outcome))
                     worker.cell = None
                 # Freed workers take their next cells before the driver
-                # settles (on_result, the store put) what they sent.
+                # accounts for what they sent.
                 self._dispatch(pending, now)
                 for cell, outcome in outcomes:
                     remaining -= self._settle(
-                        cell, outcome, now, results, on_result, pending, delayed
+                        cell, outcome, now, results, settle, pending, delayed
                     )
                 if self.policy.cell_timeout is not None:
                     for worker in [w for w in self._workers if w.cell is not None]:
@@ -393,7 +463,12 @@ class ResilientExecutor:
                                 worker, now, pending, delayed, death=False
                             )
         finally:
-            self._shutdown()
+            try:
+                self._shutdown()
+            finally:
+                settler.join()
+                self._settler = None
+        settler.check()
 
     # -- per-cell accounting ---------------------------------------------
 
@@ -468,6 +543,15 @@ class ResilientExecutor:
         child_conn.close()
         return _Worker(process, parent_conn)
 
+    def _replace(self, worker: _Worker, kill: bool) -> _Worker:
+        """Drop *worker* and fork its replacement once the settle thread
+        has finished its calls and stopped, so the fork copies no lock a
+        settle call holds."""
+        self._discard(worker, kill=kill)
+        self._settler.join()
+        self._workers.append(self._spawn())
+        return self._workers[-1]
+
     def _discard(self, worker: _Worker, kill: bool = False) -> None:
         """Drop *worker*: close its pipe, kill/join the process."""
         try:
@@ -501,9 +585,7 @@ class ResilientExecutor:
                 continue
             if not worker.process.is_alive():
                 self.report.worker_deaths += 1
-                self._discard(worker)
-                self._workers.append(self._spawn())
-                worker = self._workers[-1]
+                worker = self._replace(worker, kill=False)
             busy = [w.cell.key for w in self._workers if w.cell is not None]
             cell = pending.take(worker.last, busy)
             if cell.first_start is None:
@@ -513,8 +595,7 @@ class ResilientExecutor:
             except (BrokenPipeError, OSError):
                 pending.append(cell)
                 self.report.worker_deaths += 1
-                self._discard(worker, kill=True)
-                self._workers.append(self._spawn())
+                self._replace(worker, kill=True)
                 continue
             worker.cell = cell
             worker.last = cell.key
@@ -538,8 +619,7 @@ class ResilientExecutor:
         """A worker died or overran its deadline mid-cell: replace it, then
         requeue its cell whole or fail it; return 1 when the cell failed."""
         cell = worker.cell
-        self._discard(worker, kill=True)
-        self._workers.append(self._spawn())
+        self._replace(worker, kill=True)
         if death:
             self.report.worker_deaths += 1
             info = {

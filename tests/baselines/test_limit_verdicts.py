@@ -198,6 +198,49 @@ def test_memo_agrees_with_live_predictor(spec, name, memory, monkeypatch):
             assert_agree([fresh, hit], reference)
 
 
+@pytest.mark.parametrize("memory", ("L2-11", "MEM-400"))
+@pytest.mark.parametrize("name", ("mcf", "swim"))
+def test_windows_below_the_fetch_width_agree(name, memory, monkeypatch):
+    """Windows of 1 to 8 entries at fetch widths 1 to 8, many of them
+    below the width, where the window bound reads a commit fewer
+    instructions back than the bandwidth bound, on a stall-bound and a
+    busy trace: every cell, on cleared memos and as a pair-memo hit,
+    equals the reference pass."""
+    trace, regions = workload(name)
+    memory = TABLE1_CONFIGS[memory]
+    for width in (1, 2, 4, 8):
+        for rob in (1, 2, 3, 4, 5, 8):
+            config = LimitMachine(rob_size=rob, width=width)
+            clear_memos(monkeypatch)
+            fresh = run(config, trace, regions, memory)
+            run(dataclasses.replace(config, rob_size=64), trace, regions, memory)
+            pair = limit._PAIR
+            hit = run(config, trace, regions, memory)
+            assert limit._PAIR is pair
+            assert_agree([fresh, hit], live(config, trace, regions, memory))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rob_size": 0}, "rob_size must be None or at least 1, got 0"),
+        ({"rob_size": -3}, "rob_size must be None or at least 1, got -3"),
+        ({"width": 0}, "width must be at least 1, got 0"),
+        ({"width": -1}, "width must be at least 1, got -1"),
+    ],
+    ids=["rob-0", "rob-negative", "width-0", "width-negative"],
+)
+def test_an_impossible_window_or_width_is_rejected(change, message):
+    trace, regions = workload("gcc")
+    kwargs = {"rob_size": 32, **change}
+    with pytest.raises(ValueError, match=message):
+        limit.simulate_limit(
+            trace[:500], warmed(MEMORY, regions), predictor="perceptron", **kwargs
+        )
+    with pytest.raises(ValueError, match=message):
+        run(LimitMachine(**kwargs), trace[:500], regions)
+
+
 def test_flipped_branch_retrains():
     trace, regions = workload("gcc")
     k = [i for i, instr in enumerate(trace) if instr.op == OpClass.BRANCH][40]

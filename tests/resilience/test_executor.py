@@ -10,6 +10,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -89,6 +90,11 @@ def _mark_start(payload):
 
 def _tasks(payloads):
     return [(i, f"cell-{i}", p) for i, p in enumerate(payloads)]
+
+
+def _new_threads(before):
+    """The threads alive now that were not in *before*."""
+    return [t for t in threading.enumerate() if t not in before]
 
 
 # ----------------------------------------------------------------------
@@ -359,36 +365,133 @@ def test_in_process_mode_neither_forks_nor_injects(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_on_result_errors_propagate_instead_of_failing_cells(jobs):
-    """A failed store write is the caller's error, not the cell's."""
+    """A failed store write is the caller's error, not the cell's.  No
+    call follows it, and on the pool no settle thread outlives the run."""
+    before = set(threading.enumerate())
     report = FailureReport()
     executor = ResilientExecutor(_double, jobs=jobs, report=report)
+    calls = []
 
     def on_result(index, result):
+        calls.append(index)
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
         executor.run(_tasks([1, 2]), on_result)
     assert report.failures == []
+    assert len(calls) == 1
+    assert _new_threads(before) == [] and not executor._workers
 
 
 def test_a_freed_worker_gets_its_next_cell_before_on_result_runs(tmp_path):
     """The driver hands a freed worker its next cell before it settles
-    (``on_result``, the store put) the cell the worker sent back."""
+    (``on_result``, the store put) the cell the worker sent back, and
+    settles off the dispatch loop: while ``on_result(0)`` blocks, the loop
+    keeps receiving outcomes and handing its one worker the next cells,
+    up to the last."""
     policy = ExecutionPolicy(cell_timeout=60.0)  # a deadline: one pool worker
     executor = ResilientExecutor(_mark_start, jobs=1, policy=policy)
     started = {}
 
     def on_result(index, result):
         if index == 0:
-            marker = tmp_path / "started-1"
-            deadline = time.monotonic() + 10
+            marker = tmp_path / "started-3"
+            deadline = time.monotonic() + 5
             while not marker.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            started[1] = marker.exists()
+            started[3] = marker.exists()
 
-    results = executor.run(_tasks([(str(tmp_path), 0), (str(tmp_path), 1)]), on_result)
-    assert results == {0: 0, 1: 1}
-    assert started == {1: True}
+    tasks = _tasks([(str(tmp_path), value) for value in range(4)])
+    assert executor.run(tasks, on_result) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert started == {3: True}
+
+
+# ----------------------------------------------------------------------
+# The pool's settle thread
+# ----------------------------------------------------------------------
+
+
+def test_no_settle_thread_is_alive_at_a_fork(monkeypatch):
+    """Killed workers are replaced after results have settled; every fork
+    happens with no thread but the caller's, and none is left after."""
+    before = set(threading.enumerate())
+    monkeypatch.setenv("REPRO_FAULT", "cell:kill@cell-3#0,cell:kill@cell-6#0")
+    spawned = []
+    spawn = ResilientExecutor._spawn
+
+    def recording(executor):
+        spawned.append((len(settled), _new_threads(before)))
+        return spawn(executor)
+
+    monkeypatch.setattr(ResilientExecutor, "_spawn", recording)
+    settled, threads = [], set()
+
+    def on_result(index, result):
+        threads.add(threading.current_thread())
+        settled.append(index)
+
+    report = FailureReport()
+    policy = ExecutionPolicy(retries=2, backoff_base=0.001)
+    executor = ResilientExecutor(_double, jobs=2, policy=policy, report=report)
+    results = executor.run(_tasks(range(8)), on_result)
+    assert results == {i: 2 * i for i in range(8)} and sorted(settled) == list(range(8))
+    assert report.worker_deaths == 2 and len(spawned) == 4
+    assert any(count for count, _ in spawned[2:])  # a respawn after a settle
+    assert all(alive == [] for _, alive in spawned)
+    assert threading.main_thread() not in threads
+    assert _new_threads(before) == []
+
+
+def test_a_strict_abort_has_settled_every_completed_cell():
+    """The budget aborts the run while the settle thread lags behind: it
+    still makes every call for the cells the report counts complete."""
+    report = FailureReport()
+    settled = []
+
+    def on_result(index, result):
+        time.sleep(0.02)
+        settled.append(index)
+
+    executor = ResilientExecutor(_fail_on_three, jobs=2, report=report)
+    payloads = [1, 2, 4, 5, 6, 7, 3, 8, 9]
+    with pytest.raises(CellExecutionError, match="cell-6"):
+        executor.run(_tasks(payloads), on_result)
+    assert report.completed >= 1
+    assert len(settled) == len(set(settled)) == report.completed
+    assert 6 not in settled
+
+
+def test_on_result_calls_never_overlap_and_keep_completion_order(monkeypatch):
+    """Three workers, and the interpreter switching threads every 10 µs:
+    one call at a time, each cell once, in the order the loop received
+    the outcomes."""
+    received = []
+    settle = ResilientExecutor._settle
+
+    def recording(executor, cell, outcome, *args):
+        if outcome[0]:
+            received.append(cell.index)
+        return settle(executor, cell, outcome, *args)
+
+    monkeypatch.setattr(ResilientExecutor, "_settle", recording)
+    active, overlaps, settled = [0], [], []
+
+    def on_result(index, result):
+        active[0] += 1
+        overlaps.append(active[0] > 1)
+        time.sleep(0.002)
+        settled.append(index)
+        active[0] -= 1
+
+    executor = ResilientExecutor(_double, jobs=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        executor.run(_tasks(range(24)), on_result)
+    finally:
+        sys.setswitchinterval(interval)
+    assert settled == received and sorted(settled) == list(range(24))
+    assert not any(overlaps)
 
 
 #: A driver whose two pool workers each write their pid to
